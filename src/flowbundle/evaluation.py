@@ -7,7 +7,7 @@ recall = TP/(TP+FN), F1 = 2TP/(2TP+FP+FN); a zero denominator reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -163,15 +163,7 @@ def kfold_evaluate(
     for f, test_idx in enumerate(fold_indices):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
-        cfg = spec.training
-        fold_cfg = TrainingConfig(
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.epochs,
-            batch_size=cfg.batch_size,
-            loss="cross_entropy",
-            seed=seed + f,
-            input_scaling=cfg.input_scaling,
-        )
+        fold_cfg = replace(spec.training, loss="cross_entropy", seed=seed + f)
         model = init_model(
             [X.shape[1], spec.hidden_size, len(class_names)],
             hidden_activation=spec.hidden_activation,

@@ -9,6 +9,7 @@ as the reconstruction autoencoder.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +64,8 @@ class TrainingConfig:
         # checks rely on
         if self.learning_rate < 0:
             raise ValueError("learning_rate must not be negative")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1 when given")
         if self.loss not in LOSSES:
@@ -118,35 +121,73 @@ def init_model(
     )
 
 
+# numpy sums a contiguous run of fewer than this many entries in order
+# and a longer one pairwise, so a softmax row sum over fewer columns can
+# be taken column by column with the same bits.  Bias gradients add rows
+# in order at any width above 1; accumulating them beats np.sum only
+# below this width.
+_IN_ORDER_WIDTH = 8
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, computed in place over z."""
     with np.errstate(over="ignore"):  # exp overflow still yields correct 0/1
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(np.negative(z, out=z), out=z)
+    z += 1.0
+    return np.divide(1.0, z, out=z)
 
 
 def _hidden(z: np.ndarray, kind: str) -> np.ndarray:
+    """Hidden activation, computed in place over z."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     return _sigmoid(z)
 
 
-def _hidden_grad(z: np.ndarray, activation: np.ndarray, kind: str) -> np.ndarray:
+def _hidden_grad(activation: np.ndarray, kind: str) -> np.ndarray:
+    """Derivative of the hidden activation, taken from its output.
+
+    Overwrites `activation` for tanh; relu gives a mask (a > 0 iff z > 0).
+    """
     if kind == "relu":
-        return (z > 0).astype(float)
+        return activation > 0
     if kind == "tanh":
-        return 1.0 - activation**2
-    return activation * (1.0 - activation)
+        np.multiply(activation, activation, out=activation)
+        return np.subtract(1.0, activation, out=activation)
+    grad = 1.0 - activation
+    grad *= activation
+    return grad
 
 
 def _output(z: np.ndarray, kind: str) -> np.ndarray:
+    """Output activation, computed in place over z."""
     if kind == "softmax":
-        shifted = z - z.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        cols = z.T
+        peak = cols[0].copy()
+        for col in cols[1:]:
+            np.maximum(peak, col, out=peak)
+        z -= peak[:, None]
+        np.exp(z, out=z)
+        if len(cols) < _IN_ORDER_WIDTH:
+            total = cols[0].copy()
+            for col in cols[1:]:
+                total += col
+        else:
+            total = z.sum(axis=1)
+        z /= total[:, None]
+        return z
     if kind == "sigmoid":
         return _sigmoid(z)
     return z
+
+
+def _column_sums(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=0), bit for bit (numpy sums a single column pairwise)."""
+    if 1 < a.shape[1] < _IN_ORDER_WIDTH:
+        return np.add.accumulate(a, axis=0)[-1]
+    return a.sum(axis=0)
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -160,7 +201,8 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
     a = X
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         a = _output(z, model.output_activation) if i == last else _hidden(
             z, model.hidden_activation
         )
@@ -193,37 +235,51 @@ def loss_and_gradients(
 
     n = X.shape[0]
     activations = [X]
-    pre = []
-    a = X
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        pre.append(z)
-        a = _output(z, out_kind) if i == last else _hidden(z, model.hidden_activation)
-        activations.append(a)
-    output = activations[-1]
+        z = activations[-1] @ w
+        z += b
+        activations.append(
+            _output(z, out_kind) if i == last else _hidden(z, model.hidden_activation)
+        )
+    output = activations.pop()
 
     if loss == "cross_entropy":
-        clipped = np.clip(output, 1e-12, 1.0)
-        value = float(-(targets * np.log(clipped)).sum() / n)
-        delta = (output - targets) / n
+        log_p = np.clip(output, 1e-12, 1.0)
+        np.log(log_p, out=log_p)
+        log_p *= targets
+        value = float(-log_p.sum() / n)
+        delta = np.subtract(output, targets, out=output)
+        delta /= n
     else:
-        diff = output - targets
-        value = float((diff**2).mean())
-        delta = 2.0 * diff / diff.size
+        delta = output - targets
+        value = float((delta**2).mean())
+        delta *= 2.0
+        delta /= delta.size
         if out_kind == "sigmoid":
-            delta = delta * output * (1.0 - output)
+            delta *= output
+            delta *= np.subtract(1.0, output, out=output)
 
     grads_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
     grads_b: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    for layer in range(len(model.weights) - 1, -1, -1):
+    for layer in range(last, -1, -1):
         grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = delta.sum(axis=0)
+        grads_b[layer] = _column_sums(delta)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * _hidden_grad(
-                pre[layer - 1], activations[layer], model.hidden_activation
-            )
+            delta = delta @ model.weights[layer].T
+            delta *= _hidden_grad(activations[layer], model.hidden_activation)
     return value, grads_w, grads_b
+
+
+def _descend(
+    model: MlpModel, grads_w: list[np.ndarray], grads_b: list[np.ndarray], lr: float
+) -> None:
+    """One gradient-descent update, in place; scales the gradients too."""
+    for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
+        gw *= lr
+        w -= gw
+        gb *= lr
+        b -= gb
 
 
 def _prepare_targets(model: MlpModel, targets: np.ndarray, loss: str) -> np.ndarray:
@@ -279,23 +335,18 @@ def train(
     history: list[float] = []
     for epoch in range(cfg.epochs):
         if batch >= n:
-            value, gw, gb = loss_and_gradients(trained, X, T, cfg.loss)
-            for layer in range(len(trained.weights)):
-                trained.weights[layer] -= cfg.learning_rate * gw[layer]
-                trained.biases[layer] -= cfg.learning_rate * gb[layer]
-            epoch_loss = value
+            epoch_loss, gw, gb = loss_and_gradients(trained, X, T, cfg.loss)
+            _descend(trained, gw, gb, cfg.learning_rate)
         else:
             order = rng.permutation(n)
             losses = []
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
                 value, gw, gb = loss_and_gradients(trained, X[idx], T[idx], cfg.loss)
-                for layer in range(len(trained.weights)):
-                    trained.weights[layer] -= cfg.learning_rate * gw[layer]
-                    trained.biases[layer] -= cfg.learning_rate * gb[layer]
+                _descend(trained, gw, gb, cfg.learning_rate)
                 losses.append(value)
             epoch_loss = float(np.mean(losses))
-        if not np.isfinite(epoch_loss):
+        if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
         history.append(epoch_loss)
     return trained, history
@@ -367,11 +418,32 @@ def save_model(artifact: ModelArtifact, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
 
 
+def read_versioned_json(
+    path: str | Path, kind: str, version: int, required: tuple[str, ...]
+) -> dict:
+    """Parse a JSON manifest; any defect is a ValueError naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    found = doc.get("format_version")
+    if found != version:
+        raise ValueError(f"{path}: unsupported {kind} format version {found}")
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{path}: missing key {key!r}")
+    return doc
+
+
 def load_model(path: str | Path) -> ModelArtifact:
-    doc = json.loads(Path(path).read_text())
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version}")
+    doc = read_versioned_json(
+        path,
+        "model",
+        MODEL_FORMAT_VERSION,
+        ("layer_sizes", "weights", "biases", "hidden_activation", "output_activation"),
+    )
     sizes = doc["layer_sizes"]
     weights = [
         np.array(flat, dtype=float).reshape(fan_in, fan_out)
@@ -380,9 +452,13 @@ def load_model(path: str | Path) -> ModelArtifact:
     biases = [np.array(b, dtype=float) for b in doc["biases"]]
     scaler = None
     if doc.get("scaler") is not None:
+        bounds = doc["scaler"]
+        for key in ("feature_min", "feature_max"):
+            if key not in bounds:
+                raise ValueError(f"{path}: missing key 'scaler.{key}'")
         scaler = MinMaxScaler(
-            feature_min=np.array(doc["scaler"]["feature_min"], dtype=float),
-            feature_max=np.array(doc["scaler"]["feature_max"], dtype=float),
+            feature_min=np.array(bounds["feature_min"], dtype=float),
+            feature_max=np.array(bounds["feature_max"], dtype=float),
         )
     model = MlpModel(
         layer_sizes=list(sizes),

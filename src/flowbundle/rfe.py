@@ -8,12 +8,12 @@ layer, and drops the weakest until k remain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .mlp import TrainingConfig, init_model, train
+from .mlp import TrainingConfig, init_model, read_versioned_json, train
 
 SELECTION_FORMAT_VERSION = 1
 
@@ -53,15 +53,7 @@ def _importances(
         output_activation="softmax",
         seed=seed,
     )
-    inner = cfg.inner_training
-    round_cfg = TrainingConfig(
-        learning_rate=inner.learning_rate,
-        epochs=inner.epochs,
-        batch_size=inner.batch_size,
-        loss="cross_entropy",
-        seed=seed,
-        input_scaling=inner.input_scaling,
-    )
+    round_cfg = replace(cfg.inner_training, loss="cross_entropy", seed=seed)
     trained, _ = train(model, X, y, round_cfg)
     return np.abs(trained.weights[0]).sum(axis=1)
 
@@ -137,8 +129,7 @@ def save_selection(result: RfeResult, path: str | Path) -> None:
 
 
 def load_selection(path: str | Path) -> list[str]:
-    doc = json.loads(Path(path).read_text())
-    version = doc.get("format_version")
-    if version != SELECTION_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported selection format version {version}")
+    doc = read_versioned_json(
+        path, "selection", SELECTION_FORMAT_VERSION, ("selected",)
+    )
     return list(doc["selected"])

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .mlp import (
+    MinMaxScaler,
     MlpModel,
     TrainingConfig,
     init_model,
@@ -87,21 +88,11 @@ def fit_benign(
         output_activation="sigmoid",
         seed=cfg.seed,
     )
-    scaled_cfg = TrainingConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        loss="mse",
-        seed=cfg.seed,
-        input_scaling=True,
-    )
-    # targets are the scaled inputs; train() fits the scaler itself, so
-    # reproduce its transform for the target side
-    from .mlp import MinMaxScaler
-
+    # inputs and targets are both the scaled rows
     scaler = MinMaxScaler().fit(X_benign)
-    targets = scaler.transform(X_benign)
-    trained, history = train(model, X_benign, targets, scaled_cfg)
+    scaled = scaler.transform(X_benign)
+    trained, history = train(model, scaled, scaled, replace(cfg, input_scaling=False))
+    trained.scaler = scaler
     return trained, history
 
 

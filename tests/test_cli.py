@@ -171,6 +171,38 @@ def test_zeroday_fit_and_detect(mimicking_csvs, tmp_path):
     assert [o["threshold"] for o in doc["outcomes"]] == [0.15, 0.1, 0.05]
 
 
+@pytest.mark.parametrize("command", ["train", "zeroday"])
+def test_zero_epochs_rejected(mimicking_csvs, tmp_path, capsys, command):
+    _, agg_csv, benign_csv, _ = mimicking_csvs
+    model_path = tmp_path / "model.json"
+    if command == "train":
+        argv = ["train", "--in", str(agg_csv)]
+    else:
+        argv = ["zeroday", "fit", "--benign", str(benign_csv)]
+    assert run(argv + ["--model", str(model_path), "--epochs", "0"]) == 1
+    assert "error: epochs must be >= 1" in capsys.readouterr().err
+    assert not model_path.exists()
+
+
+@pytest.mark.parametrize("command", ["zeroday detect", "eval --model", "train"])
+def test_manifest_missing_key_rejected(mimicking_csvs, tmp_path, capsys, command):
+    _, agg_csv, benign_csv, attack_csv = mimicking_csvs
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text('{"format_version": 1}')
+    if command == "zeroday detect":
+        argv = ["zeroday", "detect", "--model", str(manifest), "--in", str(attack_csv)]
+        key = "layer_sizes"
+    elif command == "eval --model":
+        argv = ["eval", "--model", str(manifest), "--benign", str(benign_csv)]
+        key = "layer_sizes"
+    else:
+        argv = ["train", "--in", str(agg_csv), "--selection", str(manifest),
+                "--model", str(tmp_path / "model.json")]
+        key = "selected"
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {manifest}: missing key {key!r}\n"
+
+
 def test_missing_file_is_io_error(tmp_path):
     assert run(["extract", "--pcap", str(tmp_path / "nope.pcap"),
                 "--out", str(tmp_path / "x.csv")]) == 2

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,148 @@ class TestGradients:
         softmax = init_model([2, 2], output_activation="softmax", seed=0)
         with pytest.raises(ValueError):
             loss_and_gradients(softmax, np.zeros((1, 2)), np.zeros((1, 2)), "mse")
+
+
+# The original straightforward implementation of loss_and_gradients,
+# kept verbatim as the bit-exact reference for the in-place hot path.
+def _ref_sigmoid(z):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def _ref_hidden(z, kind):
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "tanh":
+        return np.tanh(z)
+    return _ref_sigmoid(z)
+
+
+def _ref_hidden_grad(z, activation, kind):
+    if kind == "relu":
+        return (z > 0).astype(float)
+    if kind == "tanh":
+        return 1.0 - activation**2
+    return activation * (1.0 - activation)
+
+
+def _ref_output(z, kind):
+    if kind == "softmax":
+        shifted = z - z.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
+    if kind == "sigmoid":
+        return _ref_sigmoid(z)
+    return z
+
+
+def reference_loss_and_gradients(model, X, targets, loss):
+    out_kind = model.output_activation
+    n = X.shape[0]
+    activations = [X]
+    pre = []
+    a = X
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        pre.append(z)
+        a = _ref_output(z, out_kind) if i == last else _ref_hidden(
+            z, model.hidden_activation
+        )
+        activations.append(a)
+    output = activations[-1]
+
+    if loss == "cross_entropy":
+        clipped = np.clip(output, 1e-12, 1.0)
+        value = float(-(targets * np.log(clipped)).sum() / n)
+        delta = (output - targets) / n
+    else:
+        diff = output - targets
+        value = float((diff**2).mean())
+        delta = 2.0 * diff / diff.size
+        if out_kind == "sigmoid":
+            delta = delta * output * (1.0 - output)
+
+    grads_w = [np.empty(0)] * len(model.weights)
+    grads_b = [np.empty(0)] * len(model.weights)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = (delta @ model.weights[layer].T) * _ref_hidden_grad(
+                pre[layer - 1], activations[layer], model.hidden_activation
+            )
+    return value, grads_w, grads_b
+
+
+def _study_like_model(sizes, hidden, output, seed):
+    """A model with non-zero biases and weights scaled up as training does."""
+    model = init_model(sizes, hidden_activation=hidden,
+                       output_activation=output, seed=seed)
+    rng = np.random.default_rng(seed + 100)
+    for w, b in zip(model.weights, model.biases):
+        w *= 3.0
+        b[:] = rng.normal(scale=0.5, size=b.shape)
+    return model
+
+
+def _assert_matches_reference(model, X, T, loss):
+    before = (X.copy(), T.copy(), [w.copy() for w in model.weights],
+              [b.copy() for b in model.biases])
+    value, gw, gb = loss_and_gradients(model, X, T, loss)
+    after = (X, T, model.weights, model.biases)
+    ref_value, ref_gw, ref_gb = reference_loss_and_gradients(model, X, T, loss)
+    assert value == ref_value
+    for got, want in zip(gw + gb, ref_gw + ref_gb):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert np.array_equal(before[0], after[0])
+    assert np.array_equal(before[1], after[1])
+    for old, new in zip(before[2] + before[3], after[2] + after[3]):
+        assert np.array_equal(old, new)
+
+
+class TestReferenceOracle:
+    """The in-place loss_and_gradients is bit-identical to the reference."""
+
+    @pytest.mark.parametrize("hidden", ["tanh", "relu", "sigmoid"])
+    @pytest.mark.parametrize(
+        "sizes",
+        [[20, 3, 2], [20, 3, 3], [10, 8, 5], [12, 1, 3], [9, 4, 9], [6, 2]],
+    )
+    def test_cross_entropy(self, rng, hidden, sizes):
+        model = _study_like_model(sizes, hidden, "softmax", seed=sizes[-1])
+        X = rng.uniform(size=(751, sizes[0]))
+        X[:, 0] = 0.0  # a constant column, as min-max scaling leaves them
+        T = np.eye(sizes[-1])[np.arange(751) % sizes[-1]]
+        _assert_matches_reference(model, X, T, "cross_entropy")
+
+    @pytest.mark.parametrize("output", ["sigmoid", "identity"])
+    @pytest.mark.parametrize("sizes", [[36, 18, 36], [2, 1, 2], [5, 3, 5]])
+    def test_mse(self, rng, output, sizes):
+        model = _study_like_model(sizes, "relu", output, seed=4)
+        X = rng.uniform(size=(403, sizes[0]))
+        _assert_matches_reference(model, X, X.copy(), "mse")
+
+    def test_training_matches_reference_updates(self, rng):
+        model = _study_like_model([20, 3, 2], "tanh", "softmax", seed=1)
+        X = rng.uniform(size=(745, 20))
+        y = np.arange(745) % 2
+        cfg = TrainingConfig(learning_rate=0.4, epochs=25, input_scaling=False)
+        trained, history = train(model, X, y, cfg)
+        expected = model.copy()
+        T = np.eye(2)[y]
+        for epoch in range(cfg.epochs):
+            value, gw, gb = reference_loss_and_gradients(
+                expected, X, T, "cross_entropy"
+            )
+            assert history[epoch] == value
+            for layer in range(len(expected.weights)):
+                expected.weights[layer] -= cfg.learning_rate * gw[layer]
+                expected.biases[layer] -= cfg.learning_rate * gb[layer]
+        for got, want in zip(trained.weights + trained.biases,
+                             expected.weights + expected.biases):
+            assert np.array_equal(got, want)
 
 
 class TestTrain:
@@ -347,11 +491,42 @@ class TestSerialization:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize("key", ["layer_sizes", "weights", "output_activation"])
+    def test_missing_key_names_file_and_key(self, rng, tmp_path, key):
+        path = tmp_path / "model.json"
+        save_model(ModelArtifact(model=init_model([2, 2], seed=0)), path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{path}: missing key '{key}'"):
+            load_model(path)
+
+    def test_missing_scaler_bound_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(ModelArtifact(model=init_model([2, 2], seed=0)), path)
+        doc = json.loads(path.read_text())
+        doc["scaler"] = {"feature_min": [0.0, 0.0]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="missing key 'scaler.feature_max'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{not json"])
+    def test_malformed_json_names_file(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=str(path)):
+            load_model(path)
+
 
 class TestConfigValidation:
     def test_negative_learning_rate(self):
         with pytest.raises(ValueError):
             TrainingConfig(learning_rate=-0.1)
+
+    @pytest.mark.parametrize("epochs", [0, -1])
+    def test_epochs_below_one(self, epochs):
+        with pytest.raises(ValueError, match="epochs"):
+            TrainingConfig(epochs=epochs)
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):

@@ -127,6 +127,21 @@ def test_selection_manifest_round_trip(tmp_path):
     assert load_selection(path) == result.selected
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"format_version": 1}', "missing key 'selected'"),
+        ('{"format_version": 2, "selected": []}', "unsupported selection format"),
+        ('["f0"]', "expected a JSON object"),
+    ],
+)
+def test_selection_manifest_defects_name_the_file(tmp_path, text, message):
+    path = tmp_path / "selection.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{path}: {message}"):
+        load_selection(path)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RfeConfig(k=0)
