@@ -91,17 +91,37 @@ def _parse_value(attribute: str, raw: str):
     return float(raw)
 
 
+def _syntax_error(path: str | Path, exc: configparser.Error) -> ConfigError:
+    """Name the file and line of an INI syntax error configparser raised."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        where, what = exc.lineno, "key before any [section] header"
+    elif isinstance(exc, configparser.ParsingError):
+        where, text = exc.errors[0]
+        what = f"cannot parse {text}"
+    elif isinstance(exc, configparser.DuplicateOptionError):
+        where, what = exc.lineno, f"duplicate key {exc.option!r} in [{exc.section}]"
+    elif isinstance(exc, configparser.DuplicateSectionError):
+        where, what = exc.lineno, f"duplicate section [{exc.section}]"
+    else:  # interpolation errors carry no line
+        return ConfigError(f"{path}: {exc.message}")
+    return ConfigError(f"{path}:{where}: {what}")
+
+
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key = value config file; unknown sections or keys reject."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+        sections = {section: parser.items(section) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise _syntax_error(path, exc) from None
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
     cfg = PipelineConfig()
-    for section in parser.sections():
+    for section, items in sections.items():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown config section [{section}]")
-        for option, raw in parser.items(section):
+        for option, raw in items:
             attribute = _SCHEMA[section].get(option)
             if attribute is None:
                 raise ConfigError(

@@ -10,13 +10,17 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .flows import BiFlow
 from .pcap import PacketRecord
+
+_add_reduce = np.add.reduce
 
 _DIRECTION_STATS = (
     "pkt_count",
@@ -99,42 +103,52 @@ class FlowFeatureVector:
 
 
 def _direction_stats(packets: list[PacketRecord]) -> dict[str, float]:
-    stats: dict[str, float] = {name: 0.0 for name in _DIRECTION_STATS}
-    if not packets:
+    stats: dict[str, float] = dict.fromkeys(_DIRECTION_STATS, 0.0)
+    n = len(packets)
+    if not n:
         return stats
-    lengths = np.array([p.ip_total_length for p in packets], dtype=float)
-    times = np.array([p.timestamp for p in packets], dtype=float)
+    # sums, means and population stds take the steps ndarray.sum/mean/std
+    # take (a pairwise add.reduce, then a division by the count), so every
+    # value is bit-identical to theirs
+    sizes = [p.ip_total_length for p in packets]
+    lengths = np.array(sizes, dtype=float)
+    total = float(_add_reduce(lengths))
+    mean = total / n
+    dev = lengths - mean
+    stats["pkt_count"] = float(n)
+    stats["byte_count"] = total
+    stats["pkt_len_mean"] = mean
+    stats["pkt_len_std"] = math.sqrt(_add_reduce(dev * dev) / n)
+    stats["pkt_len_min"] = float(min(sizes))
+    stats["pkt_len_max"] = float(max(sizes))
 
-    stats["pkt_count"] = float(len(packets))
-    stats["byte_count"] = float(lengths.sum())
-    stats["pkt_len_mean"] = float(lengths.mean())
-    stats["pkt_len_std"] = float(lengths.std())  # population std
-    stats["pkt_len_min"] = float(lengths.min())
-    stats["pkt_len_max"] = float(lengths.max())
-
-    if len(packets) >= 2:
-        iats = np.diff(times)
-        stats["iat_mean"] = float(iats.mean())
-        stats["iat_std"] = float(iats.std())
-        stats["iat_min"] = float(iats.min())
-        stats["iat_max"] = float(iats.max())
+    if n >= 2:
+        times = np.array([p.timestamp for p in packets], dtype=float)
+        iats = times[1:] - times[:-1]
+        iat_mean = float(_add_reduce(iats)) / (n - 1)
+        dev = iats - iat_mean
+        stats["iat_mean"] = iat_mean
+        stats["iat_std"] = math.sqrt(_add_reduce(dev * dev) / (n - 1))
+        stats["iat_min"] = float(np.minimum.reduce(iats))
+        stats["iat_max"] = float(np.maximum.reduce(iats))
         # offsets of every successive packet from the direction's first
-        stats["time_from_first_mean"] = float((times[1:] - times[0]).mean())
+        offsets = times[1:] - times[0]
+        stats["time_from_first_mean"] = float(_add_reduce(offsets)) / (n - 1)
 
+    flags = Counter(chain.from_iterable(p.tcp_flags for p in packets))
     for flag in ("syn", "ack", "fin", "rst", "psh", "urg"):
-        name = flag.upper()
-        stats[f"flag_{flag}_count"] = float(
-            sum(1 for p in packets if name in p.tcp_flags)
-        )
+        stats[f"flag_{flag}_count"] = float(flags[flag.upper()])
     return stats
+
+
+_FWD_NAMES = FLOW_FEATURE_NAMES[: len(_DIRECTION_STATS)]
+_BWD_NAMES = FLOW_FEATURE_NAMES[len(_DIRECTION_STATS) :]
 
 
 def extract_features(flow: BiFlow, label: str = "benign") -> FlowFeatureVector:
     """Compute the 34 per-flow statistics; aggregation slots stay empty."""
-    values: dict[str, float] = {}
-    for direction, packets in (("fwd", flow.fwd_packets), ("bwd", flow.bwd_packets)):
-        for stat, value in _direction_stats(packets).items():
-            values[f"{direction}_{stat}"] = value
+    values = dict(zip(_FWD_NAMES, _direction_stats(flow.fwd_packets).values()))
+    values.update(zip(_BWD_NAMES, _direction_stats(flow.bwd_packets).values()))
     return FlowFeatureVector(
         initiator_ip=flow.initiator[0],
         initiator_port=flow.initiator[1],
@@ -176,12 +190,8 @@ def label_classes(
     return y, class_names
 
 
-def _format_value(name: str, value: float | int | None) -> str:
-    if value is None:
-        return ""
-    if name in _INT_FEATURES or name == "num_flows":
-        return str(int(value))
-    return f"{float(value):.6f}"
+# the 34 statistics in column order, each with whether it is a count
+_STAT_FORMATS = [(name, name in _INT_FEATURES) for name in FLOW_FEATURE_NAMES]
 
 
 def write_features_csv(rows: list[FlowFeatureVector], path: str | Path) -> None:
@@ -198,17 +208,54 @@ def write_features_csv(rows: list[FlowFeatureVector], path: str | Path) -> None:
                 row.protocol,
                 f"{row.start_time:.6f}",
             ]
+            values = row.values
             record += [
-                _format_value(name, row.values[name]) for name in FLOW_FEATURE_NAMES
+                str(int(values[name])) if integer else f"{float(values[name]):.6f}"
+                for name, integer in _STAT_FORMATS
             ]
-            record.append(_format_value("num_flows", row.num_flows))
-            record.append(_format_value("src_ports_delta", row.src_ports_delta))
+            # the bundle slots stay empty until aggregation fills them
+            record.append("" if row.num_flows is None else str(int(row.num_flows)))
+            delta = row.src_ports_delta
+            record.append("" if delta is None else f"{float(delta):.6f}")
             record.append(row.label)
             writer.writerow(record)
 
 
+# start_time and the 34 statistics are consecutive columns
+_STATS_START = CSV_COLUMNS.index("start_time")
+_STATS_END = _STATS_START + 1 + len(FLOW_FEATURE_NAMES)
+# every numeric column of a flow CSV row with its parser, in column order
+_NUMERIC_COLUMNS = [
+    (i, int if name in ("initiator_port", "responder_port", "num_flows") else float)
+    for i, name in enumerate(CSV_COLUMNS)
+    if name not in ("initiator_ip", "responder_ip", "protocol", "label")
+]
+
+
+def _check_fields(path: str | Path, line_no: int, record: list[str]) -> None:
+    """Raise SchemaError naming the first field that is not a finite number."""
+    for i, parse in _NUMERIC_COLUMNS:
+        raw = record[i]
+        if not raw and CSV_COLUMNS[i] in AGGREGATION_FEATURE_NAMES:
+            continue  # bundle slots stay empty until aggregation
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise SchemaError(
+                f"{path}:{line_no}: column {CSV_COLUMNS[i]}: {raw!r} is not a number"
+            ) from None
+        if not math.isfinite(value):
+            raise SchemaError(
+                f"{path}:{line_no}: column {CSV_COLUMNS[i]}: non-finite value {raw!r}"
+            )
+
+
 def read_features_csv(path: str | Path) -> list[FlowFeatureVector]:
-    """Load a flow CSV written by write_features_csv; validates the header."""
+    """Load a flow CSV written by write_features_csv.
+
+    Validates the header and that every numeric field is a finite number;
+    a defect raises SchemaError naming the file, line and column.
+    """
     rows: list[FlowFeatureVector] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -227,26 +274,29 @@ def read_features_csv(path: str | Path) -> list[FlowFeatureVector]:
                     f"{path}:{line_no}: expected {len(CSV_COLUMNS)} fields, "
                     f"got {len(record)}"
                 )
-            values = {
-                name: float(record[6 + i])
-                for i, name in enumerate(FLOW_FEATURE_NAMES)
-            }
-            raw_num_flows = record[6 + len(FLOW_FEATURE_NAMES)]
-            raw_delta = record[7 + len(FLOW_FEATURE_NAMES)]
-            rows.append(
-                FlowFeatureVector(
+            raw_num_flows, raw_delta = record[_STATS_END : _STATS_END + 2]
+            try:
+                numbers = [float(raw) for raw in record[_STATS_START:_STATS_END]]
+                row = FlowFeatureVector(
                     initiator_ip=record[0],
                     initiator_port=int(record[1]),
                     responder_ip=record[2],
                     responder_port=int(record[3]),
                     protocol=record[4],
-                    start_time=float(record[5]),
-                    values=values,
+                    start_time=numbers[0],
+                    values=dict(zip(FLOW_FEATURE_NAMES, numbers[1:])),
                     num_flows=int(raw_num_flows) if raw_num_flows else None,
                     src_ports_delta=float(raw_delta) if raw_delta else None,
                     label=record[-1],
                 )
-            )
+            except ValueError:
+                _check_fields(path, line_no, record)
+                raise
+            # one sum is finite when every term is; only an overflowing sum
+            # of finite values reaches _check_fields and passes it
+            if not math.isfinite(sum(numbers, row.src_ports_delta or 0.0)):
+                _check_fields(path, line_no, record)
+            rows.append(row)
     return rows
 
 

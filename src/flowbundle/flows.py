@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .pcap import PacketRecord, Protocol
 
@@ -71,20 +72,20 @@ class _OpenFlow:
         self.fin_bwd = False
         self.closed = False
 
-    def add(self, packet: PacketRecord) -> None:
+    def add(self, packet: PacketRecord, forward: bool) -> None:
         flow = self.flow
-        forward = (packet.src_ip, packet.src_port) == flow.initiator
         (flow.fwd_packets if forward else flow.bwd_packets).append(packet)
-        flow.end_time = max(flow.end_time, packet.timestamp)
-        self.last_ts = packet.timestamp
+        timestamp = packet.timestamp
+        if timestamp > flow.end_time:
+            flow.end_time = timestamp
+        self.last_ts = timestamp
 
-        fin_exchange_done = self.fin_fwd and self.fin_bwd
-        if "RST" in packet.tcp_flags:
+        flags = packet.tcp_flags
+        if "RST" in flags or (self.fin_fwd and self.fin_bwd):
+            # a completed FIN exchange closes on this packet (typically the
+            # final ACK)
             self.closed = True
-        elif fin_exchange_done:
-            # this packet (typically the final ACK) completes the teardown
-            self.closed = True
-        if "FIN" in packet.tcp_flags:
+        if "FIN" in flags:
             if forward:
                 self.fin_fwd = True
             else:
@@ -108,36 +109,34 @@ def assemble_flows(
     if active_timeout is not None and active_timeout <= idle_timeout:
         raise ValueError("active_timeout must exceed idle_timeout (or be None)")
 
-    ordered = sorted(packets, key=lambda p: p.timestamp)
     flows: list[BiFlow] = []
-    active: dict[FlowKey, _OpenFlow] = {}
+    # keyed by both endpoints in string order, which identifies the same
+    # conversations as FlowKey; the FlowKey is built once per flow
+    active: dict[tuple, _OpenFlow] = {}
 
-    for packet in ordered:
-        key = FlowKey.from_packet(packet)
+    for packet in sorted(packets, key=attrgetter("timestamp")):
+        src = (packet.src_ip, packet.src_port)
+        dst = (packet.dst_ip, packet.dst_port)
+        key = (src, dst, packet.protocol) if src <= dst else (dst, src, packet.protocol)
         open_flow = active.get(key)
-        if open_flow is not None:
-            expired = (
-                open_flow.closed
-                or packet.timestamp - open_flow.last_ts > idle_timeout
-                or (
-                    active_timeout is not None
-                    and packet.timestamp - open_flow.flow.start_time > active_timeout
-                )
+        if (
+            open_flow is None
+            or open_flow.closed
+            or packet.timestamp - open_flow.last_ts > idle_timeout
+            or (
+                active_timeout is not None
+                and packet.timestamp - open_flow.flow.start_time > active_timeout
             )
-            if expired:
-                del active[key]
-                open_flow = None
-        if open_flow is None:
+        ):
             flow = BiFlow(
-                key=key,
-                initiator=(packet.src_ip, packet.src_port),
-                responder=(packet.dst_ip, packet.dst_port),
+                key=FlowKey.from_packet(packet),
+                initiator=src,
+                responder=dst,
                 start_time=packet.timestamp,
                 end_time=packet.timestamp,
             )
             flows.append(flow)
-            open_flow = _OpenFlow(flow)
-            active[key] = open_flow
-        open_flow.add(packet)
+            open_flow = active[key] = _OpenFlow(flow)
+        open_flow.add(packet, src == open_flow.flow.initiator)
 
     return flows

@@ -437,6 +437,17 @@ def read_versioned_json(
     return doc
 
 
+def _finite_array(path: str | Path, key: str, value, size: int) -> np.ndarray:
+    """``value`` as a float vector of ``size`` finite numbers, else ValueError."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != (size,) or not np.isfinite(array).all():
+        raise ValueError(f"{path}: key {key!r} must be a list of {size} finite numbers")
+    return array
+
+
 def load_model(path: str | Path) -> ModelArtifact:
     doc = read_versioned_json(
         path,
@@ -445,20 +456,47 @@ def load_model(path: str | Path) -> ModelArtifact:
         ("layer_sizes", "weights", "biases", "hidden_activation", "output_activation"),
     )
     sizes = doc["layer_sizes"]
+    if not (
+        isinstance(sizes, list)
+        and len(sizes) >= 2
+        and all(type(n) is int and n >= 1 for n in sizes)
+    ):
+        raise ValueError(
+            f"{path}: key 'layer_sizes' must be a list of at least two positive "
+            "integers"
+        )
+    for key, activations in (
+        ("hidden_activation", HIDDEN_ACTIVATIONS),
+        ("output_activation", OUTPUT_ACTIVATIONS),
+    ):
+        if doc[key] not in activations:
+            raise ValueError(f"{path}: key {key!r} must be one of {activations}")
+    layers = len(sizes) - 1
+    for key in ("weights", "biases"):
+        if not isinstance(doc[key], list) or len(doc[key]) != layers:
+            raise ValueError(f"{path}: key {key!r} must be a list of {layers} layers")
     weights = [
-        np.array(flat, dtype=float).reshape(fan_in, fan_out)
-        for flat, fan_in, fan_out in zip(doc["weights"], sizes, sizes[1:])
+        _finite_array(path, f"weights[{i}]", doc["weights"][i], sizes[i] * sizes[i + 1])
+        .reshape(sizes[i], sizes[i + 1])
+        for i in range(layers)
     ]
-    biases = [np.array(b, dtype=float) for b in doc["biases"]]
+    biases = [
+        _finite_array(path, f"biases[{i}]", doc["biases"][i], sizes[i + 1])
+        for i in range(layers)
+    ]
     scaler = None
     if doc.get("scaler") is not None:
         bounds = doc["scaler"]
         for key in ("feature_min", "feature_max"):
-            if key not in bounds:
+            if not isinstance(bounds, dict) or key not in bounds:
                 raise ValueError(f"{path}: missing key 'scaler.{key}'")
         scaler = MinMaxScaler(
-            feature_min=np.array(bounds["feature_min"], dtype=float),
-            feature_max=np.array(bounds["feature_max"], dtype=float),
+            feature_min=_finite_array(
+                path, "scaler.feature_min", bounds["feature_min"], sizes[0]
+            ),
+            feature_max=_finite_array(
+                path, "scaler.feature_max", bounds["feature_max"], sizes[0]
+            ),
         )
     model = MlpModel(
         layer_sizes=list(sizes),

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 TCP_FLAG_NAMES = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
+_FLAG_NAME_SET = frozenset(TCP_FLAG_NAMES)
 
 _TCP_FLAG_BITS = {
     "FIN": 0x01,
@@ -67,8 +68,8 @@ class PacketRecord:
         for port in (self.src_port, self.dst_port):
             if not 0 <= port <= 65535:
                 raise ValueError(f"port {port} out of range")
-        unknown = set(self.tcp_flags) - set(TCP_FLAG_NAMES)
-        if unknown:
+        if not _FLAG_NAME_SET.issuperset(self.tcp_flags):
+            unknown = set(self.tcp_flags) - _FLAG_NAME_SET
             raise ValueError(f"unknown TCP flags {sorted(unknown)}")
         # the flag set is empty exactly when the packet is UDP
         if self.protocol is Protocol.UDP and self.tcp_flags:
@@ -98,68 +99,63 @@ def _skip(result: PcapRead, reason: str) -> None:
     result.skipped_by_reason[reason] = result.skipped_by_reason.get(reason, 0) + 1
 
 
-def _parse_ipv4(ip_bytes: bytes, timestamp: float, result: PcapRead) -> None:
-    if len(ip_bytes) < 20:
-        _skip(result, "malformed")
-        return
-    version = ip_bytes[0] >> 4
-    if version != 4:
-        _skip(result, "non_ipv4")
-        return
-    ihl = (ip_bytes[0] & 0x0F) * 4
-    if ihl < 20 or len(ip_bytes) < ihl:
-        _skip(result, "malformed")
-        return
-    total_length = struct.unpack_from("!H", ip_bytes, 2)[0]
-    frag = struct.unpack_from("!H", ip_bytes, 6)[0]
-    if frag & 0x2000 or frag & 0x1FFF:  # MF set or non-zero offset
-        _skip(result, "fragment")
-        return
-    proto = ip_bytes[9]
-    if proto not in (Protocol.TCP.value, Protocol.UDP.value):
-        _skip(result, "non_tcp_udp")
-        return
-    src_ip = socket.inet_ntoa(ip_bytes[12:16])
-    dst_ip = socket.inet_ntoa(ip_bytes[16:20])
-    transport = ip_bytes[ihl:]
-    if proto == Protocol.TCP.value:
-        if len(transport) < 20 or total_length < ihl + 20:
-            _skip(result, "malformed")
-            return
-        src_port, dst_port = struct.unpack_from("!HH", transport, 0)
-        flag_bits = transport[13]
-        flags = frozenset(
-            name for name, bit in _TCP_FLAG_BITS.items() if flag_bits & bit
+# version/IHL, total length, flags+fragment offset, protocol, both addresses
+_IPV4_HEADER = struct.Struct("!BxHxxHxBxx8s")
+_PORTS = struct.Struct("!HH")
+# the flag set of every value of the TCP flags byte; ECE and CWR (0x40,
+# 0x80) have no name, so the table repeats every 64 values
+_FLAG_SETS = tuple(
+    frozenset(name for name, bit in _TCP_FLAG_BITS.items() if byte & bit)
+    for byte in range(64)
+) * 4
+
+
+def _parse_ipv4(
+    data: bytes, ip: int, end: int, timestamp: float, names: dict
+) -> PacketRecord | str:
+    """Parse the IPv4 packet in ``data[ip:end]``; a str is a skip reason.
+
+    ``names`` maps the 8 raw address bytes to their dotted strings for
+    the duration of one read.
+    """
+    if end - ip < 20:
+        return "malformed"
+    version_ihl, total_length, frag, proto, addresses = _IPV4_HEADER.unpack_from(
+        data, ip
+    )
+    if version_ihl >> 4 != 4:
+        return "non_ipv4"
+    ihl = (version_ihl & 0x0F) * 4
+    if ihl < 20 or end - ip < ihl:
+        return "malformed"
+    if frag & 0x3FFF:  # MF set or non-zero offset
+        return "fragment"
+    if proto != 6 and proto != 17:
+        return "non_tcp_udp"
+    ips = names.get(addresses)
+    if ips is None:
+        ips = names[addresses] = (
+            socket.inet_ntoa(addresses[:4]),
+            socket.inet_ntoa(addresses[4:]),
         )
+    transport = ip + ihl
+    if proto == 6:
+        if end - transport < 20 or total_length < ihl + 20:
+            return "malformed"
+        flags = _FLAG_SETS[data[transport + 13]]
         if not flags:
             # null-flag TCP segments have no representation downstream
-            _skip(result, "malformed")
-            return
-        record = PacketRecord(
-            timestamp=timestamp,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=src_port,
-            dst_port=dst_port,
-            protocol=Protocol.TCP,
-            ip_total_length=total_length,
-            tcp_flags=flags,
-        )
+            return "malformed"
+        protocol = Protocol.TCP
     else:
-        if len(transport) < 8 or total_length < ihl + 8:
-            _skip(result, "malformed")
-            return
-        src_port, dst_port = struct.unpack_from("!HH", transport, 0)
-        record = PacketRecord(
-            timestamp=timestamp,
-            src_ip=src_ip,
-            dst_ip=dst_ip,
-            src_port=src_port,
-            dst_port=dst_port,
-            protocol=Protocol.UDP,
-            ip_total_length=total_length,
-        )
-    result.packets.append(record)
+        if end - transport < 8 or total_length < ihl + 8:
+            return "malformed"
+        flags = frozenset()
+        protocol = Protocol.UDP
+    src_port, dst_port = _PORTS.unpack_from(data, transport)
+    return PacketRecord(
+        timestamp, ips[0], ips[1], src_port, dst_port, protocol, total_length, flags
+    )
 
 
 def read_pcap(path: str | Path) -> PcapRead:
@@ -186,36 +182,40 @@ def read_pcap(path: str | Path) -> PcapRead:
         raise PcapFormatError(f"{path}: unsupported link type {link_type}")
 
     result = PcapRead(packets=[], link_type=link_type)
+    append = result.packets.append
+    ethernet = link_type == LINKTYPE_ETHERNET
+    names: dict[bytes, tuple[str, str]] = {}
+    size = len(data)
     offset = 24
-    rec_header = struct.Struct(order + "IIII")
-    while offset < len(data):
-        if offset + 16 > len(data):
+    unpack_rec_header = struct.Struct(order + "IIII").unpack_from
+    while offset < size:
+        if offset + 16 > size:
             raise PcapFormatError(
                 f"{path}: truncated record header at byte offset {offset}"
             )
-        ts_sec, ts_frac, incl_len, _orig_len = rec_header.unpack_from(data, offset)
+        ts_sec, ts_frac, incl_len, _orig_len = unpack_rec_header(data, offset)
         frame_start = offset + 16
-        if frame_start + incl_len > len(data):
+        offset = frame_start + incl_len
+        if offset > size:
             raise PcapFormatError(
                 f"{path}: truncated packet data at byte offset {frame_start} "
                 f"(need {incl_len} bytes)"
             )
         timestamp = (ts_sec * ticks + ts_frac) / ticks
-        frame = data[frame_start : frame_start + incl_len]
-        if link_type == LINKTYPE_ETHERNET:
-            if len(frame) < 14:
+        if ethernet:
+            if incl_len < 14:
                 _skip(result, "malformed")
-            else:
-                ethertype = struct.unpack_from("!H", frame, 12)[0]
-                if ethertype == 0x8100:
-                    _skip(result, "vlan")
-                elif ethertype != 0x0800:
-                    _skip(result, "non_ipv4")
-                else:
-                    _parse_ipv4(frame[14:], timestamp, result)
+                continue
+            ethertype = data[frame_start + 12] << 8 | data[frame_start + 13]
+            if ethertype != 0x0800:
+                _skip(result, "vlan" if ethertype == 0x8100 else "non_ipv4")
+                continue
+            frame_start += 14
+        record = _parse_ipv4(data, frame_start, offset, timestamp, names)
+        if type(record) is str:
+            _skip(result, record)
         else:
-            _parse_ipv4(frame, timestamp, result)
-        offset = frame_start + incl_len
+            append(record)
     return result
 
 

@@ -458,18 +458,26 @@ def read_labels_csv(path: str | Path) -> list[FlowLabel]:
         header = next(reader, None)
         if header != _LABEL_COLUMNS:
             raise LabelError(f"{path}: unexpected label manifest header {header}")
-        for record in reader:
-            manifest.append(
-                FlowLabel(
-                    initiator_ip=record[0],
-                    initiator_port=int(record[1]),
-                    responder_ip=record[2],
-                    responder_port=int(record[3]),
-                    protocol=record[4],
-                    start_time=float(record[5]),
-                    label=record[6],
+        for line_no, record in enumerate(reader, start=2):
+            if len(record) != len(_LABEL_COLUMNS):
+                raise LabelError(
+                    f"{path}:{line_no}: expected {len(_LABEL_COLUMNS)} fields, "
+                    f"got {len(record)}"
                 )
-            )
+            try:
+                manifest.append(
+                    FlowLabel(
+                        initiator_ip=record[0],
+                        initiator_port=int(record[1]),
+                        responder_ip=record[2],
+                        responder_port=int(record[3]),
+                        protocol=record[4],
+                        start_time=float(record[5]),
+                        label=record[6],
+                    )
+                )
+            except ValueError as exc:
+                raise LabelError(f"{path}:{line_no}: {exc}") from None
     return manifest
 
 

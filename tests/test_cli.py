@@ -281,3 +281,99 @@ def test_replicate_small_deterministic(tmp_path):
     assert (r1 / "flows_aggregated.csv").read_bytes() == (
         r2 / "flows_aggregated.csv"
     ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "row, problem",
+    [
+        ("10.0.0.1,40000,10.0.0.2,80,TCP,1.000000\n", "expected 7 fields, got 6"),
+        ("10.0.0.1,http,10.0.0.2,80,TCP,1.000000,benign\n",
+         "invalid literal for int() with base 10: 'http'"),
+    ],
+)
+def test_malformed_labels_csv_rejected(fig2_capture, tmp_path, capsys, row, problem):
+    pcap, labels = fig2_capture
+    lines = labels.read_text().splitlines(keepends=True)
+    bad = tmp_path / "labels.csv"
+    bad.write_text(lines[0] + lines[1] + row + lines[2])
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(bad),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:3: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "column, raw, problem",
+    [
+        ("fwd_iat_mean", "nan", "non-finite value 'nan'"),
+        ("bwd_pkt_len_std", "-inf", "non-finite value '-inf'"),
+        ("start_time", "1e999", "non-finite value '1e999'"),
+        ("src_ports_delta", "NaN", "non-finite value 'NaN'"),
+        ("fwd_byte_count", "abc", "'abc' is not a number"),
+        ("responder_port", "http", "'http' is not a number"),
+        ("num_flows", "2.5", "'2.5' is not a number"),
+    ],
+)
+def test_bad_flow_csv_value_rejected(mimicking_csvs, tmp_path, capsys, column, raw,
+                                     problem):
+    import csv
+
+    from flowbundle.features import CSV_COLUMNS
+
+    _, agg_csv, _, _ = mimicking_csvs
+    with open(agg_csv, newline="") as handle:
+        records = list(csv.reader(handle))
+    records[3][CSV_COLUMNS.index(column)] = raw
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", newline="") as handle:
+        csv.writer(handle).writerows(records)
+    assert run(["aggregate", "--in", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:4: column {column}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[flow]\nidle_timeout_s = 10\nidle_timeout_s = 20\n",
+         ":3: duplicate key 'idle_timeout_s' in [flow]"),
+        ("idle_timeout_s = 10\n", ":1: key before any [section] header"),
+        ("[flow]\n[bundle]\n[flow]\n", ":3: duplicate section [flow]"),
+        ("[flow]\nidle_timeout_s\n", ":2: cannot parse 'idle_timeout_s\\n'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["extract", "aggregate"])
+def test_ini_syntax_error_rejected(fig2_capture, tmp_path, capsys, text, problem,
+                                   command):
+    pcap, _ = fig2_capture
+    config = tmp_path / "bad.ini"
+    config.write_text(text)
+    if command == "extract":
+        argv = ["extract", "--pcap", str(pcap)]
+    else:
+        argv = ["aggregate", "--in", str(tmp_path / "never-read.csv")]
+    argv += ["--config", str(config), "--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {config}{problem}\n"
+
+
+@pytest.mark.parametrize(
+    "key, value, problem",
+    [
+        ("weights", 5, "key 'weights' must be a list of 2 layers"),
+        ("biases", [[0.0], [0.0]], "key 'biases[0]' must be a list of"),
+        ("weights", [[0.5], [0.5]], "key 'weights[0]' must be a list of"),
+        ("layer_sizes", [36, "8", 36], "key 'layer_sizes' must be a list of"),
+        ("layer_sizes", 36, "key 'layer_sizes' must be a list of"),
+    ],
+)
+def test_mistyped_model_rejected(mimicking_csvs, tmp_path, capsys, key, value, problem):
+    _, _, benign_csv, attack_csv = mimicking_csvs
+    model_path = tmp_path / "ae.json"
+    assert run(["zeroday", "fit", "--benign", str(benign_csv),
+                "--model", str(model_path), "--epochs", "1"]) == 0
+    doc = json.loads(model_path.read_text())
+    doc[key] = value
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["zeroday", "detect", "--model", str(model_path),
+                "--in", str(attack_csv)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {model_path}: {problem}")

@@ -215,6 +215,18 @@ def test_csv_round_trip(tmp_path, rng):
             assert rt.values[name] == pytest.approx(orig.values[name], abs=1e-6)
 
 
+def test_csv_huge_finite_values_accepted(tmp_path, rng):
+    # their sum overflows to inf, but every value is finite
+    row = extract_features(random_flow(rng))
+    row.values["fwd_iat_max"] = row.values["bwd_iat_max"] = 1e308
+    row.src_ports_delta = 1e308
+    path = tmp_path / "flows.csv"
+    write_features_csv([row], path)
+    back = read_features_csv(path)[0]
+    assert back.values["fwd_iat_max"] == back.values["bwd_iat_max"] == 1e308
+    assert back.src_ports_delta == 1e308
+
+
 def test_csv_header_mismatch_raises(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")

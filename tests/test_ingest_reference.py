@@ -1,0 +1,450 @@
+"""Exact-equality oracle for the ingest hot loops.
+
+``read_pcap``, ``assemble_flows`` and ``_direction_stats`` parse at
+buffer offsets, key open flows by plain tuples and reduce with fewer
+numpy calls.  The straightforward implementations they replaced are kept
+here verbatim as the reference; packets, flows and all 34 statistics
+must compare equal with ``==``, not within a tolerance, so a shift in the
+last bit of any statistic fails.
+"""
+
+import socket
+import struct
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from flowbundle import features
+from flowbundle.features import _DIRECTION_STATS, _direction_stats, extract_features
+from flowbundle.flows import BiFlow, FlowKey, assemble_flows
+from flowbundle.pcap import (
+    LINKTYPE_ETHERNET,
+    LINKTYPE_RAW_IP,
+    _MAGICS,
+    _TCP_FLAG_BITS,
+    PacketRecord,
+    PcapFormatError,
+    PcapRead,
+    Protocol,
+    read_pcap,
+    write_pcap,
+)
+from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
+
+from conftest import tcp_packet, udp_packet
+
+# ---------------------------------------------------------------------------
+# reference implementations, verbatim
+
+
+def _ref_skip(result: PcapRead, reason: str) -> None:
+    result.skipped += 1
+    result.skipped_by_reason[reason] = result.skipped_by_reason.get(reason, 0) + 1
+
+
+def _ref_parse_ipv4(ip_bytes: bytes, timestamp: float, result: PcapRead) -> None:
+    if len(ip_bytes) < 20:
+        _ref_skip(result, "malformed")
+        return
+    version = ip_bytes[0] >> 4
+    if version != 4:
+        _ref_skip(result, "non_ipv4")
+        return
+    ihl = (ip_bytes[0] & 0x0F) * 4
+    if ihl < 20 or len(ip_bytes) < ihl:
+        _ref_skip(result, "malformed")
+        return
+    total_length = struct.unpack_from("!H", ip_bytes, 2)[0]
+    frag = struct.unpack_from("!H", ip_bytes, 6)[0]
+    if frag & 0x2000 or frag & 0x1FFF:  # MF set or non-zero offset
+        _ref_skip(result, "fragment")
+        return
+    proto = ip_bytes[9]
+    if proto not in (Protocol.TCP.value, Protocol.UDP.value):
+        _ref_skip(result, "non_tcp_udp")
+        return
+    src_ip = socket.inet_ntoa(ip_bytes[12:16])
+    dst_ip = socket.inet_ntoa(ip_bytes[16:20])
+    transport = ip_bytes[ihl:]
+    if proto == Protocol.TCP.value:
+        if len(transport) < 20 or total_length < ihl + 20:
+            _ref_skip(result, "malformed")
+            return
+        src_port, dst_port = struct.unpack_from("!HH", transport, 0)
+        flag_bits = transport[13]
+        flags = frozenset(
+            name for name, bit in _TCP_FLAG_BITS.items() if flag_bits & bit
+        )
+        if not flags:
+            # null-flag TCP segments have no representation downstream
+            _ref_skip(result, "malformed")
+            return
+        record = PacketRecord(
+            timestamp=timestamp,
+            src_ip=src_ip,
+            dst_ip=dst_ip,
+            src_port=src_port,
+            dst_port=dst_port,
+            protocol=Protocol.TCP,
+            ip_total_length=total_length,
+            tcp_flags=flags,
+        )
+    else:
+        if len(transport) < 8 or total_length < ihl + 8:
+            _ref_skip(result, "malformed")
+            return
+        src_port, dst_port = struct.unpack_from("!HH", transport, 0)
+        record = PacketRecord(
+            timestamp=timestamp,
+            src_ip=src_ip,
+            dst_ip=dst_ip,
+            src_port=src_port,
+            dst_port=dst_port,
+            protocol=Protocol.UDP,
+            ip_total_length=total_length,
+        )
+    result.packets.append(record)
+
+
+def reference_read_pcap(path: str | Path) -> PcapRead:
+    data = Path(path).read_bytes()
+    if len(data) < 24:
+        raise PcapFormatError(
+            f"{path}: file too short for pcap global header ({len(data)} bytes)"
+        )
+    magic = data[:4]
+    if magic not in _MAGICS:
+        raise PcapFormatError(f"{path}: bad magic {magic.hex()} at offset 0")
+    order, ticks = _MAGICS[magic]
+    _version_major, _version_minor, _tz, _sigfigs, _snaplen, link_type = struct.unpack(
+        order + "HHiIII", data[4:24]
+    )
+    if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
+        raise PcapFormatError(f"{path}: unsupported link type {link_type}")
+
+    result = PcapRead(packets=[], link_type=link_type)
+    offset = 24
+    rec_header = struct.Struct(order + "IIII")
+    while offset < len(data):
+        if offset + 16 > len(data):
+            raise PcapFormatError(
+                f"{path}: truncated record header at byte offset {offset}"
+            )
+        ts_sec, ts_frac, incl_len, _orig_len = rec_header.unpack_from(data, offset)
+        frame_start = offset + 16
+        if frame_start + incl_len > len(data):
+            raise PcapFormatError(
+                f"{path}: truncated packet data at byte offset {frame_start} "
+                f"(need {incl_len} bytes)"
+            )
+        timestamp = (ts_sec * ticks + ts_frac) / ticks
+        frame = data[frame_start : frame_start + incl_len]
+        if link_type == LINKTYPE_ETHERNET:
+            if len(frame) < 14:
+                _ref_skip(result, "malformed")
+            else:
+                ethertype = struct.unpack_from("!H", frame, 12)[0]
+                if ethertype == 0x8100:
+                    _ref_skip(result, "vlan")
+                elif ethertype != 0x0800:
+                    _ref_skip(result, "non_ipv4")
+                else:
+                    _ref_parse_ipv4(frame[14:], timestamp, result)
+        else:
+            _ref_parse_ipv4(frame, timestamp, result)
+        offset = frame_start + incl_len
+    return result
+
+
+class _RefOpenFlow:
+    __slots__ = ("flow", "last_ts", "fin_fwd", "fin_bwd", "closed")
+
+    def __init__(self, flow: BiFlow):
+        self.flow = flow
+        self.last_ts = flow.start_time
+        self.fin_fwd = False
+        self.fin_bwd = False
+        self.closed = False
+
+    def add(self, packet: PacketRecord) -> None:
+        flow = self.flow
+        forward = (packet.src_ip, packet.src_port) == flow.initiator
+        (flow.fwd_packets if forward else flow.bwd_packets).append(packet)
+        flow.end_time = max(flow.end_time, packet.timestamp)
+        self.last_ts = packet.timestamp
+
+        fin_exchange_done = self.fin_fwd and self.fin_bwd
+        if "RST" in packet.tcp_flags:
+            self.closed = True
+        elif fin_exchange_done:
+            # this packet (typically the final ACK) completes the teardown
+            self.closed = True
+        if "FIN" in packet.tcp_flags:
+            if forward:
+                self.fin_fwd = True
+            else:
+                self.fin_bwd = True
+
+
+def reference_assemble_flows(packets, idle_timeout=120.0, active_timeout=1800.0):
+    ordered = sorted(packets, key=lambda p: p.timestamp)
+    flows: list[BiFlow] = []
+    active: dict[FlowKey, _RefOpenFlow] = {}
+
+    for packet in ordered:
+        key = FlowKey.from_packet(packet)
+        open_flow = active.get(key)
+        if open_flow is not None:
+            expired = (
+                open_flow.closed
+                or packet.timestamp - open_flow.last_ts > idle_timeout
+                or (
+                    active_timeout is not None
+                    and packet.timestamp - open_flow.flow.start_time > active_timeout
+                )
+            )
+            if expired:
+                del active[key]
+                open_flow = None
+        if open_flow is None:
+            flow = BiFlow(
+                key=key,
+                initiator=(packet.src_ip, packet.src_port),
+                responder=(packet.dst_ip, packet.dst_port),
+                start_time=packet.timestamp,
+                end_time=packet.timestamp,
+            )
+            flows.append(flow)
+            open_flow = _RefOpenFlow(flow)
+            active[key] = open_flow
+        open_flow.add(packet)
+
+    return flows
+
+
+def reference_direction_stats(packets):
+    stats = {name: 0.0 for name in _DIRECTION_STATS}
+    if not packets:
+        return stats
+    lengths = np.array([p.ip_total_length for p in packets], dtype=float)
+    times = np.array([p.timestamp for p in packets], dtype=float)
+
+    stats["pkt_count"] = float(len(packets))
+    stats["byte_count"] = float(lengths.sum())
+    stats["pkt_len_mean"] = float(lengths.mean())
+    stats["pkt_len_std"] = float(lengths.std())  # population std
+    stats["pkt_len_min"] = float(lengths.min())
+    stats["pkt_len_max"] = float(lengths.max())
+
+    if len(packets) >= 2:
+        iats = np.diff(times)
+        stats["iat_mean"] = float(iats.mean())
+        stats["iat_std"] = float(iats.std())
+        stats["iat_min"] = float(iats.min())
+        stats["iat_max"] = float(iats.max())
+        # offsets of every successive packet from the direction's first
+        stats["time_from_first_mean"] = float((times[1:] - times[0]).mean())
+
+    for flag in ("syn", "ack", "fin", "rst", "psh", "urg"):
+        name = flag.upper()
+        stats[f"flag_{flag}_count"] = float(
+            sum(1 for p in packets if name in p.tcp_flags)
+        )
+    return stats
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def _assert_same_read(path):
+    got, want = read_pcap(path), reference_read_pcap(path)
+    assert got.packets == want.packets
+    assert got.link_type == want.link_type
+    assert got.skipped == want.skipped
+    assert got.skipped_by_reason == want.skipped_by_reason
+    return got
+
+
+def _assert_same_stats(packets):
+    got, want = _direction_stats(packets), reference_direction_stats(packets)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
+        assert type(got[name]) is float, name
+
+
+def _assert_same_flows(packets, **timeouts):
+    got = assemble_flows(packets, **timeouts)
+    want = reference_assemble_flows(packets, **timeouts)
+    assert got == want
+    return got
+
+
+def _frame(payload, ethertype=0x0800):
+    return bytes(12) + struct.pack("!H", ethertype) + payload
+
+
+def _ipv4(proto, total_length, transport, ihl=5, version=4, frag=0,
+          src="10.0.0.9", dst="10.0.0.10"):
+    header = struct.pack(
+        "!BBHHHBBH4s4s", version << 4 | ihl, 0, total_length, 1, frag, 64, proto, 0,
+        socket.inet_aton(src), socket.inet_aton(dst),
+    )
+    return header + bytes(max(0, 4 * ihl - 20)) + transport
+
+
+def _tcp(sport, dport, flag_bits):
+    return struct.pack("!HHIIBBHHH", sport, dport, 0, 0, 5 << 4, flag_bits, 8192, 0, 0)
+
+
+def _pcap_bytes(records, order="<", magic=0xA1B2C3D4, link=LINKTYPE_ETHERNET):
+    out = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, link)
+    for ts_sec, ts_frac, frame in records:
+        out += struct.pack(order + "IIII", ts_sec, ts_frac, len(frame), len(frame))
+        out += frame
+    return out
+
+
+def _odd_frames():
+    """One frame per skip reason and per accepted variant, in file order."""
+    udp = struct.pack("!HHHH", 53, 40000, 8, 0)
+    return [
+        _frame(_ipv4(6, 40, _tcp(1234, 80, 0x02))),                # SYN
+        _frame(_ipv4(6, 60, _tcp(80, 1234, 0xFF) + bytes(20))),    # every flag bit
+        _frame(_ipv4(6, 40, _tcp(80, 1234, 0xC0))),                # only ECE/CWR
+        _frame(_ipv4(6, 44, _tcp(1, 2, 0x10), ihl=6)),            # IP options
+        _frame(_ipv4(6, 52, _tcp(1, 2, 0x11), ihl=15)[:50]),       # IHL past the end
+        _frame(_ipv4(6, 30, _tcp(1, 2, 0x10))),                    # total length short
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10)[:12])),               # TCP header cut
+        _frame(_ipv4(17, 28, udp)),
+        _frame(_ipv4(17, 27, udp)),                                # UDP total short
+        _frame(_ipv4(17, 28, udp[:6])),                            # UDP header cut
+        _frame(_ipv4(17, 28, udp, frag=0x2000)),                   # MF
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), frag=0x0001)),       # offset
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), frag=0x4000)),       # DF only
+        _frame(_ipv4(1, 28, bytes(8))),                            # ICMP
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), version=6)),
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), ihl=4)),
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10))[:19]),               # IP header cut
+        _frame(bytes(40), ethertype=0x86DD),
+        _frame(bytes(20), ethertype=0x8100),
+        bytes(13),                                                 # Ethernet cut
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), src="10.0.0.10", dst="10.0.0.9")),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+class TestReferenceOracle:
+    """The rewritten ingest loops equal the reference implementations."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_synth_capture(self, tmp_path, seed):
+        spec = mimicking_scenario(seed, scale="small")
+        spec.classes.append(
+            TrafficClassSpec(label="dns", n_sources=3, flows_per_source=(2, 5),
+                             protocol="UDP", iat_mean=0.05)
+        )
+        path = tmp_path / "capture.pcap"
+        write_pcap(generate(spec).packets, path)
+        capture = _assert_same_read(path)
+        assert capture.skipped == 0
+        flows = _assert_same_flows(capture.packets)
+        assert {f.key.protocol for f in flows} == {Protocol.TCP, Protocol.UDP}
+        assert max(len(f.fwd_packets) for f in flows) >= 9
+        for flow in flows:
+            _assert_same_stats(flow.fwd_packets)
+            _assert_same_stats(flow.bwd_packets)
+            got = extract_features(flow, "x").values
+            want = {}
+            for direction, packets in (("fwd", flow.fwd_packets),
+                                       ("bwd", flow.bwd_packets)):
+                for stat, value in reference_direction_stats(packets).items():
+                    want[f"{direction}_{stat}"] = value
+            assert list(got) == features.FLOW_FEATURE_NAMES
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "order, magic, ticks",
+        [("<", 0xA1B2C3D4, 10**6), (">", 0xA1B2C3D4, 10**6), ("<", 0xA1B23C4D, 10**9)],
+    )
+    def test_skip_reasons_and_variants(self, tmp_path, order, magic, ticks):
+        records = [
+            (1_500_000_000 + i, i * 7919 % ticks, frame)
+            for i, frame in enumerate(_odd_frames())
+        ]
+        path = tmp_path / "odd.pcap"
+        path.write_bytes(_pcap_bytes(records, order=order, magic=magic))
+        capture = _assert_same_read(path)
+        assert set(capture.skipped_by_reason) == {
+            "malformed", "fragment", "non_tcp_udp", "non_ipv4", "vlan"
+        }
+        assert len(capture.packets) == 6
+
+    def test_raw_ip_link_type(self, tmp_path):
+        records = [(i, 0, f[14:]) for i, f in enumerate(_odd_frames()) if len(f) > 14]
+        path = tmp_path / "raw.pcap"
+        path.write_bytes(_pcap_bytes(records, link=LINKTYPE_RAW_IP))
+        _assert_same_read(path)
+
+    @pytest.mark.parametrize("cut", [1, 10, 60, 65])
+    def test_truncation_errors(self, tmp_path, cut):
+        data = _pcap_bytes([(0, 0, f) for f in _odd_frames()[:3]])
+        path = tmp_path / "cut.pcap"
+        path.write_bytes(data[:-cut])
+        with pytest.raises(PcapFormatError) as got:
+            read_pcap(path)
+        with pytest.raises(PcapFormatError) as want:
+            reference_read_pcap(path)
+        assert str(got.value) == str(want.value)
+
+    def test_random_directions(self):
+        rng = np.random.default_rng(7)
+        flag_pool = ["SYN", "ACK", "FIN", "RST", "PSH", "URG"]
+        for n in list(range(0, 40)) + [127, 128, 129, 300]:
+            for epoch in (0.0, 1.5e9):
+                times = np.sort(epoch + rng.exponential(0.3, size=n).cumsum())
+                # runs of equal timestamps
+                times[rng.random(n) < 0.3] = times[0] if n else 0.0
+                times.sort()
+                packets = [
+                    tcp_packet(
+                        float(round(t, 6)),
+                        length=int(rng.integers(40, 1500)),
+                        flags=[str(f) for f in rng.choice(
+                            flag_pool, size=int(rng.integers(1, 4)), replace=False)],
+                    )
+                    for t in times
+                ]
+                _assert_same_stats(packets)
+                _assert_same_stats([udp_packet(p.timestamp, length=p.ip_total_length)
+                                    for p in packets])
+
+    @pytest.mark.parametrize(
+        "timeouts",
+        [{}, {"idle_timeout": 0.5, "active_timeout": 2.0},
+         {"idle_timeout": 1.0, "active_timeout": None}],
+    )
+    def test_random_flow_assembly(self, timeouts):
+        rng = np.random.default_rng(11)
+        # addresses whose string order differs from their numeric order
+        hosts = ["10.0.0.9", "10.0.0.10", "10.0.0.100", "9.255.0.1", "192.168.1.2"]
+        flag_sets = [("SYN",), ("ACK",), ("FIN", "ACK"), ("RST",), ("PSH", "ACK")]
+        packets = []
+        for _ in range(3000):
+            a, b = rng.choice(len(hosts), size=2)
+            sport, dport = (int(p) for p in rng.choice([80, 443, 1000, 40000], size=2))
+            t = float(round(rng.uniform(0, 30) * 4) / 4)  # many equal timestamps
+            if rng.random() < 0.2:
+                packets.append(udp_packet(t, src=hosts[a], dst=hosts[b],
+                                          sport=sport, dport=dport))
+            else:
+                packets.append(tcp_packet(t, src=hosts[a], dst=hosts[b], sport=sport,
+                                          dport=dport,
+                                          flags=flag_sets[int(rng.integers(0, 5))]))
+        flows = _assert_same_flows(packets, **timeouts)
+        assert len(flows) > 50
