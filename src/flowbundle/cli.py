@@ -7,6 +7,7 @@ replicate.  Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -58,13 +59,33 @@ def _training_config(cfg: PipelineConfig, seed: int, epochs: int | None = None):
 
 
 def _rfe_training_config(cfg: PipelineConfig, seed: int):
-    return mlp.TrainingConfig(
-        learning_rate=cfg.rfe_learning_rate,
+    return dataclasses.replace(
+        _training_config(cfg, seed), learning_rate=cfg.rfe_learning_rate,
         epochs=cfg.rfe_epochs,
-        batch_size=cfg.batch_size,
-        loss="cross_entropy",
+    )
+
+
+def _autoencoder_config(cfg: PipelineConfig, seed: int, epochs: int | None = None):
+    return mlp.TrainingConfig(
+        learning_rate=cfg.learning_rate,
+        epochs=epochs if epochs is not None else cfg.autoencoder_epochs,
+        loss="mse",
         seed=seed,
     )
+
+
+def _write_report(path: str | None, doc: dict) -> None:
+    if path:
+        Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True))
+        print(f"report -> {path}")
+
+
+def _feature_names(rows, exclude_aggregation: bool = False) -> list[str]:
+    """Every feature when all rows carry the bundle columns, else the flow ones."""
+    has_agg = not exclude_aggregation and all(
+        r.num_flows is not None and r.src_ports_delta is not None for r in rows
+    )
+    return list(features.ALL_FEATURE_NAMES if has_agg else features.FLOW_FEATURE_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -141,15 +162,7 @@ def _cmd_rfe(args) -> int:
     y, class_names = features.label_classes(rows)
     if len(class_names) < 2:
         raise ConfigError("RFE needs at least two label classes in the CSV")
-    if args.exclude_aggregation:
-        names = list(features.FLOW_FEATURE_NAMES)
-    else:
-        has_agg = all(
-            r.num_flows is not None and r.src_ports_delta is not None for r in rows
-        )
-        names = list(features.ALL_FEATURE_NAMES) if has_agg else list(
-            features.FLOW_FEATURE_NAMES
-        )
+    names = _feature_names(rows, args.exclude_aggregation)
     X = features.feature_matrix(rows, names)
     result = rfe.rfe_select(
         X,
@@ -174,15 +187,7 @@ def _cmd_train(args) -> int:
     cfg = _load_pipeline_config(args)
     rows = features.read_features_csv(args.infile)
     y, class_names = features.label_classes(rows)
-    if args.selection:
-        names = rfe.load_selection(args.selection)
-    else:
-        has_agg = all(
-            r.num_flows is not None and r.src_ports_delta is not None for r in rows
-        )
-        names = list(features.ALL_FEATURE_NAMES) if has_agg else list(
-            features.FLOW_FEATURE_NAMES
-        )
+    names = rfe.load_selection(args.selection) if args.selection else _feature_names(rows)
     X = features.feature_matrix(rows, names)
     hidden = args.hidden if args.hidden is not None else cfg.hidden_size
     model = mlp.init_model([len(names), hidden, len(class_names)], seed=args.seed)
@@ -241,9 +246,7 @@ def _eval_saved_model(args) -> int:
             f"  {name:<16} precision {100 * p.value:6.2f}%  "
             f"recall {100 * r.value:6.2f}%  f1 {100 * f.value:6.2f}%"
         )
-    if args.report:
-        Path(args.report).write_text(json.dumps(doc, indent=1, sort_keys=True))
-        print(f"report -> {args.report}")
+    _write_report(args.report, doc)
     return 0
 
 
@@ -267,37 +270,18 @@ def _cmd_eval(args) -> int:
         rfe_training=_rfe_training_config(cfg, seed),
     )
     print(evaluation.render_report_text(report, title=f"design: {args.design}"))
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=1, sort_keys=True)
-        )
-        print(f"report -> {args.report}")
+    _write_report(args.report, report.to_dict())
     return 0
-
-
-def _zeroday_feature_names(rows, exclude_aggregation: bool) -> list[str]:
-    if exclude_aggregation:
-        return list(features.FLOW_FEATURE_NAMES)
-    has_agg = all(
-        r.num_flows is not None and r.src_ports_delta is not None for r in rows
-    )
-    return list(features.ALL_FEATURE_NAMES) if has_agg else list(
-        features.FLOW_FEATURE_NAMES
-    )
 
 
 def _cmd_zeroday_fit(args) -> int:
     cfg = _load_pipeline_config(args)
     rows = features.read_features_csv(args.benign)
-    names = _zeroday_feature_names(rows, args.exclude_aggregation)
+    names = _feature_names(rows, args.exclude_aggregation)
     X = features.feature_matrix(rows, names)
-    ae_cfg = mlp.TrainingConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=args.epochs if args.epochs is not None else cfg.autoencoder_epochs,
-        loss="mse",
-        seed=args.seed,
+    model, history = zeroday.fit_benign(
+        X, _autoencoder_config(cfg, args.seed, args.epochs)
     )
-    model, history = zeroday.fit_benign(X, ae_cfg)
     mlp.save_model(
         mlp.ModelArtifact(model=model, feature_names=names), args.model
     )
@@ -323,11 +307,7 @@ def _cmd_zeroday_detect(args) -> int:
             f"  threshold {outcome.threshold:0.2f}: flagged {outcome.flagged}"
             f"/{outcome.total}, accuracy {100 * outcome.accuracy:.2f}%"
         )
-    if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=1, sort_keys=True)
-        )
-        print(f"report -> {args.report}")
+    _write_report(args.report, report.to_dict())
     return 0
 
 
@@ -445,19 +425,11 @@ def _cmd_replicate(args) -> int:
     benign_val = [benign_rows[i] for i in order[split:]]
     policy = zeroday.ThresholdPolicy(cfg.thresholds)
     for with_aggregation in (True, False):
-        names = (
-            list(features.ALL_FEATURE_NAMES)
-            if with_aggregation
-            else list(features.FLOW_FEATURE_NAMES)
-        )
-        ae_cfg = mlp.TrainingConfig(
-            learning_rate=cfg.learning_rate,
-            epochs=cfg.autoencoder_epochs,
-            loss="mse",
-            seed=seed,
+        names = list(
+            features.ALL_FEATURE_NAMES if with_aggregation else features.FLOW_FEATURE_NAMES
         )
         model, _hist = zeroday.fit_benign(
-            features.feature_matrix(benign_train, names), ae_cfg
+            features.feature_matrix(benign_train, names), _autoencoder_config(cfg, seed)
         )
         mode = "with_aggregation" if with_aggregation else "without_aggregation"
         section = {

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,23 +73,26 @@ _SCHEMA: dict[str, dict[str, str]] = {
     "run": {"seed": "seed"},
 }
 
-_OPTIONAL_FLOATS = {"active_timeout_s", "window_s"}
-_OPTIONAL_INTS = {"batch_size"}
-_INTS = {"rfe_k", "rfe_epochs", "hidden_size", "extended_hidden_size", "epochs",
-         "folds", "seed", "autoencoder_epochs"}
-
-
 def _parse_value(attribute: str, raw: str):
+    """Parse by the field's annotation; a ValueError says what is wrong."""
+    kind = PipelineConfig.__dataclass_fields__[attribute].type
     raw = raw.strip()
-    if attribute in _OPTIONAL_FLOATS:
-        return None if raw.lower() == "none" else float(raw)
-    if attribute in _OPTIONAL_INTS:
-        return None if raw.lower() == "none" else int(raw)
-    if attribute in _INTS:
-        return int(raw)
-    if attribute == "thresholds":
-        return tuple(float(part) for part in raw.split(","))
-    return float(raw)
+    if kind.endswith("| None") and raw.lower() == "none":
+        return None
+    if kind.startswith("tuple"):
+        value = tuple(float(part) for part in raw.split(","))
+        if not all(0 < v <= 1 for v in value):
+            raise ValueError("each must lie in (0, 1]")
+    elif kind.startswith("int"):
+        value = int(raw)
+        low = {"folds": 2, "seed": 0}.get(attribute, 1)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+    else:
+        value = float(raw)
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError("must be a finite number > 0")
+    return value
 
 
 def _syntax_error(path: str | Path, exc: configparser.Error) -> ConfigError:
@@ -129,8 +133,8 @@ def load_config(path: str | Path) -> PipelineConfig:
                 )
             try:
                 setattr(cfg, attribute, _parse_value(attribute, raw))
-            except ValueError:
+            except ValueError as exc:
                 raise ConfigError(
-                    f"{path}: bad value {raw!r} for [{section}] {option}"
-                )
+                    f"{path}: bad value {raw!r} for [{section}] {option}: {exc}"
+                ) from None
     return cfg

@@ -219,71 +219,37 @@ def read_pcap(path: str | Path) -> PcapRead:
     return result
 
 
-def _ip_checksum(header: bytes) -> int:
-    total = 0
-    for i in range(0, len(header), 2):
-        total += (header[i] << 8) + header[i + 1]
+_RECORD_HEADER = struct.Struct("<IIII")
+# Ethernet and IPv4 headers and the ports; then the rest of the TCP header
+# from its data offset, or the UDP length.  Fields left out stay the zeros
+# the output buffer starts with.
+_HEADERS = struct.Struct("!6s6sHHHHHBBH4s4sHH")
+_TCP_REST = struct.Struct("!BBHH")
+_UDP_LENGTH = struct.Struct("!H")
+_FLAG_BYTES = {flags: byte for byte, flags in enumerate(_FLAG_SETS[:64])}
+# the constant words of each checksum: IPv4 version/IHL, DF and TTL; TCP
+# protocol in the pseudo-header, data offset and window
+_IP_SUM = 0x4500 + 0x4000 + 0x4000
+_TCP_SUM = 6 + 0x5000 + 0xFFFF
+
+
+def _checksum(total: int) -> int:
+    """One's complement of a sum of 16-bit words, end-around folded.
+
+    Zero bytes add nothing to the sum, so the all-zero payload and the
+    pad byte of an odd-length segment are left out of ``total``.
+    """
     while total > 0xFFFF:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
 
 
-def _mac_for(ip: str) -> bytes:
-    # locally administered MAC derived from the IPv4 address
-    return bytes([0x02, 0x00]) + socket.inet_aton(ip)
-
-
-def _build_frame(rec: PacketRecord, ip_id: int) -> bytes:
-    transport_min = 20 if rec.protocol is Protocol.TCP else 8
-    payload_len = rec.ip_total_length - 20 - transport_min
-    payload = bytes(payload_len)
-    src = socket.inet_aton(rec.src_ip)
-    dst = socket.inet_aton(rec.dst_ip)
-
-    if rec.protocol is Protocol.TCP:
-        flag_bits = 0
-        for name in rec.tcp_flags:
-            flag_bits |= _TCP_FLAG_BITS[name]
-        transport = struct.pack(
-            "!HHIIBBHHH",
-            rec.src_port,
-            rec.dst_port,
-            0,
-            0,
-            5 << 4,
-            flag_bits,
-            65535,
-            0,
-            0,
-        )
-        pseudo = src + dst + struct.pack("!BBH", 0, 6, len(transport) + payload_len)
-        csum_input = pseudo + transport + payload
-        if len(csum_input) % 2:
-            csum_input += b"\x00"
-        checksum = _ip_checksum(csum_input)
-        transport = transport[:16] + struct.pack("!H", checksum) + transport[18:]
-    else:
-        # zero UDP checksum means "not computed" and is legal for IPv4
-        transport = struct.pack(
-            "!HHHH", rec.src_port, rec.dst_port, 8 + payload_len, 0
-        )
-
-    header = struct.pack(
-        "!BBHHHBBH4s4s",
-        0x45,
-        0,
-        rec.ip_total_length,
-        ip_id & 0xFFFF,
-        0x4000,  # DF, never a fragment
-        64,
-        rec.protocol.value,
-        0,
-        src,
-        dst,
-    )
-    header = header[:10] + struct.pack("!H", _ip_checksum(header)) + header[12:]
-    eth = _mac_for(rec.dst_ip) + _mac_for(rec.src_ip) + struct.pack("!H", 0x0800)
-    return eth + header + transport + payload
+def _address(cache: dict, ip: str) -> tuple[bytes, bytes, int]:
+    """Cache an address's raw bytes, locally administered MAC and word sum."""
+    raw = socket.inet_aton(ip)
+    words = ((raw[0] + raw[2]) << 8) + raw[1] + raw[3]
+    entry = cache[ip] = (raw, b"\x02\x00" + raw, words)
+    return entry
 
 
 def write_pcap(packets: list[PacketRecord], path: str | Path) -> None:
@@ -291,17 +257,55 @@ def write_pcap(packets: list[PacketRecord], path: str | Path) -> None:
 
     Packets must already be in non-decreasing timestamp order; timestamps
     are stored at microsecond resolution, so feeding quantized timestamps
-    round-trips exactly through read_pcap.
+    round-trips exactly through read_pcap.  Each frame carries an IPv4
+    header (DF, TTL 64, id = packet index), a zero TCP sequence/ack or a
+    zero UDP checksum, and a zero payload; MACs derive from the addresses.
     """
     for prev, cur in zip(packets, packets[1:]):
         if cur.timestamp < prev.timestamp:
             raise ValueError("packets must be sorted by timestamp before writing")
-    out = bytearray()
-    out += struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)
+    if packets and round(packets[-1].timestamp * 1_000_000) >= 1_000_000 << 32:
+        raise ValueError(
+            f"{path}: timestamp {packets[-1].timestamp} is past the pcap's "
+            "32-bit seconds field"
+        )
+    out = bytearray(24 + sum(30 + rec.ip_total_length for rec in packets))
+    struct.pack_into(
+        "<IHHiIII", out, 0, 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET
+    )
+    record_header = _RECORD_HEADER.pack_into
+    headers = _HEADERS.pack_into
+    tcp_rest = _TCP_REST.pack_into
+    udp_length = _UDP_LENGTH.pack_into
+    addresses: dict[str, tuple[bytes, bytes, int]] = {}
+    offset = 24
     for i, rec in enumerate(packets):
-        frame = _build_frame(rec, ip_id=i)
-        total_us = round(rec.timestamp * 1_000_000)
-        ts_sec, ts_usec = divmod(total_us, 1_000_000)
-        out += struct.pack("<IIII", ts_sec, ts_usec, len(frame), len(frame))
-        out += frame
-    Path(path).write_bytes(bytes(out))
+        src, src_mac, src_sum = addresses.get(rec.src_ip) or _address(
+            addresses, rec.src_ip
+        )
+        dst, dst_mac, dst_sum = addresses.get(rec.dst_ip) or _address(
+            addresses, rec.dst_ip
+        )
+        length = rec.ip_total_length
+        ip_id = i & 0xFFFF
+        us = round(rec.timestamp * 1_000_000)
+        frame = length + 14
+        record_header(out, offset, us // 1_000_000, us % 1_000_000, frame, frame)
+        proto = rec.protocol.value
+        sport, dport = rec.src_port, rec.dst_port
+        ip_sum = _checksum(_IP_SUM + proto + length + ip_id + src_sum + dst_sum)
+        headers(
+            out, offset + 16, dst_mac, src_mac, 0x0800, 0x4500, length, ip_id,
+            0x4000, 64, proto, ip_sum, src, dst, sport, dport,
+        )
+        if proto == 6:
+            flags = _FLAG_BYTES[rec.tcp_flags]
+            tcp_sum = _checksum(
+                _TCP_SUM + length - 20 + src_sum + dst_sum + sport + dport + flags
+            )
+            tcp_rest(out, offset + 62, 0x50, flags, 65535, tcp_sum)
+        else:
+            # zero UDP checksum means "not computed" and is legal for IPv4
+            udp_length(out, offset + 54, length - 20)
+        offset += 30 + length
+    Path(path).write_bytes(out)

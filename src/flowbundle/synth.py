@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,30 @@ from .flows import BiFlow
 from .pcap import PacketRecord, Protocol, write_pcap  # noqa: F401  (re-export)
 
 EPHEMERAL_RANGE = (32768, 61000)
+_SEQUENTIAL_BASES = (20000, 40000)  # first port of a sequential source, drawn
 _BASE_EPOCH = 1_600_000_000.0  # scenario clock origin, an arbitrary 2020 instant
+# seconds from the origin to the end of the pcap's 32-bit seconds field
+_MAX_SECONDS = 2**32 - _BASE_EPOCH
+
+
+def _whole(value, lo: int, hi: float = math.inf) -> bool:
+    return isinstance(value, int) and lo <= value <= hi
+
+
+def _whole_range(pair, lo: int) -> bool:
+    return (
+        isinstance(pair, tuple) and len(pair) == 2
+        and _whole(pair[0], lo) and _whole(pair[1], pair[0])
+    )
+
+
+def _finite(value, lo: float, hi: float = math.inf) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value) and lo <= value <= hi
+
+
+def _check(ok: bool, key: str, value, what: str) -> None:
+    if not ok:
+        raise ValueError(f"{key} must be {what}, got {value!r}")
 
 
 class LabelError(ValueError):
@@ -46,16 +71,36 @@ class TrafficClassSpec:
     scan_port_base: int = 1024
 
     def __post_init__(self) -> None:
-        if self.n_sources < 1:
-            raise ValueError(f"class {self.label!r} needs at least one source host")
-        if self.flows_per_source[0] < 1:
-            raise ValueError("flows_per_source lower bound must be >= 1")
-        if self.port_pattern not in ("ephemeral", "sequential", "fixed"):
-            raise ValueError(f"unknown port pattern {self.port_pattern!r}")
-        if self.flow_shape not in ("exchange", "scan"):
-            raise ValueError(f"unknown flow shape {self.flow_shape!r}")
-        if self.protocol not in ("TCP", "UDP"):
-            raise ValueError("protocol must be TCP or UDP")
+        for key in ("flows_per_source", "data_exchanges"):  # JSON gives lists
+            if isinstance(getattr(self, key), list):
+                setattr(self, key, tuple(getattr(self, key)))
+        flows = self.flows_per_source
+        most = flows[1] if _whole_range(flows, 1) else 1
+        lo, hi = EPHEMERAL_RANGE
+        base = _SEQUENTIAL_BASES[1] - 1
+        for key, ok, what in (
+            ("n_sources", _whole(self.n_sources, 1, 64_000), "1 to 64000 source hosts"),
+            ("flows_per_source", _whole_range(flows, 1), "[low, high], 1 <= low <= high"),
+            ("data_exchanges", _whole_range(self.data_exchanges, 0),
+             "[low, high], 0 <= low <= high"),
+            ("pkt_len_mean", _finite(self.pkt_len_mean, -math.inf), "a finite number"),
+            ("pkt_len_std", _finite(self.pkt_len_std, 0), "a finite number >= 0"),
+            ("iat_mean", _finite(self.iat_mean, 0, _MAX_SECONDS),
+             f"in [0, {_MAX_SECONDS:.0f}] s"),
+            ("port_pattern", self.port_pattern in ("ephemeral", "sequential", "fixed"),
+             "a port pattern: ephemeral, sequential or fixed"),
+            ("flows_per_source", self.port_pattern != "ephemeral" or most <= hi - lo,
+             f"at most {hi - lo} for distinct ephemeral ports"),
+            ("port_step", self.port_pattern != "sequential"
+             or _whole(self.port_step, 1, (65535 - base) // max(most - 1, 1)),
+             f"an integer >= 1 keeping {most} ports from {base} below 65536"),
+            ("fixed_port", _whole(self.fixed_port, 0, 65535), "a port in [0, 65535]"),
+            ("flow_shape", self.flow_shape in ("exchange", "scan"), "exchange or scan"),
+            ("scan_port_base", _whole(self.scan_port_base, 0, 65536 - most),
+             f"a port keeping {most} scanned ports below 65536"),
+            ("protocol", self.protocol in ("TCP", "UDP"), "TCP or UDP"),
+        ):
+            _check(ok, f"class {self.label!r}: {key}", getattr(self, key), what)
 
 
 @dataclass
@@ -66,12 +111,16 @@ class ScenarioSpec:
     n_servers: int = 4
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.n_servers < 1:
-            raise ValueError("need at least one server host")
-        if not self.classes:
-            raise ValueError("scenario has no traffic classes")
+        _check(_whole(self.seed, 0), "seed", self.seed, "an integer >= 0")
+        _check(
+            _finite(self.duration, 0, _MAX_SECONDS - 1) and self.duration > 0,
+            "duration", self.duration,
+            f"positive and at most {_MAX_SECONDS - 1:.0f} s, within the pcap's "
+            "32-bit seconds field",
+        )
+        _check(_whole(self.n_servers, 1, 246), "n_servers", self.n_servers, "1 to 246")
+        count = len(self.classes)
+        _check(0 < count <= 236, "classes", count, "1 to 236 traffic classes")
 
 
 @dataclass(frozen=True)
@@ -102,8 +151,23 @@ def _flow_key_of(
 
 
 def _draw_length(rng: np.random.Generator, cls: TrafficClassSpec) -> int:
-    raw = rng.normal(cls.pkt_len_mean, cls.pkt_len_std)
-    return int(np.clip(round(raw), 60, 1500))
+    return min(max(round(rng.normal(cls.pkt_len_mean, cls.pkt_len_std)), 60), 1500)
+
+
+# (initiator -> responder?, TCP flags) of each packet of a flow's shape
+_SCAN_STEPS = ((True, frozenset({"SYN"})), (False, frozenset({"RST", "ACK"})))
+_TCP_OPEN = (
+    (True, frozenset({"SYN"})),
+    (False, frozenset({"SYN", "ACK"})),
+    (True, frozenset({"ACK"})),
+)
+_TCP_EXCHANGE = ((True, frozenset({"PSH", "ACK"})), (False, frozenset({"ACK"})))
+_TCP_CLOSE = (
+    (True, frozenset({"FIN", "ACK"})),
+    (False, frozenset({"FIN", "ACK"})),
+    (True, frozenset({"ACK"})),
+)
+_UDP_EXCHANGE = ((True, frozenset()), (False, frozenset()))
 
 
 def _build_flow(
@@ -115,45 +179,47 @@ def _build_flow(
     dst_port: int,
     start: float,
 ) -> list[PacketRecord]:
+    protocol = Protocol[cls.protocol]
     if cls.flow_shape == "scan":
-        steps = [(True, {"SYN"}), (False, {"RST", "ACK"})]
-    elif cls.protocol == "UDP":
-        n = int(rng.integers(cls.data_exchanges[0], cls.data_exchanges[1] + 1))
-        steps = [(i % 2 == 0, None) for i in range(2 * n + 2)]
+        steps = _SCAN_STEPS if protocol is Protocol.TCP else _UDP_EXCHANGE
     else:
         n = int(rng.integers(cls.data_exchanges[0], cls.data_exchanges[1] + 1))
-        steps = (
-            [(True, {"SYN"}), (False, {"SYN", "ACK"}), (True, {"ACK"})]
-            + [(True, {"PSH", "ACK"}), (False, {"ACK"})] * n
-            + [(True, {"FIN", "ACK"}), (False, {"FIN", "ACK"}), (True, {"ACK"})]
-        )
+        if protocol is Protocol.TCP:
+            steps = _TCP_OPEN + _TCP_EXCHANGE * n + _TCP_CLOSE
+        else:
+            steps = _UDP_EXCHANGE * (n + 1)
+    forward_ends = (src_ip, dst_ip, src_port, dst_port)
+    backward_ends = (dst_ip, src_ip, dst_port, src_port)
     packets = []
     t = start
     for i, (forward, flags) in enumerate(steps):
         if i > 0:
             t += rng.exponential(cls.iat_mean)
-        ts = _quantize(t)
-        length = _draw_length(rng, cls)
-        if cls.protocol == "UDP":
-            length = max(length, 28)
-            proto = Protocol.UDP
-            flagset: frozenset[str] = frozenset()
-        else:
-            proto = Protocol.TCP
-            flagset = frozenset(flags or set())
+        src, dst, sport, dport = forward_ends if forward else backward_ends
         packets.append(
             PacketRecord(
-                timestamp=ts,
-                src_ip=src_ip if forward else dst_ip,
-                dst_ip=dst_ip if forward else src_ip,
-                src_port=src_port if forward else dst_port,
-                dst_port=dst_port if forward else src_port,
-                protocol=proto,
-                ip_total_length=length,
-                tcp_flags=flagset,
+                _quantize(t), src, dst, sport, dport, protocol,
+                _draw_length(rng, cls), flags,
             )
         )
     return packets
+
+
+def _add_flow(
+    traffic: GeneratedTraffic,
+    rng: np.random.Generator,
+    cls: TrafficClassSpec,
+    src_ip: str,
+    src_port: int,
+    dst_ip: str,
+    dst_port: int,
+    start: float,
+) -> None:
+    """Append one flow's packets and its manifest entry."""
+    traffic.packets += _build_flow(rng, cls, src_ip, src_port, dst_ip, dst_port, start)
+    traffic.manifest.append(
+        FlowLabel(src_ip, src_port, dst_ip, dst_port, cls.protocol, start, cls.label)
+    )
 
 
 def _source_ports(
@@ -163,7 +229,7 @@ def _source_ports(
         lo, hi = EPHEMERAL_RANGE
         return [int(p) for p in rng.choice(np.arange(lo, hi), n_flows, replace=False)]
     if cls.port_pattern == "sequential":
-        base = int(rng.integers(20000, 40000))
+        base = int(rng.integers(*_SEQUENTIAL_BASES))
         return [base + i * cls.port_step for i in range(n_flows)]
     return [cls.fixed_port] * n_flows
 
@@ -172,8 +238,7 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
     """Emit all scenario packets (timestamp-sorted) plus the label manifest."""
     rng = np.random.default_rng(spec.seed)
     servers = [f"192.168.10.{10 + i}" for i in range(spec.n_servers)]
-    packets: list[PacketRecord] = []
-    manifest: list[FlowLabel] = []
+    traffic = GeneratedTraffic(packets=[], manifest=[])
 
     for class_index, cls in enumerate(spec.classes):
         for source_index in range(cls.n_sources):
@@ -199,49 +264,26 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
                     )
                     dst_port = 80
                 start = _quantize(_BASE_EPOCH + float(starts[flow_index]))
-                flow_packets = _build_flow(
-                    rng, cls, src_ip, sports[flow_index], dst_ip, dst_port, start
-                )
-                packets.extend(flow_packets)
-                manifest.append(
-                    FlowLabel(
-                        initiator_ip=src_ip,
-                        initiator_port=sports[flow_index],
-                        responder_ip=dst_ip,
-                        responder_port=dst_port,
-                        protocol=cls.protocol,
-                        start_time=start,
-                        label=cls.label,
-                    )
+                _add_flow(
+                    traffic, rng, cls, src_ip, sports[flow_index], dst_ip, dst_port,
+                    start,
                 )
 
-    packets.sort(key=lambda p: p.timestamp)
-    return GeneratedTraffic(packets=packets, manifest=manifest)
+    traffic.packets.sort(key=attrgetter("timestamp"))
+    return traffic
 
 
 def match_labels(flows: list[BiFlow], manifest: list[FlowLabel]) -> list[str]:
     """Label each assembled flow from the manifest; unmatched flows raise."""
     lookup = {
-        _flow_key_of(
-            e.initiator_ip,
-            e.initiator_port,
-            e.responder_ip,
-            e.responder_port,
-            e.protocol,
-            e.start_time,
-        ): e.label
+        _flow_key_of(e.initiator_ip, e.initiator_port, e.responder_ip,
+                     e.responder_port, e.protocol, e.start_time): e.label
         for e in manifest
     }
     labels = []
     for flow in flows:
-        key = _flow_key_of(
-            flow.initiator[0],
-            flow.initiator[1],
-            flow.responder[0],
-            flow.responder[1],
-            flow.key.protocol.name,
-            flow.start_time,
-        )
+        key = _flow_key_of(*flow.initiator, *flow.responder,
+                           flow.key.protocol.name, flow.start_time)
         label = lookup.get(key)
         if label is None:
             raise LabelError(
@@ -381,27 +423,12 @@ def fig2_traffic(seed: int = 0) -> GeneratedTraffic:
     )
     lo, hi = EPHEMERAL_RANGE
     sports = [int(p) for p in rng.choice(np.arange(lo, hi), len(pattern), False)]
-    packets: list[PacketRecord] = []
-    manifest: list[FlowLabel] = []
+    traffic = GeneratedTraffic(packets=[], manifest=[])
     for i, (src, dst) in enumerate(pattern):
         start = _quantize(_BASE_EPOCH + 0.5 * i)
-        flow_packets = _build_flow(
-            rng, cls, hosts[src], sports[i], hosts[dst], 80, start
-        )
-        packets.extend(flow_packets)
-        manifest.append(
-            FlowLabel(
-                initiator_ip=hosts[src],
-                initiator_port=sports[i],
-                responder_ip=hosts[dst],
-                responder_port=80,
-                protocol="TCP",
-                start_time=start,
-                label="benign",
-            )
-        )
-    packets.sort(key=lambda p: p.timestamp)
-    return GeneratedTraffic(packets=packets, manifest=manifest)
+        _add_flow(traffic, rng, cls, hosts[src], sports[i], hosts[dst], 80, start)
+    traffic.packets.sort(key=attrgetter("timestamp"))
+    return traffic
 
 
 SCENARIOS = ("mimicking", "full", "fig2")
@@ -437,18 +464,11 @@ def write_labels_csv(manifest: list[FlowLabel], path: str | Path) -> None:
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_LABEL_COLUMNS)
-        for entry in manifest:
-            writer.writerow(
-                [
-                    entry.initiator_ip,
-                    str(entry.initiator_port),
-                    entry.responder_ip,
-                    str(entry.responder_port),
-                    entry.protocol,
-                    f"{entry.start_time:.6f}",
-                    entry.label,
-                ]
-            )
+        writer.writerows(
+            (e.initiator_ip, e.initiator_port, e.responder_ip, e.responder_port,
+             e.protocol, f"{e.start_time:.6f}", e.label)
+            for e in manifest
+        )
 
 
 def read_labels_csv(path: str | Path) -> list[FlowLabel]:
@@ -482,26 +502,22 @@ def read_labels_csv(path: str | Path) -> list[FlowLabel]:
 
 
 def load_scenario_spec(path: str | Path) -> ScenarioSpec:
-    """Read a custom ScenarioSpec from a JSON file."""
-    doc = json.loads(Path(path).read_text())
+    """Read a custom ScenarioSpec from a JSON file.
+
+    Invalid JSON, a missing key and a value out of range are a ValueError
+    naming the file and the key.
+    """
+    text = Path(path).read_text()
     try:
-        classes = [
-            TrafficClassSpec(
-                **{
-                    **entry,
-                    "flows_per_source": tuple(entry["flows_per_source"]),
-                    "data_exchanges": tuple(
-                        entry.get("data_exchanges", (1, 5))
-                    ),
-                }
-            )
-            for entry in doc["classes"]
-        ]
+        doc = json.loads(text)
+        classes = [TrafficClassSpec(**entry) for entry in doc["classes"]]
         return ScenarioSpec(
-            seed=int(doc["seed"]),
+            seed=doc["seed"],
             duration=float(doc["duration"]),
-            n_servers=int(doc.get("n_servers", 4)),
+            n_servers=doc.get("n_servers", 4),
             classes=classes,
         )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: invalid scenario spec ({exc})")
+    except KeyError as exc:
+        raise ValueError(f"{path}: invalid scenario spec (missing key {exc})") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: invalid scenario spec ({exc})") from None

@@ -377,3 +377,96 @@ def test_mistyped_model_rejected(mimicking_csvs, tmp_path, capsys, key, value, p
     assert run(["zeroday", "detect", "--model", str(model_path),
                 "--in", str(attack_csv)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {model_path}: {problem}")
+
+
+_SPEC_CLASS = '"label": "benign", "n_sources": 2, "flows_per_source": [2, 3]'
+
+
+@pytest.mark.parametrize(
+    "top, extra, problem",
+    [
+        ("", '"flows_per_source": [1]', "flows_per_source must be [low, high]"),
+        ("", '"flows_per_source": [3, 2]', "flows_per_source must be [low, high]"),
+        ("", '"flows_per_source": 4', "flows_per_source must be [low, high]"),
+        ("", '"data_exchanges": [2, 1]', "data_exchanges must be [low, high]"),
+        ("", '"pkt_len_std": -5', "pkt_len_std must be a finite number >= 0"),
+        ("", '"iat_mean": -1', "iat_mean must be in [0, "),
+        ("", '"pkt_len_mean": 1e400', "pkt_len_mean must be a finite number, got inf"),
+        ("", '"pkt_len_mean": NaN', "pkt_len_mean must be a finite number, got nan"),
+        ("", '"n_sources": 2.5', "n_sources must be 1 to 64000 source hosts"),
+        ("", '"port_pattern": "sequential", "port_step": 20000', "port_step must be"),
+        ("", '"port_pattern": "fixed", "fixed_port": 70000', "fixed_port must be a port"),
+        ("", '"flow_shape": "scan", "scan_port_base": 65535', "scan_port_base must be"),
+        ('"duration": 1e10, ', "", "duration must be positive and at most"),
+        ('"seed": -1, ', "", "seed must be an integer >= 0"),
+        ('"seed": 7.9, ', "", "seed must be an integer >= 0, got 7.9"),
+        ('"n_servers": 2.5, ', "", "n_servers must be 1 to 246, got 2.5"),
+        ('"duration": 1e400, ', "", "duration must be positive and at most"),
+        ('"n_servers": 300, ', "", "n_servers must be 1 to 246"),
+    ],
+)
+def test_malformed_scenario_spec_rejected(tmp_path, capsys, top, extra, problem):
+    # a repeated key overrides the one before it, in JSON as parsed here
+    entry = _SPEC_CLASS + (", " + extra if extra else "")
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"seed": 5, "duration": 20.0, ' + top + '"classes": [{' + entry + "}]}")
+    assert run(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.pcap")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {spec}: invalid scenario spec (")
+    assert problem in err
+
+
+def test_invalid_spec_json_names_file(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"seed": 1,')
+    assert run(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.pcap")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {spec}: invalid scenario spec (")
+
+
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        ("[training]\nepochs = 0\n", "'0' for [training] epochs: must be >= 1"),
+        ("[rfe]\nk = 0\n", "'0' for [rfe] k: must be >= 1"),
+        ("[rfe]\nepochs = -3\n", "'-3' for [rfe] epochs: must be >= 1"),
+        ("[autoencoder]\nepochs = 0\n", "'0' for [autoencoder] epochs: must be >= 1"),
+        ("[network]\nhidden_size = 0\n", "'0' for [network] hidden_size: must be >= 1"),
+        ("[network]\nextended_hidden_size = 0\n",
+         "'0' for [network] extended_hidden_size: must be >= 1"),
+        ("[training]\nbatch_size = 0\n", "'0' for [training] batch_size: must be >= 1"),
+        ("[evaluation]\nfolds = 1\n", "'1' for [evaluation] folds: must be >= 2"),
+        ("[run]\nseed = -1\n", "'-1' for [run] seed: must be >= 0"),
+        ("[training]\nlearning_rate = 0\n",
+         "'0' for [training] learning_rate: must be a finite number > 0"),
+        ("[rfe]\nlearning_rate = nan\n",
+         "'nan' for [rfe] learning_rate: must be a finite number > 0"),
+        ("[flow]\nidle_timeout_s = -1\n",
+         "'-1' for [flow] idle_timeout_s: must be a finite number > 0"),
+        ("[flow]\nactive_timeout_s = inf\n",
+         "'inf' for [flow] active_timeout_s: must be a finite number > 0"),
+        ("[bundle]\nwindow_s = 0\n", "'0' for [bundle] window_s: must be a finite number > 0"),
+        ("[zeroday]\nthresholds = 0.1,0\n",
+         "'0.1,0' for [zeroday] thresholds: each must lie in (0, 1]"),
+        ("[zeroday]\nthresholds = 1.5\n",
+         "'1.5' for [zeroday] thresholds: each must lie in (0, 1]"),
+    ],
+)
+def test_config_value_out_of_range_rejected(fig2_capture, tmp_path, capsys, text, problem):
+    pcap, _ = fig2_capture
+    config = tmp_path / "range.ini"
+    config.write_text(text)
+    assert run(["extract", "--pcap", str(pcap), "--config", str(config),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {config}: bad value {problem}\n"
+
+
+def test_config_values_in_range_accepted(fig2_capture, tmp_path):
+    pcap, _ = fig2_capture
+    config = tmp_path / "edge.ini"
+    config.write_text(
+        "[flow]\nactive_timeout_s = none\n[bundle]\nwindow_s = none\n"
+        "[training]\nepochs = 1\nbatch_size = 1\n[evaluation]\nfolds = 2\n"
+        "[zeroday]\nthresholds = 1,0.001\n[run]\nseed = 0\n"
+    )
+    assert run(["extract", "--pcap", str(pcap), "--config", str(config),
+                "--out", str(tmp_path / "x.csv")]) == 0

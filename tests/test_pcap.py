@@ -174,6 +174,43 @@ class TestWritePcap:
         assert result.skipped == 0
         assert result.packets == traffic.packets
 
+    def test_checksums_verify(self, tmp_path):
+        """RFC 1071: the one's-complement sum over a header (or pseudo-header
+        and segment) that carries its checksum is 0xFFFF."""
+
+        def ones_sum(data: bytes) -> int:
+            if len(data) % 2:
+                data += b"\x00"
+            total = sum(struct.unpack(f"!{len(data) // 2}H", data))
+            while total >> 16:
+                total = (total & 0xFFFF) + (total >> 16)
+            return total
+
+        traffic = build_scenario("full", seed=1, scale="small")
+        packets = traffic.packets + [
+            tcp_packet(2e9, length=length, flags=("FIN", "PSH", "URG"))
+            for length in (40, 41, 1499, 1500)
+        ] + [udp_packet(2e9, length=length) for length in (28, 29, 1499, 1500)]
+        path = tmp_path / "sums.pcap"
+        write_pcap(packets, path)
+        data = path.read_bytes()
+        offset, seen = 24, 0
+        while offset < len(data):
+            incl_len = struct.unpack_from("<I", data, offset + 8)[0]
+            ip = data[offset + 16 + 14:offset + 16 + incl_len]
+            offset += 16 + incl_len
+            seen += 1
+            total_length = struct.unpack_from("!H", ip, 2)[0]
+            assert len(ip) == total_length
+            assert ones_sum(ip[:20]) == 0xFFFF
+            if ip[9] == 6:
+                pseudo = ip[12:20] + struct.pack("!BBH", 0, 6, total_length - 20)
+                assert ones_sum(pseudo + ip[20:]) == 0xFFFF
+            else:
+                assert ip[9] == 17
+                assert struct.unpack_from("!HH", ip, 24) == (total_length - 20, 0)
+        assert seen == len(packets)
+
 
 class TestPacketRecord:
     def test_udp_with_flags_rejected(self):

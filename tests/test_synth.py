@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +200,8 @@ def test_desk_scale_flow_counts():
     attack_low = spec.classes[1].n_sources * spec.classes[1].flows_per_source[0]
     attack_high = spec.classes[1].n_sources * spec.classes[1].flows_per_source[1]
     assert attack_low <= 550 <= attack_high
+
+
+def test_checked_in_10x_spec_is_valid():
+    spec = load_scenario_spec(Path(__file__).parents[1] / "perfbench" / "scenario_10x.json")
+    assert [c.n_sources for c in spec.classes] == [1250, 100]
