@@ -5,88 +5,4 @@ statistics -> bundle aggregation (number of flows, source ports delta)
 -> feature selection, classification and zero-day detection.
 """
 
-from .aggregation import Bundle, aggregate_features, bundle_flows, ports_delta, propagate
-from .features import (
-    ALL_FEATURE_NAMES,
-    FLOW_FEATURE_NAMES,
-    FlowFeatureVector,
-    extract_features,
-    feature_matrix,
-    read_features_csv,
-    write_features_csv,
-)
-from .flows import BiFlow, FlowKey, assemble_flows
-from .mlp import (
-    MinMaxScaler,
-    MlpModel,
-    TrainingConfig,
-    forward,
-    init_model,
-    predict_class,
-    reconstruction_error,
-    train,
-)
-from .pcap import PacketRecord, PcapFormatError, PcapRead, Protocol, read_pcap, write_pcap
-from .rfe import RfeConfig, RfeResult, rfe_select
-from .evaluation import (
-    ConfusionCounts,
-    ExperimentReport,
-    f1,
-    kfold_evaluate,
-    precision,
-    recall,
-    run_experiment,
-)
-from .synth import ScenarioSpec, TrafficClassSpec, build_scenario, generate
-from .zeroday import ThresholdPolicy, detect, fit_benign
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_FEATURE_NAMES",
-    "BiFlow",
-    "Bundle",
-    "ConfusionCounts",
-    "ExperimentReport",
-    "FLOW_FEATURE_NAMES",
-    "FlowFeatureVector",
-    "FlowKey",
-    "MinMaxScaler",
-    "MlpModel",
-    "PacketRecord",
-    "PcapFormatError",
-    "PcapRead",
-    "Protocol",
-    "RfeConfig",
-    "RfeResult",
-    "ScenarioSpec",
-    "ThresholdPolicy",
-    "TrafficClassSpec",
-    "TrainingConfig",
-    "aggregate_features",
-    "assemble_flows",
-    "build_scenario",
-    "bundle_flows",
-    "detect",
-    "extract_features",
-    "f1",
-    "feature_matrix",
-    "fit_benign",
-    "forward",
-    "generate",
-    "init_model",
-    "kfold_evaluate",
-    "ports_delta",
-    "precision",
-    "predict_class",
-    "propagate",
-    "read_features_csv",
-    "read_pcap",
-    "recall",
-    "reconstruction_error",
-    "rfe_select",
-    "run_experiment",
-    "train",
-    "write_features_csv",
-    "write_pcap",
-]

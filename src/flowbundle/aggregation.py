@@ -11,19 +11,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Protocol as TypingProtocol, Sequence
+from typing import Sequence
 
 from .features import FlowFeatureVector
 
 
 class AggregationError(RuntimeError):
     """Internal consistency failure while propagating bundle features."""
-
-
-class FlowLike(TypingProtocol):
-    initiator_ip: str
-    initiator_port: int
-    start_time: float
 
 
 def ports_delta(ports: Sequence[int]) -> float:
@@ -52,7 +46,15 @@ class Bundle:
     src_ports_delta: float
 
 
-def bundle_flows(flows: Sequence[FlowLike], window: float | None = None) -> list[Bundle]:
+def bundle_key(flow: FlowFeatureVector, window: float | None) -> tuple[str, int]:
+    """The (initiator IP, tumbling-window index) a flow is bundled by."""
+    index = 0 if window is None else math.floor(flow.start_time / window)
+    return flow.initiator_ip, index
+
+
+def bundle_flows(
+    flows: Sequence[FlowFeatureVector], window: float | None = None
+) -> list[Bundle]:
     """Group flows into bundles keyed by initiator IP and tumbling window.
 
     ``window`` is the window length in seconds; None means one unbounded
@@ -60,10 +62,9 @@ def bundle_flows(flows: Sequence[FlowLike], window: float | None = None) -> list
     """
     if window is not None and window <= 0:
         raise ValueError("bundle window must be positive or None")
-    groups: dict[tuple[str, int], list[FlowLike]] = {}
+    groups: dict[tuple[str, int], list[FlowFeatureVector]] = {}
     for flow in flows:
-        index = 0 if window is None else math.floor(flow.start_time / window)
-        groups.setdefault((flow.initiator_ip, index), []).append(flow)
+        groups.setdefault(bundle_key(flow, window), []).append(flow)
     bundles = []
     for (ip, index), members in groups.items():
         bundles.append(

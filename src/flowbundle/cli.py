@@ -7,7 +7,6 @@ replicate.  Exit codes: 0 success, 1 validation error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,19 +18,29 @@ from .config import ConfigError, PipelineConfig, load_config
 from .pcap import PcapFormatError, read_pcap
 
 
+# PipelineConfig field -> the flag that overrides it; the flag's dest is the field
+_FLAGS = {
+    "idle_timeout_s": "--idle-timeout",
+    "active_timeout_s": "--active-timeout",
+    "window_s": "--window",
+    "rfe_k": "--k",
+    "hidden_size": "--hidden",
+    "epochs": "--epochs",
+    "autoencoder_epochs": "--epochs",
+    "folds": "--folds",
+    "seed": "--seed",
+    "thresholds": "--thresholds",
+}
+
+
 def _load_pipeline_config(args) -> PipelineConfig:
-    if getattr(args, "config", None):
-        return load_config(args.config)
-    return PipelineConfig()
-
-
-def _parse_window(raw: str) -> float | None:
-    if raw.lower() == "none":
-        return None
-    value = float(raw)
-    if value <= 0:
-        raise ConfigError("--window must be a positive number of seconds or 'none'")
-    return value
+    """The INI file's settings (or the defaults), then the flags given."""
+    cfg = load_config(args.config) if getattr(args, "config", None) else PipelineConfig()
+    for field, flag in _FLAGS.items():
+        raw = getattr(args, field, None)
+        if raw is not None:
+            cfg.set_text(field, raw, flag)
+    return cfg
 
 
 def _attack_pairs(pairs: list[str]) -> dict[str, str]:
@@ -46,32 +55,6 @@ def _attack_pairs(pairs: list[str]) -> dict[str, str]:
             raise ConfigError(f"duplicate attack class {name!r}")
         out[name] = path
     return out
-
-
-def _training_config(cfg: PipelineConfig, seed: int, epochs: int | None = None):
-    return mlp.TrainingConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=epochs if epochs is not None else cfg.epochs,
-        batch_size=cfg.batch_size,
-        loss="cross_entropy",
-        seed=seed,
-    )
-
-
-def _rfe_training_config(cfg: PipelineConfig, seed: int):
-    return dataclasses.replace(
-        _training_config(cfg, seed), learning_rate=cfg.rfe_learning_rate,
-        epochs=cfg.rfe_epochs,
-    )
-
-
-def _autoencoder_config(cfg: PipelineConfig, seed: int, epochs: int | None = None):
-    return mlp.TrainingConfig(
-        learning_rate=cfg.learning_rate,
-        epochs=epochs if epochs is not None else cfg.autoencoder_epochs,
-        loss="mse",
-        seed=seed,
-    )
 
 
 def _write_report(path: str | None, doc: dict) -> None:
@@ -127,12 +110,6 @@ def _extract_rows(pcap_path, labels_path, cfg: PipelineConfig):
 
 def _cmd_extract(args) -> int:
     cfg = _load_pipeline_config(args)
-    if args.idle_timeout is not None:
-        cfg.idle_timeout_s = args.idle_timeout
-    if args.active_timeout is not None:
-        cfg.active_timeout_s = (
-            None if args.active_timeout.lower() == "none" else float(args.active_timeout)
-        )
     capture, rows = _extract_rows(args.pcap, args.labels, cfg)
     features.write_features_csv(rows, args.out)
     print(
@@ -143,12 +120,11 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_aggregate(args) -> int:
-    cfg = _load_pipeline_config(args)
-    window = cfg.window_s if args.window is None else _parse_window(args.window)
+    window = _load_pipeline_config(args).window_s
     rows = features.read_features_csv(args.infile)
     aggregated = aggregation.aggregate_features(rows, window)
     features.write_features_csv(aggregated, args.out)
-    bundles = aggregation.bundle_flows(rows, window)
+    bundles = {aggregation.bundle_key(row, window) for row in aggregated}
     print(
         f"{len(rows)} flows -> {len(bundles)} bundles "
         f"(window={'whole capture' if window is None else window}) -> {args.out}"
@@ -169,8 +145,8 @@ def _cmd_rfe(args) -> int:
         y,
         names,
         rfe.RfeConfig(
-            k=args.k if args.k is not None else cfg.rfe_k,
-            inner_training=_rfe_training_config(cfg, args.seed),
+            k=cfg.rfe_k,
+            inner_training=cfg.rfe_training(),
             hidden_size=cfg.hidden_size,
         ),
     )
@@ -189,11 +165,10 @@ def _cmd_train(args) -> int:
     y, class_names = features.label_classes(rows)
     names = rfe.load_selection(args.selection) if args.selection else _feature_names(rows)
     X = features.feature_matrix(rows, names)
-    hidden = args.hidden if args.hidden is not None else cfg.hidden_size
-    model = mlp.init_model([len(names), hidden, len(class_names)], seed=args.seed)
-    trained, history = mlp.train(
-        model, X, y, _training_config(cfg, args.seed, args.epochs)
+    model = mlp.init_model(
+        [len(names), cfg.hidden_size, len(class_names)], seed=cfg.seed
     )
+    trained, history = mlp.train(model, X, y, cfg.classifier_training())
     mlp.save_model(
         mlp.ModelArtifact(
             model=trained, feature_names=names, class_names=class_names
@@ -201,7 +176,7 @@ def _cmd_train(args) -> int:
         args.model,
     )
     print(
-        f"trained {len(names)}-{hidden}-{len(class_names)} classifier on "
+        f"trained {len(names)}-{cfg.hidden_size}-{len(class_names)} classifier on "
         f"{len(rows)} flows; final loss {history[-1]:.6f} -> {args.model}"
     )
     return 0
@@ -258,16 +233,12 @@ def _cmd_eval(args) -> int:
     cfg = _load_pipeline_config(args)
     class_rows: dict[str, str] = {"benign": args.benign}
     class_rows.update(_attack_pairs(args.attack))
-    seed = args.seed if args.seed is not None else cfg.seed
     report, _selection = evaluation.run_experiment(
         design=args.design,
         class_rows=class_rows,
         with_aggregation=args.with_aggregation,
         extended=args.extended,
-        folds=args.folds if args.folds is not None else cfg.folds,
-        seed=seed,
-        training=_training_config(cfg, seed),
-        rfe_training=_rfe_training_config(cfg, seed),
+        cfg=cfg,
     )
     print(evaluation.render_report_text(report, title=f"design: {args.design}"))
     _write_report(args.report, report.to_dict())
@@ -279,9 +250,7 @@ def _cmd_zeroday_fit(args) -> int:
     rows = features.read_features_csv(args.benign)
     names = _feature_names(rows, args.exclude_aggregation)
     X = features.feature_matrix(rows, names)
-    model, history = zeroday.fit_benign(
-        X, _autoencoder_config(cfg, args.seed, args.epochs)
-    )
+    model, history = zeroday.fit_benign(X, cfg.autoencoder_training())
     mlp.save_model(
         mlp.ModelArtifact(model=model, feature_names=names), args.model
     )
@@ -293,14 +262,12 @@ def _cmd_zeroday_fit(args) -> int:
 
 
 def _cmd_zeroday_detect(args) -> int:
+    policy = zeroday.ThresholdPolicy(_load_pipeline_config(args).thresholds)
     artifact = mlp.load_model(args.model)
     rows = features.read_features_csv(args.infile)
     names = artifact.feature_names or list(features.FLOW_FEATURE_NAMES)
     X = features.feature_matrix(rows, names)
-    thresholds = tuple(float(t) for t in args.thresholds.split(","))
-    report = zeroday.detect(
-        artifact.model, X, zeroday.ThresholdPolicy(thresholds), kind=args.kind
-    )
+    report = zeroday.detect(artifact.model, X, policy, kind=args.kind)
     print(f"{args.kind} set, {len(rows)} samples:")
     for outcome in report.outcomes:
         print(
@@ -334,12 +301,11 @@ def _experiment_designs(class_names: list[str]) -> dict[str, list[str]]:
 
 def _cmd_replicate(args) -> int:
     cfg = _load_pipeline_config(args)
-    seed = args.seed if args.seed is not None else cfg.seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    print(f"[1/6] generating scenario (seed={seed}, scale={args.scale})")
-    traffic = synth.build_scenario("full", seed, args.scale)
+    print(f"[1/6] generating scenario (seed={cfg.seed}, scale={args.scale})")
+    traffic = synth.build_scenario("full", cfg.seed, args.scale)
     pcap_path = out_dir / "scenario.pcap"
     labels_path = out_dir / "labels.csv"
     synth.write_pcap(traffic.packets, pcap_path)
@@ -361,7 +327,7 @@ def _cmd_replicate(args) -> int:
         features.write_features_csv(by_class[name], out_dir / f"{name}.csv")
 
     report: dict = {
-        "seed": seed,
+        "seed": cfg.seed,
         "scale": args.scale,
         "config": cfg.to_dict(),
         "scenario": {
@@ -374,7 +340,7 @@ def _cmd_replicate(args) -> int:
         "zero_day": {},
     }
 
-    print("[4/6] classification experiments (RFE + 5-fold, both feature sets)")
+    print(f"[4/6] classification experiments (RFE + {cfg.folds}-fold, both feature sets)")
     designs = _experiment_designs(class_names)
     runs = list(designs.items())
     if "five_class" in designs:
@@ -392,10 +358,7 @@ def _cmd_replicate(args) -> int:
                 class_rows={name: by_class[name] for name in members},
                 with_aggregation=with_aggregation,
                 extended=extended,
-                folds=cfg.folds,
-                seed=seed,
-                training=_training_config(cfg, seed),
-                rfe_training=_rfe_training_config(cfg, seed),
+                cfg=cfg,
             )
             mode = "with_aggregation" if with_aggregation else "without_aggregation"
             report["experiments"][design_name][mode] = experiment.to_dict()
@@ -417,7 +380,7 @@ def _cmd_replicate(args) -> int:
 
     print()
     print("[5/6] zero-day detection (benign-trained autoencoder)")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(cfg.seed)
     benign_rows = by_class["benign"]
     order = rng.permutation(len(benign_rows))
     split = max(1, int(0.7 * len(benign_rows)))
@@ -429,7 +392,7 @@ def _cmd_replicate(args) -> int:
             features.ALL_FEATURE_NAMES if with_aggregation else features.FLOW_FEATURE_NAMES
         )
         model, _hist = zeroday.fit_benign(
-            features.feature_matrix(benign_train, names), _autoencoder_config(cfg, seed)
+            features.feature_matrix(benign_train, names), cfg.autoencoder_training()
         )
         mode = "with_aggregation" if with_aggregation else "without_aggregation"
         section = {
@@ -482,6 +445,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("--config", help="INI config file (CLI flags override it)")
 
+    def add_override(p, field, help=None):
+        p.add_argument(_FLAGS[field], dest=field, help=help)
+
     p = sub.add_parser("synth", help="generate a synthetic labelled capture")
     p.add_argument("--scenario", default="mimicking", choices=synth.SCENARIOS)
     p.add_argument("--spec", help="custom scenario spec (JSON), overrides --scenario")
@@ -496,23 +462,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pcap", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--labels", help="label manifest CSV from synth")
-    p.add_argument("--idle-timeout", type=float, default=None)
-    p.add_argument("--active-timeout", default=None, help="seconds or 'none'")
+    add_override(p, "idle_timeout_s", help="seconds")
+    add_override(p, "active_timeout_s", help="seconds or 'none'")
     p.set_defaults(handler=_cmd_extract)
 
     p = sub.add_parser("aggregate", help="fill bundle features into a flow CSV")
     add_config(p)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", default=None, help="seconds or 'none' (whole capture)")
+    add_override(p, "window_s", help="seconds or 'none' (whole capture)")
     p.set_defaults(handler=_cmd_aggregate)
 
     p = sub.add_parser("rfe", help="recursive feature elimination on a flow CSV")
     add_config(p)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--k", type=int, default=None)
+    add_override(p, "rfe_k")
     p.add_argument("--exclude-aggregation", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    add_override(p, "seed")
     p.add_argument("--out", help="write a selection manifest JSON")
     p.set_defaults(handler=_cmd_rfe)
 
@@ -521,9 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--selection", help="feature selection manifest from rfe")
     p.add_argument("--model", required=True, help="output model JSON")
-    p.add_argument("--hidden", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    add_override(p, "hidden_size")
+    add_override(p, "epochs")
+    add_override(p, "seed")
     p.set_defaults(handler=_cmd_train)
 
     p = sub.add_parser(
@@ -545,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--with-aggregation", action="store_true")
     p.add_argument("--extended", action="store_true")
-    p.add_argument("--folds", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    add_override(p, "folds")
+    add_override(p, "seed")
     p.add_argument("--report", help="write the report JSON here")
     p.set_defaults(handler=_cmd_eval)
 
@@ -557,13 +523,13 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--benign", required=True)
     pf.add_argument("--model", required=True)
     pf.add_argument("--exclude-aggregation", action="store_true")
-    pf.add_argument("--epochs", type=int, default=None)
-    pf.add_argument("--seed", type=int, default=0)
+    add_override(pf, "autoencoder_epochs")
+    add_override(pf, "seed")
     pf.set_defaults(handler=_cmd_zeroday)
     pd = zsub.add_parser("detect", help="apply thresholds to a sample set")
     pd.add_argument("--model", required=True)
     pd.add_argument("--in", dest="infile", required=True)
-    pd.add_argument("--thresholds", default="0.15,0.1,0.05")
+    add_override(pd, "thresholds", help="comma-separated, each in (0, 1]")
     pd.add_argument("--kind", default="attack", choices=("attack", "benign"))
     pd.add_argument("--report")
     pd.set_defaults(handler=_cmd_zeroday)
@@ -572,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replicate", help="run the full desk-scale study into a directory"
     )
     add_config(p)
-    p.add_argument("--seed", type=int, default=None)
+    add_override(p, "seed")
     p.add_argument("--out", default="replication", help="output directory")
     p.add_argument("--scale", default="desk", choices=("desk", "small"))
     p.add_argument("--report", help="consolidated report path (default OUT/report.json)")

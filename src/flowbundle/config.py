@@ -1,4 +1,8 @@
-"""Pipeline configuration with INI-file loading and strict key checking."""
+"""Pipeline configuration: every setting is parsed, bounded and defaulted here.
+
+An INI key and the command-line flag that overrides it share one parser,
+so both get the same check and the same message.
+"""
 
 from __future__ import annotations
 
@@ -7,6 +11,9 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
+
+from .mlp import TrainingConfig
+from .zeroday import DEFAULT_THRESHOLDS, ThresholdPolicy
 
 
 class ConfigError(ValueError):
@@ -36,7 +43,7 @@ class PipelineConfig:
     # [evaluation]
     folds: int = 5
     # [zeroday]
-    thresholds: tuple[float, ...] = (0.15, 0.10, 0.05)
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
     # [run]
     seed: int = 0
 
@@ -44,6 +51,37 @@ class PipelineConfig:
         out = dataclasses.asdict(self)
         out["thresholds"] = list(self.thresholds)
         return out
+
+    def set_text(self, attribute: str, raw: str, name: str) -> None:
+        """Parse raw into the field; a bad value is a ConfigError naming `name`."""
+        try:
+            setattr(self, attribute, _parse_value(attribute, raw))
+        except ValueError as exc:
+            raise ConfigError(f"bad value {raw!r} for {name}: {exc}") from None
+
+    def classifier_training(self) -> TrainingConfig:
+        return TrainingConfig(
+            learning_rate=self.learning_rate,
+            epochs=self.epochs,
+            batch_size=self.batch_size,
+            loss="cross_entropy",
+            seed=self.seed,
+        )
+
+    def rfe_training(self) -> TrainingConfig:
+        return dataclasses.replace(
+            self.classifier_training(),
+            learning_rate=self.rfe_learning_rate,
+            epochs=self.rfe_epochs,
+        )
+
+    def autoencoder_training(self) -> TrainingConfig:
+        return TrainingConfig(
+            learning_rate=self.learning_rate,
+            epochs=self.autoencoder_epochs,
+            loss="mse",
+            seed=self.seed,
+        )
 
 
 # section -> option -> config attribute
@@ -80,9 +118,7 @@ def _parse_value(attribute: str, raw: str):
     if kind.endswith("| None") and raw.lower() == "none":
         return None
     if kind.startswith("tuple"):
-        value = tuple(float(part) for part in raw.split(","))
-        if not all(0 < v <= 1 for v in value):
-            raise ValueError("each must lie in (0, 1]")
+        value = ThresholdPolicy(tuple(float(part) for part in raw.split(","))).thresholds
     elif kind.startswith("int"):
         value = int(raw)
         low = {"folds": 2, "seed": 0}.get(attribute, 1)
@@ -132,9 +168,7 @@ def load_config(path: str | Path) -> PipelineConfig:
                     f"{path}: unknown key {option!r} in section [{section}]"
                 )
             try:
-                setattr(cfg, attribute, _parse_value(attribute, raw))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{path}: bad value {raw!r} for [{section}] {option}: {exc}"
-                ) from None
+                cfg.set_text(attribute, raw, f"[{section}] {option}")
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
     return cfg

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import PipelineConfig
 from .features import (
     ALL_FEATURE_NAMES,
     FLOW_FEATURE_NAMES,
@@ -23,10 +24,11 @@ from .features import (
     relabel,
 )
 from .mlp import TrainingConfig, init_model, predict_classes, train
-from .rfe import RfeConfig, RfeResult, default_inner_training, rfe_select
+from .rfe import RfeConfig, RfeResult, rfe_select
 
 DESIGNS = ("binary", "three_class", "five_class")
-DEFAULT_FOLDS = 5
+# the extended five-class design keeps the paper's 10 features
+EXTENDED_FEATURES = 10
 
 
 class Metric(NamedTuple):
@@ -92,9 +94,9 @@ class ClassMetrics:
 class ExperimentReport:
     classes: dict[str, ClassMetrics]
     folds: int
+    hidden_size: int
     selected_features: list[str] = field(default_factory=list)
     with_aggregation: bool = False
-    hidden_size: int = 3
 
     def to_dict(self) -> dict:
         return {
@@ -116,7 +118,7 @@ class ModelSpec:
     pin a fold at the majority-class plateau.
     """
 
-    hidden_size: int = 3
+    hidden_size: int = PipelineConfig.hidden_size
     hidden_activation: str = "tanh"
     training: TrainingConfig = field(default_factory=TrainingConfig)
 
@@ -191,9 +193,9 @@ def kfold_evaluate(
     return ExperimentReport(
         classes=classes,
         folds=folds,
+        hidden_size=spec.hidden_size,
         selected_features=selected_features or [],
         with_aggregation=with_aggregation,
-        hidden_size=spec.hidden_size,
     )
 
 
@@ -228,17 +230,15 @@ def run_experiment(
     class_rows: dict[str, list[FlowFeatureVector] | str | Path],
     with_aggregation: bool,
     extended: bool = False,
-    folds: int = DEFAULT_FOLDS,
-    seed: int = 0,
-    training: TrainingConfig | None = None,
-    rfe_training: TrainingConfig | None = None,
+    *,
+    cfg: PipelineConfig,
 ) -> tuple[ExperimentReport, RfeResult]:
     """RFE then k-fold evaluation for one experiment design.
 
     class_rows maps each class name to its feature rows or a CSV path.
     Without aggregation the two bundle features are excluded from RFE
-    entirely; the extended mode widens the network to 10 inputs and 8
-    hidden neurons.
+    entirely.  RFE keeps cfg.rfe_k features for cfg.hidden_size hidden
+    neurons; the extended mode keeps 10 for cfg.extended_hidden_size.
     """
     loaded: dict[str, list[FlowFeatureVector]] = {}
     for name, source in class_rows.items():
@@ -274,25 +274,28 @@ def run_experiment(
             )
     X_all = feature_matrix(rows, candidates)
 
-    k = 10 if extended else 5
-    hidden = 8 if extended else 3
+    k, hidden = (
+        (EXTENDED_FEATURES, cfg.extended_hidden_size)
+        if extended
+        else (cfg.rfe_k, cfg.hidden_size)
+    )
     rfe_cfg = RfeConfig(
         k=min(k, len(candidates)),
-        inner_training=rfe_training or default_inner_training(seed),
+        inner_training=cfg.rfe_training(),
         hidden_size=hidden,
     )
     selection = rfe_select(X_all, y, candidates, rfe_cfg)
 
     keep = [candidates.index(name) for name in selection.selected]
     X_sel = X_all[:, keep]
-    spec = ModelSpec(hidden_size=hidden, training=training or TrainingConfig())
+    spec = ModelSpec(hidden_size=hidden, training=cfg.classifier_training())
     report = kfold_evaluate(
         X_sel,
         y,
         class_names,
-        folds,
+        cfg.folds,
         spec,
-        seed,
+        cfg.seed,
         selected_features=selection.selected,
         with_aggregation=with_aggregation,
     )

@@ -198,6 +198,8 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
             f"input has {X.shape[-1] if X.ndim else 0} features, "
             f"model expects {model.layer_sizes[0]}"
         )
+    if not np.isfinite(X).all():
+        raise ValueError("input contains non-finite values")
     a = X
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -207,16 +209,6 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
             z, model.hidden_activation
         )
     return a
-
-
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Output activations for a single input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("forward expects a single 1-D feature vector")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input vector contains non-finite values")
-    return forward_batch(model, x[None, :])[0]
 
 
 def loss_and_gradients(
@@ -284,6 +276,8 @@ def _descend(
 
 def _prepare_targets(model: MlpModel, targets: np.ndarray, loss: str) -> np.ndarray:
     targets = np.asarray(targets)
+    if not np.isfinite(targets).all():
+        raise ValueError("targets contain non-finite values")
     if loss == "cross_entropy":
         n_classes = model.layer_sizes[-1]
         if targets.ndim != 1:
@@ -323,6 +317,8 @@ def train(
             f"training matrix has {X.shape[-1] if X.ndim == 2 else '?'} features, "
             f"model expects {model.layer_sizes[0]}"
         )
+    if not np.isfinite(X).all():
+        raise ValueError("training matrix contains non-finite values")
     trained = model.copy()
     if cfg.input_scaling:
         trained.scaler = MinMaxScaler().fit(X)
@@ -356,28 +352,14 @@ def _scaled(model: MlpModel, X: np.ndarray) -> np.ndarray:
     return model.scaler.transform(X) if model.scaler is not None else X
 
 
-def predict_class(model: MlpModel, x: np.ndarray) -> int:
-    """Argmax class of the (scaled) forward pass; ties go to the lowest index."""
-    x = np.asarray(x, dtype=float)
-    return int(np.argmax(forward(model, _scaled(model, x[None, :])[0])))
-
-
 def predict_classes(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Argmax class of the (scaled) forward pass; ties go to the lowest index."""
     X = np.asarray(X, dtype=float)
     return np.argmax(forward_batch(model, _scaled(model, X)), axis=1)
 
 
-def reconstruction_error(model: MlpModel, x: np.ndarray) -> float:
-    """Mean squared reconstruction error of one sample (scaled space)."""
-    x = np.asarray(x, dtype=float)
-    if model.layer_sizes[0] != model.layer_sizes[-1]:
-        raise ValueError("model is not an autoencoder (output size != input size)")
-    xs = _scaled(model, x[None, :])[0]
-    out = forward(model, xs)
-    return float(((xs - out) ** 2).mean())
-
-
 def reconstruction_errors(model: MlpModel, X: np.ndarray) -> np.ndarray:
+    """Mean squared reconstruction error of each row (scaled space)."""
     X = np.asarray(X, dtype=float)
     if model.layer_sizes[0] != model.layer_sizes[-1]:
         raise ValueError("model is not an autoencoder (output size != input size)")

@@ -26,9 +26,8 @@ class ThresholdPolicy:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
-        for t in self.thresholds:
-            if not 0 < t < 1:
-                raise ValueError(f"threshold {t} outside (0, 1)")
+        if not all(0 < t <= 1 for t in self.thresholds):
+            raise ValueError("each must lie in (0, 1]")
 
 
 @dataclass
@@ -58,14 +57,8 @@ class DetectionReport:
         }
 
 
-def default_autoencoder_config(seed: int = 0) -> TrainingConfig:
-    return TrainingConfig(
-        learning_rate=0.05, epochs=500, loss="mse", seed=seed, input_scaling=True
-    )
-
-
 def fit_benign(
-    X_benign: np.ndarray, cfg: TrainingConfig | None = None
+    X_benign: np.ndarray, cfg: TrainingConfig
 ) -> tuple[MlpModel, list[float]]:
     """Train an input -> ceil(input/2) -> input autoencoder on benign rows.
 
@@ -78,7 +71,6 @@ def fit_benign(
         raise ValueError("fit_benign needs a non-empty 2-D feature matrix")
     if not np.all(np.isfinite(X_benign)):
         raise ValueError("benign matrix contains non-finite values")
-    cfg = cfg or default_autoencoder_config()
     if cfg.loss != "mse":
         raise ValueError("autoencoder training requires the mse loss")
     d = X_benign.shape[1]

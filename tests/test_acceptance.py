@@ -13,6 +13,7 @@ import pytest
 
 from flowbundle import aggregation, evaluation, features, flows, mlp, rfe, synth, zeroday
 from flowbundle.cli import main as cli_main
+from flowbundle.config import PipelineConfig
 
 from test_features import brute_force_stats, random_flow
 from test_mlp import finite_difference_grads, max_relative_error
@@ -187,11 +188,12 @@ def test_07_recall_lift_over_10_seeds():
     with_recall, without_recall = [], []
     for seed in SWEEP_SEEDS:
         by_class = mimicking_by_class(seed)
+        cfg = PipelineConfig(seed=seed)
         rep_with, _ = evaluation.run_experiment(
-            "binary", by_class, with_aggregation=True, seed=seed
+            "binary", by_class, with_aggregation=True, cfg=cfg
         )
         rep_without, _ = evaluation.run_experiment(
-            "binary", by_class, with_aggregation=False, seed=seed
+            "binary", by_class, with_aggregation=False, cfg=cfg
         )
         with_recall.append(rep_with.classes["slowloris"].recall_mean)
         without_recall.append(rep_without.classes["slowloris"].recall_mean)

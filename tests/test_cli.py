@@ -171,6 +171,19 @@ def test_zeroday_fit_and_detect(mimicking_csvs, tmp_path):
     assert [o["threshold"] for o in doc["outcomes"]] == [0.15, 0.1, 0.05]
 
 
+def test_zeroday_detect_accepts_threshold_one(mimicking_csvs, tmp_path):
+    _, _, benign_csv, attack_csv = mimicking_csvs
+    model_path = tmp_path / "ae.json"
+    assert run(["zeroday", "fit", "--benign", str(benign_csv),
+                "--model", str(model_path), "--epochs", "1"]) == 0
+    report_path = tmp_path / "zd.json"
+    assert run(["zeroday", "detect", "--model", str(model_path),
+                "--in", str(attack_csv), "--thresholds", "1,0.05",
+                "--report", str(report_path)]) == 0
+    doc = json.loads(report_path.read_text())
+    assert [o["threshold"] for o in doc["outcomes"]] == [1.0, 0.05]
+
+
 @pytest.mark.parametrize("command", ["train", "zeroday"])
 def test_zero_epochs_rejected(mimicking_csvs, tmp_path, capsys, command):
     _, agg_csv, benign_csv, _ = mimicking_csvs
@@ -180,7 +193,7 @@ def test_zero_epochs_rejected(mimicking_csvs, tmp_path, capsys, command):
     else:
         argv = ["zeroday", "fit", "--benign", str(benign_csv)]
     assert run(argv + ["--model", str(model_path), "--epochs", "0"]) == 1
-    assert "error: epochs must be >= 1" in capsys.readouterr().err
+    assert "error: bad value '0' for --epochs: must be >= 1" in capsys.readouterr().err
     assert not model_path.exists()
 
 
@@ -220,14 +233,17 @@ def test_config_precedence(mimicking_csvs, tmp_path):
     config = tmp_path / "pipeline.ini"
     config.write_text(
         "[evaluation]\nfolds = 3\n\n[training]\nepochs = 40\n"
-        "\n[rfe]\nepochs = 30\n"
+        "\n[rfe]\nepochs = 30\nk = 4\n\n[network]\nhidden_size = 4\n"
     )
     # config file value used when no flag
     report_path = tmp_path / "r1.json"
     assert run(["eval", "--config", str(config), "--design", "binary",
                 "--benign", str(benign_csv), "--attack",
                 f"slowloris={attack_csv}", "--report", str(report_path)]) == 0
-    assert json.loads(report_path.read_text())["folds"] == 3
+    doc = json.loads(report_path.read_text())
+    assert doc["folds"] == 3
+    assert doc["hidden_size"] == 4
+    assert len(doc["selected_features"]) == 4
     # CLI flag wins over config file
     report_path2 = tmp_path / "r2.json"
     assert run(["eval", "--config", str(config), "--design", "binary",
@@ -235,6 +251,18 @@ def test_config_precedence(mimicking_csvs, tmp_path):
                 f"slowloris={attack_csv}", "--folds", "4",
                 "--report", str(report_path2)]) == 0
     assert json.loads(report_path2.read_text())["folds"] == 4
+
+
+def test_run_seed_reaches_rfe(mimicking_csvs, tmp_path):
+    _, agg_csv, _, _ = mimicking_csvs
+    config = tmp_path / "seed.ini"
+    config.write_text("[run]\nseed = 3\n\n[rfe]\nepochs = 20\n")
+    manifests = []
+    for extra in ([], ["--seed", "3"]):
+        manifests.append(tmp_path / f"sel{len(manifests)}.json")
+        assert run(["rfe", "--in", str(agg_csv), "--config", str(config),
+                    "--out", str(manifests[-1])] + extra) == 0
+    assert manifests[0].read_bytes() == manifests[1].read_bytes()
 
 
 def test_unknown_config_key_rejected(mimicking_csvs, tmp_path):
@@ -449,15 +477,39 @@ def test_invalid_spec_json_names_file(tmp_path, capsys):
          "'0.1,0' for [zeroday] thresholds: each must lie in (0, 1]"),
         ("[zeroday]\nthresholds = 1.5\n",
          "'1.5' for [zeroday] thresholds: each must lie in (0, 1]"),
+        ("--idle-timeout nan", "'nan' for --idle-timeout: must be a finite number > 0"),
+        ("--hidden 0", "'0' for --hidden: must be >= 1"),
+        ("--window nan", "'nan' for --window: must be a finite number > 0"),
+        ("--k 0", "'0' for --k: must be >= 1"),
+        ("--folds 1", "'1' for --folds: must be >= 2"),
+        ("--thresholds 0", "'0' for --thresholds: each must lie in (0, 1]"),
     ],
 )
 def test_config_value_out_of_range_rejected(fig2_capture, tmp_path, capsys, text, problem):
+    """An INI value (text is the file) or a flag (text is the flag and value)."""
     pcap, _ = fig2_capture
-    config = tmp_path / "range.ini"
-    config.write_text(text)
-    assert run(["extract", "--pcap", str(pcap), "--config", str(config),
-                "--out", str(tmp_path / "x.csv")]) == 1
-    assert capsys.readouterr().err == f"error: {config}: bad value {problem}\n"
+    if text.startswith("--"):
+        # the command that carries the flag; the bad value stops it before
+        # any of these files is read or written
+        never = str(tmp_path / "never")
+        argv = {
+            "--idle-timeout": ["extract", "--pcap", never, "--out", never],
+            "--hidden": ["train", "--in", never, "--model", never],
+            "--window": ["aggregate", "--in", never, "--out", never],
+            "--k": ["rfe", "--in", never],
+            "--folds": ["eval", "--design", "binary", "--benign", never],
+            "--thresholds": ["zeroday", "detect", "--model", never, "--in", never],
+        }[text.split()[0]] + text.split()
+        where = ""
+    else:
+        config = tmp_path / "range.ini"
+        config.write_text(text)
+        argv = ["extract", "--pcap", str(pcap), "--config", str(config),
+                "--out", str(tmp_path / "x.csv")]
+        where = f"{config}: "
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {where}bad value {problem}\n"
+    assert not (tmp_path / "never").exists()
 
 
 def test_config_values_in_range_accepted(fig2_capture, tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowbundle.config import PipelineConfig
 from flowbundle.evaluation import (
     ConfusionCounts,
     ModelSpec,
@@ -138,13 +139,11 @@ def rows_for(label, n, rng, tweak=None):
 
 class TestRunExperiment:
     @staticmethod
-    def _fast_kwargs(seed=0):
-        return dict(
-            folds=3,
-            seed=seed,
-            training=TrainingConfig(learning_rate=0.3, epochs=60, seed=seed),
-            rfe_training=TrainingConfig(learning_rate=0.4, epochs=40, seed=seed),
-        )
+    def _fast_kwargs(seed=0, **settings):
+        return dict(cfg=PipelineConfig(
+            folds=3, seed=seed, learning_rate=0.3, epochs=60,
+            rfe_learning_rate=0.4, rfe_epochs=40, **settings,
+        ))
 
     def test_binary_design_two_rows(self, rng):
         classes = {
@@ -205,6 +204,19 @@ class TestRunExperiment:
         assert len(report.selected_features) == 10
         assert report.hidden_size == 8
         assert len(report.classes) == 5
+
+    def test_network_settings_reach_both_designs(self, rng):
+        classes = {"benign": rows_for("benign", 18, rng)}
+        for name in ("portscan", "hulk", "slowloris", "slowhttptest"):
+            classes[name] = rows_for(name, 18, rng)
+        settings = dict(rfe_k=4, hidden_size=2, extended_hidden_size=6)
+        for extended, k, hidden in ((False, 4, 2), (True, 10, 6)):
+            report, selection = run_experiment(
+                "five_class", classes, with_aggregation=True, extended=extended,
+                **self._fast_kwargs(**settings)
+            )
+            assert len(selection.selected) == k
+            assert report.hidden_size == hidden
 
     def test_without_aggregation_excludes_bundle_features(self, rng):
         classes = {

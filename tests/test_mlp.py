@@ -9,14 +9,11 @@ from flowbundle.mlp import (
     ModelArtifact,
     TrainingConfig,
     TrainingDivergedError,
-    forward,
     forward_batch,
     init_model,
     load_model,
     loss_and_gradients,
-    predict_class,
     predict_classes,
-    reconstruction_error,
     reconstruction_errors,
     save_model,
     train,
@@ -69,7 +66,7 @@ class TestForward:
     def test_zero_network_identity_output(self):
         model = init_model([3, 2], output_activation="identity", seed=0)
         model.weights[0][:] = 0.0
-        assert np.array_equal(forward(model, [1.0, 2.0, 3.0]), [0.0, 0.0])
+        assert np.array_equal(forward_batch(model, [[1.0, 2.0, 3.0]]), [[0.0, 0.0]])
 
     def test_single_neuron_relu_hand_evaluated(self):
         model = MlpModel(
@@ -78,7 +75,7 @@ class TestForward:
             biases=[np.array([0.1])],
             output_activation="identity",
         )
-        out = forward(model, [1.0, 2.0])
+        out = forward_batch(model, [[1.0, 2.0]])[0]
         # relu applies on hidden layers; a 1-layer net with identity output
         # realises the same value because the pre-activation is positive
         assert out[0] == pytest.approx(0.1)
@@ -89,12 +86,12 @@ class TestForward:
             hidden_activation="relu",
             output_activation="identity",
         )
-        assert forward(hidden, [1.0, 2.0])[0] == pytest.approx(0.1)
+        assert forward_batch(hidden, [[1.0, 2.0]])[0, 0] == pytest.approx(0.1)
 
     def test_sigmoid_at_zero(self):
         model = init_model([2, 1], output_activation="sigmoid", seed=0)
         model.weights[0][:] = 0.0
-        assert forward(model, [3.0, -1.0])[0] == pytest.approx(0.5)
+        assert forward_batch(model, [[3.0, -1.0]])[0, 0] == pytest.approx(0.5)
 
     def test_softmax_sums_to_one(self, rng):
         model = init_model([4, 3, 5], seed=1)
@@ -106,12 +103,12 @@ class TestForward:
     def test_dimension_mismatch(self):
         model = init_model([3, 2], seed=0)
         with pytest.raises(ValueError):
-            forward(model, [1.0, 2.0])
+            forward_batch(model, [[1.0, 2.0]])
 
     def test_non_finite_input_rejected(self):
         model = init_model([2, 2], seed=0)
-        with pytest.raises(ValueError):
-            forward(model, [np.nan, 1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            forward_batch(model, [[np.nan, 1.0]])
 
 
 class TestGradients:
@@ -337,8 +334,8 @@ class TestTrain:
         trained, _ = train(
             model, X, y, TrainingConfig(learning_rate=0.1, epochs=200, seed=2)
         )
-        assert predict_class(trained, np.array([-2.1, -1.9])) == 0
-        assert predict_class(trained, np.array([2.1, 1.9])) == 1
+        held_out = np.array([[-2.1, -1.9], [2.1, 1.9]])
+        assert predict_classes(trained, held_out).tolist() == [0, 1]
 
     def test_seeded_determinism(self, rng):
         X, y = make_blobs(rng, n=40)
@@ -359,6 +356,24 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             with np.errstate(over="ignore", invalid="ignore"):
                 train(model, X, T, cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_or_target_rejected(self, rng, bad):
+        X = rng.normal(size=(20, 3))
+        y = np.array([0, 1] * 10)
+        cfg = TrainingConfig(epochs=3, seed=0)
+        X_bad = X.copy()
+        X_bad[4, 1] = bad
+        with pytest.raises(ValueError, match="training matrix contains non-finite"):
+            train(init_model([3, 2, 2], seed=0), X_bad, y, cfg)
+        with pytest.raises(ValueError, match="targets contain non-finite"):
+            train(init_model([3, 2, 2], seed=0), X, np.where(y == 1, bad, 0.0), cfg)
+        T = X.copy()
+        T[7, 2] = bad
+        mse = TrainingConfig(epochs=3, loss="mse", seed=0)
+        model = init_model([3, 2, 3], output_activation="identity", seed=0)
+        with pytest.raises(ValueError, match="targets contain non-finite"):
+            train(model, X, T, mse)
 
     def test_missing_class_rejected(self, rng):
         model = init_model([2, 2, 3], seed=0)
@@ -386,10 +401,10 @@ class TestPredict:
         )
 
     def test_argmax(self):
-        assert predict_class(self._identity_model(3), [0.1, 0.7, 0.2]) == 1
+        assert predict_classes(self._identity_model(3), [[0.1, 0.7, 0.2]])[0] == 1
 
     def test_tie_breaks_to_lowest_index(self):
-        assert predict_class(self._identity_model(2), [0.5, 0.5]) == 0
+        assert predict_classes(self._identity_model(2), [[0.5, 0.5]])[0] == 0
 
 
 class TestReconstruction:
@@ -400,8 +415,8 @@ class TestReconstruction:
             biases=[np.zeros(3)],
             output_activation="identity",
         )
-        x = rng.normal(size=3)
-        assert reconstruction_error(model, x) == 0.0
+        X = rng.normal(size=(1, 3))
+        assert reconstruction_errors(model, X)[0] == 0.0
 
     def test_zero_output_autoencoder_mean_square(self):
         model = MlpModel(
@@ -410,13 +425,13 @@ class TestReconstruction:
             biases=[np.zeros(2), np.zeros(4)],
             output_activation="identity",
         )
-        x = np.array([0.5, -0.5, 0.5, -0.5])  # mean square 0.25
-        assert reconstruction_error(model, x) == pytest.approx(0.25)
+        X = np.array([[0.5, -0.5, 0.5, -0.5]])  # mean square 0.25
+        assert reconstruction_errors(model, X)[0] == pytest.approx(0.25)
 
     def test_non_autoencoder_shape_rejected(self):
         model = init_model([4, 2, 3], seed=0)
         with pytest.raises(ValueError, match="autoencoder"):
-            reconstruction_error(model, np.zeros(4))
+            reconstruction_errors(model, np.zeros((1, 4)))
 
     def test_trained_benign_validation_below_95th_percentile(self, rng):
         X = rng.normal(0.5, 0.1, size=(200, 6)).clip(0, 1)
@@ -427,8 +442,8 @@ class TestReconstruction:
                            input_scaling=False),
         )
         train_errors = reconstruction_errors(trained, X)
-        validation_point = rng.normal(0.5, 0.1, size=6).clip(0, 1)
-        assert reconstruction_error(trained, validation_point) < np.quantile(
+        validation_point = rng.normal(0.5, 0.1, size=(1, 6)).clip(0, 1)
+        assert reconstruction_errors(trained, validation_point)[0] < np.quantile(
             train_errors, 0.95
         )
 

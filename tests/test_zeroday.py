@@ -52,6 +52,9 @@ class TestThresholdRule:
             ThresholdPolicy((0.0,))
         with pytest.raises(ValueError):
             ThresholdPolicy((1.5,))
+        with pytest.raises(ValueError):
+            ThresholdPolicy((float("nan"),))
+        assert ThresholdPolicy((1.0,)).thresholds == (1.0,)
 
     def test_monotone_in_threshold(self, rng):
         model = zero_output_autoencoder(3)
@@ -104,7 +107,7 @@ class TestFitBenign:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_benign(np.zeros((0, 4)))
+            fit_benign(np.zeros((0, 4)), TrainingConfig(loss="mse"))
 
     def test_wrong_loss_rejected(self, rng):
         with pytest.raises(ValueError, match="mse"):
