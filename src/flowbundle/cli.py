@@ -225,8 +225,25 @@ def _eval_saved_model(args) -> int:
     return 0
 
 
+# eval's k-fold options (dest -> flag), which scoring a saved model ignores
+_KFOLD_ONLY = {
+    "design": "--design",
+    "config": "--config",
+    "folds": "--folds",
+    "seed": "--seed",
+    "with_aggregation": "--with-aggregation",
+    "extended": "--extended",
+}
+
+
 def _cmd_eval(args) -> int:
     if args.model:
+        given = [flag for dest, flag in _KFOLD_ONLY.items()
+                 if getattr(args, dest) not in (None, False)]
+        if given:
+            raise ConfigError(
+                f"--model scores a saved model; it takes no {', '.join(given)}"
+            )
         return _eval_saved_model(args)
     if not args.design:
         raise ConfigError("eval needs --design (k-fold mode) or --model")

@@ -118,9 +118,9 @@ class ModelSpec:
     pin a fold at the majority-class plateau.
     """
 
+    training: TrainingConfig
     hidden_size: int = PipelineConfig.hidden_size
     hidden_activation: str = "tanh"
-    training: TrainingConfig = field(default_factory=TrainingConfig)
 
 
 def stratified_folds(

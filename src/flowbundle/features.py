@@ -302,28 +302,3 @@ def read_features_csv(path: str | Path) -> list[FlowFeatureVector]:
 
 def relabel(rows: list[FlowFeatureVector], label: str) -> list[FlowFeatureVector]:
     return [dataclasses.replace(row, label=label) for row in rows]
-
-
-def validate_vector(row: FlowFeatureVector) -> None:
-    """Sanity checks used by tests: ordering and non-negativity invariants."""
-    for direction in ("fwd", "bwd"):
-        count = row.values[f"{direction}_pkt_count"]
-        if count >= 1:
-            lo = row.values[f"{direction}_pkt_len_min"]
-            mid = row.values[f"{direction}_pkt_len_mean"]
-            hi = row.values[f"{direction}_pkt_len_max"]
-            if not (lo <= mid + 1e-9 and mid <= hi + 1e-9):
-                raise AssertionError(f"{direction} packet length ordering broken")
-        if count >= 2:
-            lo = row.values[f"{direction}_iat_min"]
-            mid = row.values[f"{direction}_iat_mean"]
-            hi = row.values[f"{direction}_iat_max"]
-            if not (lo <= mid + 1e-9 and mid <= hi + 1e-9):
-                raise AssertionError(f"{direction} IAT ordering broken")
-        if row.values[f"{direction}_pkt_len_std"] < 0:
-            raise AssertionError("negative std")
-        if count > 0 and row.values[f"{direction}_byte_count"] < 20 * count:
-            raise AssertionError("byte count below IPv4 header minimum")
-    for value in row.values.values():
-        if math.isnan(value) or math.isinf(value):
-            raise AssertionError("non-finite feature value")

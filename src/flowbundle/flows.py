@@ -57,10 +57,6 @@ class BiFlow:
     def initiator_port(self) -> int:
         return self.initiator[1]
 
-    @property
-    def packet_count(self) -> int:
-        return len(self.fwd_packets) + len(self.bwd_packets)
-
 
 class _OpenFlow:
     __slots__ = ("flow", "last_ts", "fin_fwd", "fin_bwd", "closed")

@@ -121,14 +121,6 @@ def init_model(
     )
 
 
-# numpy sums a contiguous run of fewer than this many entries in order
-# and a longer one pairwise, so a softmax row sum over fewer columns can
-# be taken column by column with the same bits.  Bias gradients add rows
-# in order at any width above 1; accumulating them beats np.sum only
-# below this width.
-_IN_ORDER_WIDTH = 8
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function, computed in place over z."""
     with np.errstate(over="ignore"):  # exp overflow still yields correct 0/1
@@ -162,32 +154,30 @@ def _hidden_grad(activation: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _output(z: np.ndarray, kind: str) -> np.ndarray:
-    """Output activation, computed in place over z."""
+    """Output activation of a (units, rows) array, computed in place over z."""
     if kind == "softmax":
-        cols = z.T
-        peak = cols[0].copy()
-        for col in cols[1:]:
-            np.maximum(peak, col, out=peak)
-        z -= peak[:, None]
+        z -= z.max(axis=0)
         np.exp(z, out=z)
-        if len(cols) < _IN_ORDER_WIDTH:
-            total = cols[0].copy()
-            for col in cols[1:]:
-                total += col
-        else:
-            total = z.sum(axis=1)
-        z /= total[:, None]
+        z /= z.sum(axis=0)
         return z
     if kind == "sigmoid":
         return _sigmoid(z)
     return z
 
 
-def _column_sums(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=0), bit for bit (numpy sums a single column pairwise)."""
-    if 1 < a.shape[1] < _IN_ORDER_WIDTH:
-        return np.add.accumulate(a, axis=0)[-1]
-    return a.sum(axis=0)
+def _forward(model: MlpModel, a: np.ndarray) -> list[np.ndarray]:
+    """Every layer's activation for the (features, rows) input a, feature-major."""
+    activations = [a]
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = w.T @ activations[-1]
+        z += b[:, None]
+        activations.append(
+            _output(z, model.output_activation)
+            if i == last
+            else _hidden(z, model.hidden_activation)
+        )
+    return activations
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -200,15 +190,8 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise ValueError("input contains non-finite values")
-    a = X
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w
-        z += b
-        a = _output(z, model.output_activation) if i == last else _hidden(
-            z, model.hidden_activation
-        )
-    return a
+    # BLAS rounds differently for C- and F-ordered operands: fix the order
+    return _forward(model, np.ascontiguousarray(X.T))[-1].T
 
 
 def loss_and_gradients(
@@ -226,18 +209,13 @@ def loss_and_gradients(
         raise ValueError("mse pairs with identity or sigmoid outputs")
 
     n = X.shape[0]
-    activations = [X]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = activations[-1] @ w
-        z += b
-        activations.append(
-            _output(z, out_kind) if i == last else _hidden(z, model.hidden_activation)
-        )
+    # feature-major: every activation and delta is (units, rows)
+    activations = _forward(model, X.T)
     output = activations.pop()
+    targets = targets.T
 
     if loss == "cross_entropy":
-        log_p = np.clip(output, 1e-12, 1.0)
+        log_p = np.maximum(output, 1e-12)  # a softmax output never exceeds 1
         np.log(log_p, out=log_p)
         log_p *= targets
         value = float(-log_p.sum() / n)
@@ -254,11 +232,11 @@ def loss_and_gradients(
 
     grads_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
     grads_b: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    for layer in range(last, -1, -1):
-        grads_w[layer] = activations[layer].T @ delta
-        grads_b[layer] = _column_sums(delta)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer] = activations[layer] @ delta.T
+        grads_b[layer] = delta.sum(axis=1)
         if layer > 0:
-            delta = delta @ model.weights[layer].T
+            delta = model.weights[layer] @ delta
             delta *= _hidden_grad(activations[layer], model.hidden_activation)
     return value, grads_w, grads_b
 
@@ -323,7 +301,10 @@ def train(
     if cfg.input_scaling:
         trained.scaler = MinMaxScaler().fit(X)
         X = trained.scaler.transform(X)
-    T = _prepare_targets(trained, targets, cfg.loss)
+    # each step reads X.T and T.T: make both C-contiguous, whatever the
+    # caller's order, since BLAS rounds C- and F-ordered operands differently
+    X = np.asfortranarray(X)
+    T = np.asfortranarray(_prepare_targets(trained, targets, cfg.loss))
 
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
@@ -338,7 +319,9 @@ def train(
             losses = []
             for start in range(0, n, batch):
                 idx = order[start : start + batch]
-                value, gw, gb = loss_and_gradients(trained, X[idx], T[idx], cfg.loss)
+                value, gw, gb = loss_and_gradients(
+                    trained, X.T[:, idx].T, T.T[:, idx].T, cfg.loss
+                )
                 _descend(trained, gw, gb, cfg.learning_rate)
                 losses.append(value)
             epoch_loss = float(np.mean(losses))
@@ -364,8 +347,10 @@ def reconstruction_errors(model: MlpModel, X: np.ndarray) -> np.ndarray:
     if model.layer_sizes[0] != model.layer_sizes[-1]:
         raise ValueError("model is not an autoencoder (output size != input size)")
     Xs = _scaled(model, X)
-    out = forward_batch(model, Xs)
-    return ((Xs - out) ** 2).mean(axis=1)
+    # C order fixes how each row's mean is summed, whatever the order of X
+    errors = np.subtract(Xs, forward_batch(model, Xs), order="C")
+    errors **= 2
+    return errors.mean(axis=1)
 
 
 @dataclass

@@ -8,7 +8,7 @@ layer, and drops the weakest until k remain.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,17 +18,14 @@ from .mlp import TrainingConfig, init_model, read_versioned_json, train
 SELECTION_FORMAT_VERSION = 1
 
 
-def default_inner_training(seed: int = 0) -> TrainingConfig:
-    """Per-round training; a hot learning rate ranks weights in few epochs."""
-    return TrainingConfig(learning_rate=0.4, epochs=150, seed=seed)
-
-
 @dataclass
 class RfeConfig:
-    k: int = 5
+    """RFE settings; the pipeline takes its own from PipelineConfig."""
+
+    k: int
+    inner_training: TrainingConfig
+    hidden_size: int
     step: int = 1
-    inner_training: TrainingConfig = field(default_factory=default_inner_training)
-    hidden_size: int = 3
 
     def __post_init__(self) -> None:
         if self.k < 1:

@@ -44,12 +44,6 @@ class DetectionReport:
     kind: str  # "attack" or "benign"
     outcomes: list[ThresholdOutcome] = field(default_factory=list)
 
-    def accuracy_at(self, threshold: float) -> float:
-        for outcome in self.outcomes:
-            if math.isclose(outcome.threshold, threshold):
-                return outcome.accuracy
-        raise KeyError(f"no outcome for threshold {threshold}")
-
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,

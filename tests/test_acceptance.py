@@ -222,9 +222,11 @@ def test_08_rfe_selects_aggregation_features():
             [0] * len(by_class["benign"]) + [1] * len(by_class["slowloris"])
         )
         X = features.feature_matrix(rows, names)
+        cfg = PipelineConfig(seed=seed)
         result = rfe.rfe_select(
             X, y, names,
-            rfe.RfeConfig(k=7, inner_training=rfe.default_inner_training(seed)),
+            rfe.RfeConfig(k=7, inner_training=cfg.rfe_training(),
+                          hidden_size=cfg.hidden_size),
         )
         if {"num_flows", "src_ports_delta"} <= set(result.selected):
             hits += 1

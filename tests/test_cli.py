@@ -146,6 +146,25 @@ def test_eval_scores_saved_model(mimicking_csvs, tmp_path):
     assert 0.0 <= doc["classes"]["slowloris"]["recall"] <= 1.0
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--design", "binary"], ["--folds", "1"], ["--seed", "-5"],
+     ["--config", "/nonexistent.ini"], ["--with-aggregation"], ["--extended"]],
+)
+def test_eval_model_rejects_kfold_options(mimicking_csvs, tmp_path, capsys, extra):
+    """Scoring a saved model runs no k-fold, so its options are an error."""
+    _, agg_csv, benign_csv, _ = mimicking_csvs
+    model_path = tmp_path / "model.json"
+    assert run(["train", "--in", str(agg_csv), "--model", str(model_path),
+                "--epochs", "1"]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--model", str(model_path), "--benign", str(benign_csv),
+                *extra]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --model scores a saved model; it takes no {extra[0]}\n"
+    )
+
+
 def test_eval_needs_design_or_model(mimicking_csvs):
     _, _, benign_csv, _ = mimicking_csvs
     assert run(["eval", "--benign", str(benign_csv)]) == 1

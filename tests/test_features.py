@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import statistics
 
 import pytest
@@ -12,12 +13,36 @@ from flowbundle.features import (
     feature_matrix,
     label_classes,
     read_features_csv,
-    validate_vector,
     write_features_csv,
 )
 from flowbundle.flows import BiFlow, FlowKey
 
 from conftest import tcp_packet, udp_packet
+
+
+def validate_vector(row):
+    """Ordering and non-negativity invariants of one extracted row."""
+    for direction in ("fwd", "bwd"):
+        count = row.values[f"{direction}_pkt_count"]
+        if count >= 1:
+            lo = row.values[f"{direction}_pkt_len_min"]
+            mid = row.values[f"{direction}_pkt_len_mean"]
+            hi = row.values[f"{direction}_pkt_len_max"]
+            if not (lo <= mid + 1e-9 and mid <= hi + 1e-9):
+                raise AssertionError(f"{direction} packet length ordering broken")
+        if count >= 2:
+            lo = row.values[f"{direction}_iat_min"]
+            mid = row.values[f"{direction}_iat_mean"]
+            hi = row.values[f"{direction}_iat_max"]
+            if not (lo <= mid + 1e-9 and mid <= hi + 1e-9):
+                raise AssertionError(f"{direction} IAT ordering broken")
+        if row.values[f"{direction}_pkt_len_std"] < 0:
+            raise AssertionError("negative std")
+        if count > 0 and row.values[f"{direction}_byte_count"] < 20 * count:
+            raise AssertionError("byte count below IPv4 header minimum")
+    for value in row.values.values():
+        if math.isnan(value) or math.isinf(value):
+            raise AssertionError("non-finite feature value")
 
 
 def make_flow(fwd, bwd=()):

@@ -144,7 +144,7 @@ class TestGradients:
 
 
 # The original straightforward implementation of loss_and_gradients,
-# kept verbatim as the bit-exact reference for the in-place hot path.
+# kept verbatim as the reference for the in-place, feature-major hot path.
 def _ref_sigmoid(z):
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-z))
@@ -226,24 +226,38 @@ def _study_like_model(sizes, hidden, output, seed):
     return model
 
 
+# The hot path takes its matmuls and sums in another order than the
+# reference, which moves the last bits (measured: under 1e-14 of each
+# array's largest magnitude); this bound is over 100 times that.
+ORACLE_RTOL = 1e-12
+
+
+def _assert_close(got, want):
+    """got within ORACLE_RTOL of want's largest magnitude, per array."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= ORACLE_RTOL * np.abs(want).max())
+
+
 def _assert_matches_reference(model, X, T, loss):
-    before = (X.copy(), T.copy(), [w.copy() for w in model.weights],
-              [b.copy() for b in model.biases])
-    value, gw, gb = loss_and_gradients(model, X, T, loss)
-    after = (X, T, model.weights, model.biases)
     ref_value, ref_gw, ref_gb = reference_loss_and_gradients(model, X, T, loss)
-    assert value == ref_value
-    for got, want in zip(gw + gb, ref_gw + ref_gb):
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-    assert np.array_equal(before[0], after[0])
-    assert np.array_equal(before[1], after[1])
-    for old, new in zip(before[2] + before[3], after[2] + after[3]):
-        assert np.array_equal(old, new)
+    # train hands the step Fortran-ordered arrays; callers may pass either
+    for X_in, T_in in ((X, T), (np.asfortranarray(X), np.asfortranarray(T))):
+        before = (X_in.copy(), T_in.copy(), [w.copy() for w in model.weights],
+                  [b.copy() for b in model.biases])
+        value, gw, gb = loss_and_gradients(model, X_in, T_in, loss)
+        after = (X_in, T_in, model.weights, model.biases)
+        _assert_close(value, ref_value)
+        for got, want in zip(gw + gb, ref_gw + ref_gb):
+            _assert_close(got, want)
+        assert np.array_equal(before[0], after[0])
+        assert np.array_equal(before[1], after[1])
+        for old, new in zip(before[2] + before[3], after[2] + after[3]):
+            assert np.array_equal(old, new)
 
 
 class TestReferenceOracle:
-    """The in-place loss_and_gradients is bit-identical to the reference."""
+    """loss_and_gradients matches the reference to ORACLE_RTOL."""
 
     @pytest.mark.parametrize("hidden", ["tanh", "relu", "sigmoid"])
     @pytest.mark.parametrize(
@@ -276,13 +290,13 @@ class TestReferenceOracle:
             value, gw, gb = reference_loss_and_gradients(
                 expected, X, T, "cross_entropy"
             )
-            assert history[epoch] == value
+            _assert_close(history[epoch], value)
             for layer in range(len(expected.weights)):
                 expected.weights[layer] -= cfg.learning_rate * gw[layer]
                 expected.biases[layer] -= cfg.learning_rate * gb[layer]
         for got, want in zip(trained.weights + trained.biases,
                              expected.weights + expected.biases):
-            assert np.array_equal(got, want)
+            _assert_close(got, want)
 
 
 class TestTrain:
@@ -389,6 +403,62 @@ class TestTrain:
         train(model, X, y, TrainingConfig(learning_rate=0.1, epochs=3, seed=0))
         for w0, w1 in zip(before, model.weights):
             assert np.array_equal(w0, w1)
+
+
+class TestMemoryOrder:
+    """BLAS rounds C- and F-ordered operands differently; results must not."""
+
+    @staticmethod
+    def _layouts(X):
+        strided = np.empty((X.shape[0], 2 * X.shape[1]))[:, ::2]
+        strided[:] = X
+        return [X, np.asfortranarray(X), strided]
+
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    def test_train_ignores_memory_order(self, rng, batch_size):
+        X = rng.normal(size=(60, 5))
+        y = np.arange(60) % 3
+        cfg = TrainingConfig(learning_rate=0.3, epochs=20, batch_size=batch_size,
+                             seed=2)
+        runs = [train(init_model([5, 4, 3], hidden_activation="tanh", seed=2),
+                      X_in, y, cfg)
+                for X_in in self._layouts(X)]
+        for trained, history in runs[1:]:
+            assert history == runs[0][1]
+            for got, want in zip(trained.weights + trained.biases,
+                                 runs[0][0].weights + runs[0][0].biases):
+                assert np.array_equal(got, want)
+
+    def test_autoencoder_ignores_memory_order(self, rng):
+        X = rng.uniform(size=(50, 6))
+        cfg = TrainingConfig(learning_rate=0.5, epochs=20, loss="mse", seed=0)
+        runs = [train(init_model([6, 3, 6], output_activation="sigmoid", seed=0),
+                      X_in, X_in, cfg)
+                for X_in in self._layouts(X)]
+        for trained, history in runs[1:]:
+            assert history == runs[0][1]
+            for got, want in zip(trained.weights, runs[0][0].weights):
+                assert np.array_equal(got, want)
+
+    def test_prediction_ignores_memory_order(self, rng):
+        # a 1-unit layer and a 12-wide row mean are shapes where the two
+        # orders round differently
+        X = rng.uniform(size=(100, 12))
+        classifier, _ = train(init_model([12, 1, 3], seed=1), X,
+                              np.arange(100) % 3,
+                              TrainingConfig(learning_rate=0.3, epochs=10, seed=1))
+        autoencoder, _ = train(
+            init_model([12, 6, 12], output_activation="sigmoid", seed=1), X, X,
+            TrainingConfig(learning_rate=0.5, epochs=10, loss="mse", seed=1),
+        )
+        C, F, strided = self._layouts(rng.uniform(-0.5, 1.5, size=(100, 12)))
+        for other in (F, strided):
+            assert np.array_equal(predict_classes(classifier, C),
+                                  predict_classes(classifier, other))
+            assert np.array_equal(forward_batch(classifier, C),
+                                  forward_batch(classifier, other))
+            assert np.array_equal(reconstruction_errors(autoencoder, C),
+                                  reconstruction_errors(autoencoder, other))
 
 
 class TestPredict:

@@ -21,6 +21,7 @@ def fast_cfg(seed, k=1):
     return RfeConfig(
         k=k,
         inner_training=TrainingConfig(learning_rate=0.4, epochs=80, seed=seed),
+        hidden_size=3,
     )
 
 
@@ -144,6 +145,6 @@ def test_selection_manifest_defects_name_the_file(tmp_path, text, message):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RfeConfig(k=0)
+        fast_cfg(seed=0, k=0)
     with pytest.raises(ValueError):
-        RfeConfig(step=0)
+        RfeConfig(k=1, inner_training=TrainingConfig(), hidden_size=3, step=0)
