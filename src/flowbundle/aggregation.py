@@ -13,11 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .features import FlowFeatureVector
+import numpy as np
 
-
-class AggregationError(RuntimeError):
-    """Internal consistency failure while propagating bundle features."""
+from .features import FlowTable
 
 
 def ports_delta(ports: Sequence[int]) -> float:
@@ -41,76 +39,51 @@ class Bundle:
 
     initiator_ip: str
     window_index: int
-    member_flows: list
+    rows: np.ndarray  # the members' row indices in the bundled table
     num_flows: int
     src_ports_delta: float
 
 
-def bundle_key(flow: FlowFeatureVector, window: float | None) -> tuple[str, int]:
-    """The (initiator IP, tumbling-window index) a flow is bundled by."""
-    index = 0 if window is None else math.floor(flow.start_time / window)
-    return flow.initiator_ip, index
+def bundle_keys(table: FlowTable, window: float | None) -> list[tuple[str, int]]:
+    """The (initiator IP, tumbling-window index) each row is bundled by."""
+    if window is None:
+        indices = [0] * len(table)
+    else:
+        indices = [math.floor(t / window) for t in table.start_time.tolist()]
+    return list(zip(table.initiator_ip.tolist(), indices))
 
 
-def bundle_flows(
-    flows: Sequence[FlowFeatureVector], window: float | None = None
-) -> list[Bundle]:
-    """Group flows into bundles keyed by initiator IP and tumbling window.
+def bundle_flows(table: FlowTable, window: float | None = None) -> list[Bundle]:
+    """Group a table's rows into bundles keyed by initiator IP and tumbling
+    window, in order of each bundle's first row.
 
     ``window`` is the window length in seconds; None means one unbounded
     window spanning the whole capture.
     """
     if window is not None and window <= 0:
         raise ValueError("bundle window must be positive or None")
-    groups: dict[tuple[str, int], list[FlowFeatureVector]] = {}
-    for flow in flows:
-        groups.setdefault(bundle_key(flow, window), []).append(flow)
-    bundles = []
-    for (ip, index), members in groups.items():
-        bundles.append(
-            Bundle(
-                initiator_ip=ip,
-                window_index=index,
-                member_flows=list(members),
-                num_flows=len(members),
-                src_ports_delta=ports_delta([m.initiator_port for m in members]),
-            )
+    groups: dict[tuple[str, int], list[int]] = {}
+    for row, key in enumerate(bundle_keys(table, window)):
+        groups.setdefault(key, []).append(row)
+    ports = table.initiator_port.tolist()
+    return [
+        Bundle(
+            initiator_ip=ip,
+            window_index=index,
+            rows=np.array(rows),
+            num_flows=len(rows),
+            src_ports_delta=ports_delta([ports[row] for row in rows]),
         )
-    return bundles
+        for (ip, index), rows in groups.items()
+    ]
 
 
-def propagate(
-    bundles: Sequence[Bundle], features: Sequence[FlowFeatureVector]
-) -> list[FlowFeatureVector]:
-    """Stamp each feature row with its bundle's num_flows and ports delta.
-
-    Rows must be the same objects the bundles were built over; an
-    unbundled row is an internal consistency error.
-    """
-    by_row: dict[int, Bundle] = {}
-    for bundle in bundles:
-        for member in bundle.member_flows:
-            by_row[id(member)] = bundle
-    out = []
-    for row in features:
-        bundle = by_row.get(id(row))
-        if bundle is None:
-            raise AggregationError(
-                f"flow {row.initiator_ip}:{row.initiator_port} @ {row.start_time} "
-                "belongs to no bundle"
-            )
-        out.append(
-            dataclasses.replace(
-                row,
-                num_flows=bundle.num_flows,
-                src_ports_delta=bundle.src_ports_delta,
-            )
-        )
-    return out
-
-
-def aggregate_features(
-    rows: Sequence[FlowFeatureVector], window: float | None = None
-) -> list[FlowFeatureVector]:
-    """Bundle feature rows and propagate the bundle features in one step."""
-    return propagate(bundle_flows(rows, window), rows)
+def aggregate_features(table: FlowTable, window: float | None = None) -> FlowTable:
+    """The table with every row stamped with its bundle's num_flows and
+    ports delta."""
+    num_flows = np.empty(len(table), dtype=np.int64)
+    delta = np.empty(len(table))
+    for bundle in bundle_flows(table, window):
+        num_flows[bundle.rows] = bundle.num_flows
+        delta[bundle.rows] = bundle.src_ports_delta
+    return dataclasses.replace(table, num_flows=num_flows, src_ports_delta=delta)

@@ -63,11 +63,9 @@ def _write_report(path: str | None, doc: dict) -> None:
         print(f"report -> {path}")
 
 
-def _feature_names(rows, exclude_aggregation: bool = False) -> list[str]:
-    """Every feature when all rows carry the bundle columns, else the flow ones."""
-    has_agg = not exclude_aggregation and all(
-        r.num_flows is not None and r.src_ports_delta is not None for r in rows
-    )
+def _feature_names(table, exclude_aggregation: bool = False) -> list[str]:
+    """Every feature when the table is aggregated, else the flow ones."""
+    has_agg = table.aggregated and not exclude_aggregation
     return list(features.ALL_FEATURE_NAMES if has_agg else features.FLOW_FEATURE_NAMES)
 
 
@@ -90,7 +88,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _extract_rows(pcap_path, labels_path, cfg: PipelineConfig):
+def _extract_table(pcap_path, labels_path, cfg: PipelineConfig):
     capture = read_pcap(pcap_path)
     flow_list = flows.assemble_flows(
         capture.packets,
@@ -101,32 +99,28 @@ def _extract_rows(pcap_path, labels_path, cfg: PipelineConfig):
         labels = synth.match_labels(flow_list, synth.read_labels_csv(labels_path))
     else:
         labels = ["benign"] * len(flow_list)
-    rows = [
-        features.extract_features(flow, label)
-        for flow, label in zip(flow_list, labels)
-    ]
-    return capture, rows
+    return capture, features.flow_table(flow_list, labels)
 
 
 def _cmd_extract(args) -> int:
     cfg = _load_pipeline_config(args)
-    capture, rows = _extract_rows(args.pcap, args.labels, cfg)
-    features.write_features_csv(rows, args.out)
+    capture, table = _extract_table(args.pcap, args.labels, cfg)
+    features.write_features_csv(table, args.out)
     print(
         f"{len(capture.packets)} packets ({capture.skipped} skipped) -> "
-        f"{len(rows)} flows -> {args.out}"
+        f"{len(table)} flows -> {args.out}"
     )
     return 0
 
 
 def _cmd_aggregate(args) -> int:
     window = _load_pipeline_config(args).window_s
-    rows = features.read_features_csv(args.infile)
-    aggregated = aggregation.aggregate_features(rows, window)
+    table = features.read_features_csv(args.infile)
+    aggregated = aggregation.aggregate_features(table, window)
     features.write_features_csv(aggregated, args.out)
-    bundles = {aggregation.bundle_key(row, window) for row in aggregated}
+    bundles = set(aggregation.bundle_keys(aggregated, window))
     print(
-        f"{len(rows)} flows -> {len(bundles)} bundles "
+        f"{len(table)} flows -> {len(bundles)} bundles "
         f"(window={'whole capture' if window is None else window}) -> {args.out}"
     )
     return 0
@@ -134,12 +128,12 @@ def _cmd_aggregate(args) -> int:
 
 def _cmd_rfe(args) -> int:
     cfg = _load_pipeline_config(args)
-    rows = features.read_features_csv(args.infile)
-    y, class_names = features.label_classes(rows)
+    table = features.read_features_csv(args.infile)
+    y, class_names = features.label_classes(table)
     if len(class_names) < 2:
         raise ConfigError("RFE needs at least two label classes in the CSV")
-    names = _feature_names(rows, args.exclude_aggregation)
-    X = features.feature_matrix(rows, names)
+    names = _feature_names(table, args.exclude_aggregation)
+    X = features.feature_matrix(table, names)
     result = rfe.rfe_select(
         X,
         y,
@@ -161,10 +155,10 @@ def _cmd_rfe(args) -> int:
 
 def _cmd_train(args) -> int:
     cfg = _load_pipeline_config(args)
-    rows = features.read_features_csv(args.infile)
-    y, class_names = features.label_classes(rows)
-    names = rfe.load_selection(args.selection) if args.selection else _feature_names(rows)
-    X = features.feature_matrix(rows, names)
+    table = features.read_features_csv(args.infile)
+    y, class_names = features.label_classes(table)
+    names = rfe.load_selection(args.selection) if args.selection else _feature_names(table)
+    X = features.feature_matrix(table, names)
     model = mlp.init_model(
         [len(names), cfg.hidden_size, len(class_names)], seed=cfg.seed
     )
@@ -177,7 +171,7 @@ def _cmd_train(args) -> int:
     )
     print(
         f"trained {len(names)}-{cfg.hidden_size}-{len(class_names)} classifier on "
-        f"{len(rows)} flows; final loss {history[-1]:.6f} -> {args.model}"
+        f"{len(table)} flows; final loss {history[-1]:.6f} -> {args.model}"
     )
     return 0
 
@@ -190,25 +184,26 @@ def _eval_saved_model(args) -> int:
         )
     class_rows = {"benign": args.benign}
     class_rows.update(_attack_pairs(args.attack))
-    rows = []
-    labels = []
+    matrices = []
     for name, path in class_rows.items():
         if name not in artifact.class_names:
             raise ConfigError(
                 f"class {name!r} unknown to the model (trained on "
                 f"{artifact.class_names})"
             )
-        class_rows_list = features.read_features_csv(path)
-        rows.extend(class_rows_list)
-        labels.extend([name] * len(class_rows_list))
-    X = features.feature_matrix(rows, artifact.feature_names)
-    y = np.array([artifact.class_names.index(l) for l in labels])
+        table = features.read_features_csv(path)
+        matrices.append(features.feature_matrix(table, artifact.feature_names))
+    X = np.vstack(matrices)
+    y = np.repeat(
+        [artifact.class_names.index(name) for name in class_rows],
+        [len(m) for m in matrices],
+    )
     y_pred = mlp.predict_classes(artifact.model, X)
     counts = evaluation.ConfusionCounts.from_predictions(
         y, y_pred, artifact.class_names
     )
     doc = {"model": args.model, "classes": {}}
-    print(f"saved-model evaluation ({len(rows)} samples):")
+    print(f"saved-model evaluation ({len(y)} samples):")
     for name in artifact.class_names:
         p = evaluation.precision(counts, name)
         r = evaluation.recall(counts, name)
@@ -264,15 +259,15 @@ def _cmd_eval(args) -> int:
 
 def _cmd_zeroday_fit(args) -> int:
     cfg = _load_pipeline_config(args)
-    rows = features.read_features_csv(args.benign)
-    names = _feature_names(rows, args.exclude_aggregation)
-    X = features.feature_matrix(rows, names)
+    table = features.read_features_csv(args.benign)
+    names = _feature_names(table, args.exclude_aggregation)
+    X = features.feature_matrix(table, names)
     model, history = zeroday.fit_benign(X, cfg.autoencoder_training())
     mlp.save_model(
         mlp.ModelArtifact(model=model, feature_names=names), args.model
     )
     print(
-        f"autoencoder {model.layer_sizes} trained on {len(rows)} benign flows; "
+        f"autoencoder {model.layer_sizes} trained on {len(table)} benign flows; "
         f"final loss {history[-1]:.6f} -> {args.model}"
     )
     return 0
@@ -281,11 +276,11 @@ def _cmd_zeroday_fit(args) -> int:
 def _cmd_zeroday_detect(args) -> int:
     policy = zeroday.ThresholdPolicy(_load_pipeline_config(args).thresholds)
     artifact = mlp.load_model(args.model)
-    rows = features.read_features_csv(args.infile)
+    table = features.read_features_csv(args.infile)
     names = artifact.feature_names or list(features.FLOW_FEATURE_NAMES)
-    X = features.feature_matrix(rows, names)
+    X = features.feature_matrix(table, names)
     report = zeroday.detect(artifact.model, X, policy, kind=args.kind)
-    print(f"{args.kind} set, {len(rows)} samples:")
+    print(f"{args.kind} set, {len(table)} samples:")
     for outcome in report.outcomes:
         print(
             f"  threshold {outcome.threshold:0.2f}: flagged {outcome.flagged}"
@@ -329,17 +324,15 @@ def _cmd_replicate(args) -> int:
     synth.write_labels_csv(traffic.manifest, labels_path)
 
     print("[2/6] extracting bidirectional flows")
-    capture, rows = _extract_rows(pcap_path, labels_path, cfg)
-    features.write_features_csv(rows, out_dir / "flows.csv")
+    capture, table = _extract_table(pcap_path, labels_path, cfg)
+    features.write_features_csv(table, out_dir / "flows.csv")
 
     print("[3/6] aggregating flow bundles")
-    aggregated = aggregation.aggregate_features(rows, cfg.window_s)
+    aggregated = aggregation.aggregate_features(table, cfg.window_s)
     features.write_features_csv(aggregated, out_dir / "flows_aggregated.csv")
 
-    by_class: dict[str, list] = {}
-    for row in aggregated:
-        by_class.setdefault(row.label, []).append(row)
-    class_names = evaluation.ordered_classes(list(by_class))
+    class_names = evaluation.ordered_classes(list(set(aggregated.label.tolist())))
+    by_class = {name: aggregated.take(aggregated.label == name) for name in class_names}
     for name in class_names:
         features.write_features_csv(by_class[name], out_dir / f"{name}.csv")
 
@@ -398,11 +391,11 @@ def _cmd_replicate(args) -> int:
     print()
     print("[5/6] zero-day detection (benign-trained autoencoder)")
     rng = np.random.default_rng(cfg.seed)
-    benign_rows = by_class["benign"]
-    order = rng.permutation(len(benign_rows))
-    split = max(1, int(0.7 * len(benign_rows)))
-    benign_train = [benign_rows[i] for i in order[:split]]
-    benign_val = [benign_rows[i] for i in order[split:]]
+    benign = by_class["benign"]
+    order = rng.permutation(len(benign))
+    split = max(1, int(0.7 * len(benign)))
+    benign_train = benign.take(order[:split])
+    benign_val = benign.take(order[split:])
     policy = zeroday.ThresholdPolicy(cfg.thresholds)
     for with_aggregation in (True, False):
         names = list(

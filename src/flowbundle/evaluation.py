@@ -17,11 +17,9 @@ from .config import PipelineConfig
 from .features import (
     ALL_FEATURE_NAMES,
     FLOW_FEATURE_NAMES,
-    FlowFeatureVector,
-    SchemaError,
+    FlowTable,
     feature_matrix,
     read_features_csv,
-    relabel,
 )
 from .mlp import TrainingConfig, init_model, predict_classes, train
 from .rfe import RfeConfig, RfeResult, rfe_select
@@ -110,19 +108,6 @@ class ExperimentReport:
         }
 
 
-@dataclass
-class ModelSpec:
-    """Classifier shape and training settings used per fold.
-
-    tanh hidden units: with only 3 of them, ReLU inits can go dead and
-    pin a fold at the majority-class plateau.
-    """
-
-    training: TrainingConfig
-    hidden_size: int = PipelineConfig.hidden_size
-    hidden_activation: str = "tanh"
-
-
 def stratified_folds(
     y: np.ndarray, folds: int, seed: int, class_names: list[str] | None = None
 ) -> list[np.ndarray]:
@@ -150,12 +135,17 @@ def kfold_evaluate(
     y: np.ndarray,
     class_names: list[str],
     folds: int,
-    spec: ModelSpec,
+    training: TrainingConfig,
+    hidden_size: int,
     seed: int,
     selected_features: list[str] | None = None,
     with_aggregation: bool = False,
 ) -> ExperimentReport:
-    """Stratified k-fold training; returns per-class mean/std metrics."""
+    """Stratified k-fold training; returns per-class mean/std metrics.
+
+    The classifiers have tanh hidden units: with only 3 of them, ReLU
+    inits can go dead and pin a fold at the majority-class plateau.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     fold_indices = stratified_folds(y, folds, seed, class_names)
@@ -165,10 +155,10 @@ def kfold_evaluate(
     for f, test_idx in enumerate(fold_indices):
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
-        fold_cfg = replace(spec.training, loss="cross_entropy", seed=seed + f)
+        fold_cfg = replace(training, loss="cross_entropy", seed=seed + f)
         model = init_model(
-            [X.shape[1], spec.hidden_size, len(class_names)],
-            hidden_activation=spec.hidden_activation,
+            [X.shape[1], hidden_size, len(class_names)],
+            hidden_activation="tanh",
             seed=seed + f,
         )
         trained, _ = train(model, X[train_mask], y[train_mask], fold_cfg)
@@ -193,7 +183,7 @@ def kfold_evaluate(
     return ExperimentReport(
         classes=classes,
         folds=folds,
-        hidden_size=spec.hidden_size,
+        hidden_size=hidden_size,
         selected_features=selected_features or [],
         with_aggregation=with_aggregation,
     )
@@ -227,7 +217,7 @@ def ordered_classes(class_names: list[str]) -> list[str]:
 
 def run_experiment(
     design: str,
-    class_rows: dict[str, list[FlowFeatureVector] | str | Path],
+    class_rows: dict[str, FlowTable | str | Path],
     with_aggregation: bool,
     extended: bool = False,
     *,
@@ -235,44 +225,29 @@ def run_experiment(
 ) -> tuple[ExperimentReport, RfeResult]:
     """RFE then k-fold evaluation for one experiment design.
 
-    class_rows maps each class name to its feature rows or a CSV path.
-    Without aggregation the two bundle features are excluded from RFE
-    entirely.  RFE keeps cfg.rfe_k features for cfg.hidden_size hidden
-    neurons; the extended mode keeps 10 for cfg.extended_hidden_size.
+    class_rows maps each class name to its flow table or a CSV path; the
+    name, not the rows' labels, sets the class.  Without aggregation the
+    two bundle features are excluded from RFE entirely.  RFE keeps
+    cfg.rfe_k features for cfg.hidden_size hidden neurons; the extended
+    mode keeps 10 for cfg.extended_hidden_size.
     """
-    loaded: dict[str, list[FlowFeatureVector]] = {}
+    tables: dict[str, FlowTable] = {}
     for name, source in class_rows.items():
-        rows = (
-            read_features_csv(source)
-            if isinstance(source, (str, Path))
-            else list(source)
+        table = (
+            read_features_csv(source) if isinstance(source, (str, Path)) else source
         )
-        if not rows:
+        if not len(table):
             raise ValueError(f"class {name!r} has no feature rows")
-        loaded[name] = relabel(rows, name)
-    class_names = ordered_classes(list(loaded))
+        tables[name] = table
+    class_names = ordered_classes(list(tables))
     _validate_design(design, class_names)
-
-    rows: list[FlowFeatureVector] = []
-    y_parts = []
-    for idx, name in enumerate(class_names):
-        rows.extend(loaded[name])
-        y_parts.append(np.full(len(loaded[name]), idx, dtype=int))
-    y = np.concatenate(y_parts)
 
     candidates = list(ALL_FEATURE_NAMES) if with_aggregation else list(
         FLOW_FEATURE_NAMES
     )
-    if with_aggregation:
-        missing = [
-            r for r in rows if r.num_flows is None or r.src_ports_delta is None
-        ]
-        if missing:
-            raise SchemaError(
-                "aggregation features are not populated; run aggregation "
-                "before a with-aggregation experiment"
-            )
-    X_all = feature_matrix(rows, candidates)
+    # one matrix per class, stacked in class order; y follows the lengths
+    X_all = np.vstack([feature_matrix(tables[name], candidates) for name in class_names])
+    y = np.repeat(np.arange(len(class_names)), [len(tables[name]) for name in class_names])
 
     k, hidden = (
         (EXTENDED_FEATURES, cfg.extended_hidden_size)
@@ -288,13 +263,13 @@ def run_experiment(
 
     keep = [candidates.index(name) for name in selection.selected]
     X_sel = X_all[:, keep]
-    spec = ModelSpec(hidden_size=hidden, training=cfg.classifier_training())
     report = kfold_evaluate(
         X_sel,
         y,
         class_names,
         cfg.folds,
-        spec,
+        cfg.classifier_training(),
+        hidden,
         cfg.seed,
         selected_features=selection.selected,
         with_aggregation=with_aggregation,

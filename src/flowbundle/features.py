@@ -1,17 +1,16 @@
-"""Per-flow statistical features and the flow CSV schema.
+"""Per-flow statistical features, the flow table and the flow CSV schema.
 
 Each direction contributes 17 statistics (34 total per flow); the two
-bundle-level slots (num_flows, src_ports_delta) stay empty until the
+bundle-level columns (num_flows, src_ports_delta) stay empty until the
 aggregation step fills them.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -67,46 +66,59 @@ _INT_FEATURES = frozenset(
     for name in FLOW_FEATURE_NAMES
     if "count" in name
 )
+_STAT_INDEX = {name: i for i, name in enumerate(FLOW_FEATURE_NAMES)}
 
 
 class SchemaError(ValueError):
     """Raised when a flow CSV does not match the expected schema."""
 
 
-@dataclass
-class FlowFeatureVector:
-    """One flow's identity, its 34 statistics and the aggregation slots."""
+@dataclass(frozen=True, eq=False)
+class FlowTable:
+    """Flows as columns, one row per flow.
 
-    initiator_ip: str
-    initiator_port: int
-    responder_ip: str
-    responder_port: int
-    protocol: str
-    start_time: float
-    values: dict[str, float] = field(default_factory=dict)
-    num_flows: int | None = None
-    src_ports_delta: float | None = None
-    label: str = "benign"
+    The string columns are object arrays, the ports int64 and ``stats``
+    an (n, 34) float block in FLOW_FEATURE_NAMES order.  ``num_flows``
+    and ``src_ports_delta`` are both columns once aggregation has run
+    and both None before: the state belongs to the table, not a row.
+    """
 
-    def feature(self, name: str) -> float:
-        if name == "num_flows":
-            if self.num_flows is None:
-                raise SchemaError("num_flows not populated; run aggregation first")
-            return float(self.num_flows)
-        if name == "src_ports_delta":
-            if self.src_ports_delta is None:
-                raise SchemaError(
-                    "src_ports_delta not populated; run aggregation first"
-                )
-            return float(self.src_ports_delta)
-        return self.values[name]
+    initiator_ip: np.ndarray
+    initiator_port: np.ndarray
+    responder_ip: np.ndarray
+    responder_port: np.ndarray
+    protocol: np.ndarray
+    start_time: np.ndarray
+    label: np.ndarray
+    stats: np.ndarray
+    num_flows: np.ndarray | None = None
+    src_ports_delta: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        if (self.num_flows is None) != (self.src_ports_delta is None):
+            raise ValueError("num_flows and src_ports_delta are filled together")
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    @property
+    def aggregated(self) -> bool:
+        return self.num_flows is not None
+
+    def take(self, rows) -> FlowTable:
+        """The rows an index array or boolean mask selects, in that order."""
+        columns = {f.name: getattr(self, f.name) for f in fields(self)}
+        return FlowTable(**{
+            name: None if column is None else column[rows]
+            for name, column in columns.items()
+        })
 
 
-def _direction_stats(packets: list[PacketRecord]) -> dict[str, float]:
-    stats: dict[str, float] = dict.fromkeys(_DIRECTION_STATS, 0.0)
+def _direction_stats(packets: list[PacketRecord]) -> list[float]:
+    """The 17 statistics of one direction, in _DIRECTION_STATS order."""
     n = len(packets)
     if not n:
-        return stats
+        return [0.0] * len(_DIRECTION_STATS)
     # sums, means and population stds take the steps ndarray.sum/mean/std
     # take (a pairwise add.reduce, then a division by the count), so every
     # value is bit-identical to theirs
@@ -115,190 +127,232 @@ def _direction_stats(packets: list[PacketRecord]) -> dict[str, float]:
     total = float(_add_reduce(lengths))
     mean = total / n
     dev = lengths - mean
-    stats["pkt_count"] = float(n)
-    stats["byte_count"] = total
-    stats["pkt_len_mean"] = mean
-    stats["pkt_len_std"] = math.sqrt(_add_reduce(dev * dev) / n)
-    stats["pkt_len_min"] = float(min(sizes))
-    stats["pkt_len_max"] = float(max(sizes))
+    stats = [
+        float(n),
+        total,
+        mean,
+        math.sqrt(_add_reduce(dev * dev) / n),
+        float(min(sizes)),
+        float(max(sizes)),
+    ]
 
     if n >= 2:
         times = np.array([p.timestamp for p in packets], dtype=float)
         iats = times[1:] - times[:-1]
         iat_mean = float(_add_reduce(iats)) / (n - 1)
         dev = iats - iat_mean
-        stats["iat_mean"] = iat_mean
-        stats["iat_std"] = math.sqrt(_add_reduce(dev * dev) / (n - 1))
-        stats["iat_min"] = float(np.minimum.reduce(iats))
-        stats["iat_max"] = float(np.maximum.reduce(iats))
         # offsets of every successive packet from the direction's first
         offsets = times[1:] - times[0]
-        stats["time_from_first_mean"] = float(_add_reduce(offsets)) / (n - 1)
+        stats += [
+            iat_mean,
+            math.sqrt(_add_reduce(dev * dev) / (n - 1)),
+            float(np.minimum.reduce(iats)),
+            float(np.maximum.reduce(iats)),
+            float(_add_reduce(offsets)) / (n - 1),
+        ]
+    else:
+        stats += [0.0] * 5
 
     flags = Counter(chain.from_iterable(p.tcp_flags for p in packets))
-    for flag in ("syn", "ack", "fin", "rst", "psh", "urg"):
-        stats[f"flag_{flag}_count"] = float(flags[flag.upper()])
+    stats += [float(flags[flag]) for flag in ("SYN", "ACK", "FIN", "RST", "PSH", "URG")]
     return stats
 
 
-_FWD_NAMES = FLOW_FEATURE_NAMES[: len(_DIRECTION_STATS)]
-_BWD_NAMES = FLOW_FEATURE_NAMES[len(_DIRECTION_STATS) :]
+def extract_features(flow: BiFlow) -> list[float]:
+    """The flow's 34 statistics, in FLOW_FEATURE_NAMES order."""
+    return _direction_stats(flow.fwd_packets) + _direction_stats(flow.bwd_packets)
 
 
-def extract_features(flow: BiFlow, label: str = "benign") -> FlowFeatureVector:
-    """Compute the 34 per-flow statistics; aggregation slots stay empty."""
-    values = dict(zip(_FWD_NAMES, _direction_stats(flow.fwd_packets).values()))
-    values.update(zip(_BWD_NAMES, _direction_stats(flow.bwd_packets).values()))
-    return FlowFeatureVector(
-        initiator_ip=flow.initiator[0],
-        initiator_port=flow.initiator[1],
-        responder_ip=flow.responder[0],
-        responder_port=flow.responder[1],
-        protocol=flow.key.protocol.name,
-        start_time=flow.start_time,
-        values=values,
-        label=label,
+def flow_table(flows: list[BiFlow], labels: list[str]) -> FlowTable:
+    """One row per flow: its identity, its label and its 34 statistics."""
+    stats = np.array([extract_features(flow) for flow in flows], dtype=float)
+    return FlowTable(
+        initiator_ip=np.array([flow.initiator[0] for flow in flows], dtype=object),
+        initiator_port=np.array([flow.initiator[1] for flow in flows], dtype=np.int64),
+        responder_ip=np.array([flow.responder[0] for flow in flows], dtype=object),
+        responder_port=np.array([flow.responder[1] for flow in flows], dtype=np.int64),
+        protocol=np.array([flow.key.protocol.name for flow in flows], dtype=object),
+        start_time=np.array([flow.start_time for flow in flows], dtype=float),
+        label=np.array(labels, dtype=object),
+        stats=stats.reshape(len(flows), len(FLOW_FEATURE_NAMES)),
     )
 
 
-def feature_matrix(
-    rows: list[FlowFeatureVector], feature_names: list[str]
-) -> np.ndarray:
+def feature_matrix(table: FlowTable, feature_names: list[str]) -> np.ndarray:
     """Stack the named features into an (n_rows, n_features) float matrix."""
-    out = np.empty((len(rows), len(feature_names)), dtype=float)
-    for i, row in enumerate(rows):
-        for j, name in enumerate(feature_names):
-            out[i, j] = row.feature(name)
+    out = np.empty((len(table), len(feature_names)), dtype=float)
+    for j, name in enumerate(feature_names):
+        if name not in AGGREGATION_FEATURE_NAMES:
+            out[:, j] = table.stats[:, _STAT_INDEX[name]]
+        elif not table.aggregated:
+            raise SchemaError(f"{name} not populated; run aggregation first")
+        else:
+            out[:, j] = getattr(table, name)
     return out
 
 
 def label_classes(
-    rows: list[FlowFeatureVector], class_names: list[str] | None = None
+    table: FlowTable, class_names: list[str] | None = None
 ) -> tuple[np.ndarray, list[str]]:
     """Encode row labels as class indices against a stable class list."""
+    labels = table.label.tolist()
     if class_names is None:
-        seen = sorted({row.label for row in rows})
+        seen = sorted(set(labels))
         # benign first so class 0 is the background class by convention
         class_names = [c for c in ("benign",) if c in seen] + [
             c for c in seen if c != "benign"
         ]
     index = {name: i for i, name in enumerate(class_names)}
     try:
-        y = np.array([index[row.label] for row in rows], dtype=int)
+        y = np.array([index[label] for label in labels], dtype=int)
     except KeyError as exc:
         raise SchemaError(f"label {exc.args[0]!r} not in class list {class_names}")
     return y, class_names
 
 
-# the 34 statistics in column order, each with whether it is a count
-_STAT_FORMATS = [(name, name in _INT_FEATURES) for name in FLOW_FEATURE_NAMES]
+def _text(values: np.ndarray, integer: bool) -> list[str]:
+    """A numeric column as CSV fields: counts as integers, floats at 6 d.p."""
+    return list(map(("%d" if integer else "%.6f").__mod__, values.tolist()))
 
 
-def write_features_csv(rows: list[FlowFeatureVector], path: str | Path) -> None:
+def write_features_csv(table: FlowTable, path: str | Path) -> None:
     """Write flows using the documented column order, floats at 6 d.p."""
+    stats = table.stats.T
+    columns = [
+        table.initiator_ip.tolist(),
+        _text(table.initiator_port, True),
+        table.responder_ip.tolist(),
+        _text(table.responder_port, True),
+        table.protocol.tolist(),
+        _text(table.start_time, False),
+    ]
+    columns += [_text(stats[j], name in _INT_FEATURES) for j, name in enumerate(FLOW_FEATURE_NAMES)]
+    if table.aggregated:
+        columns += [_text(table.num_flows, True), _text(table.src_ports_delta, False)]
+    else:
+        # the bundle columns stay empty until aggregation fills them
+        columns += [[""] * len(table)] * 2
+    columns.append(table.label.tolist())
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            record = [
-                row.initiator_ip,
-                str(row.initiator_port),
-                row.responder_ip,
-                str(row.responder_port),
-                row.protocol,
-                f"{row.start_time:.6f}",
-            ]
-            values = row.values
-            record += [
-                str(int(values[name])) if integer else f"{float(values[name]):.6f}"
-                for name, integer in _STAT_FORMATS
-            ]
-            # the bundle slots stay empty until aggregation fills them
-            record.append("" if row.num_flows is None else str(int(row.num_flows)))
-            delta = row.src_ports_delta
-            record.append("" if delta is None else f"{float(delta):.6f}")
-            record.append(row.label)
-            writer.writerow(record)
+        writer.writerows(zip(*columns))
 
 
 # start_time and the 34 statistics are consecutive columns
 _STATS_START = CSV_COLUMNS.index("start_time")
 _STATS_END = _STATS_START + 1 + len(FLOW_FEATURE_NAMES)
-# every numeric column of a flow CSV row with its parser, in column order
+_NUM_FLOWS, _DELTA = _STATS_END, _STATS_END + 1
+_INT_COLUMNS = (1, 3, _NUM_FLOWS)  # the ports and num_flows, stored as int64
+# every numeric column of a flow CSV row, in column order
 _NUMERIC_COLUMNS = [
-    (i, int if name in ("initiator_port", "responder_port", "num_flows") else float)
+    i
     for i, name in enumerate(CSV_COLUMNS)
     if name not in ("initiator_ip", "responder_ip", "protocol", "label")
 ]
 
 
-def _check_fields(path: str | Path, line_no: int, record: list[str]) -> None:
-    """Raise SchemaError naming the first field that is not a finite number."""
-    for i, parse in _NUMERIC_COLUMNS:
-        raw = record[i]
-        if not raw and CSV_COLUMNS[i] in AGGREGATION_FEATURE_NAMES:
-            continue  # bundle slots stay empty until aggregation
-        try:
-            value = parse(raw)
-        except ValueError:
+def _check_rows(path: str | Path, records: list[list[str]]) -> None:
+    """Raise SchemaError naming the first defective field, row by row."""
+    for line_no, record in enumerate(records, start=2):
+        if len(record) != len(CSV_COLUMNS):
             raise SchemaError(
-                f"{path}:{line_no}: column {CSV_COLUMNS[i]}: {raw!r} is not a number"
-            ) from None
-        if not math.isfinite(value):
+                f"{path}:{line_no}: expected {len(CSV_COLUMNS)} fields, "
+                f"got {len(record)}"
+            )
+        for i in _NUMERIC_COLUMNS:
+            raw = record[i]
+            if not raw and i in (_NUM_FLOWS, _DELTA):
+                continue  # how the bundle columns are filled is checked below
+            where = f"{path}:{line_no}: column {CSV_COLUMNS[i]}"
+            try:
+                value = int(raw) if i in _INT_COLUMNS else float(raw)
+            except ValueError:
+                raise SchemaError(f"{where}: {raw!r} is not a number") from None
+            if i in _INT_COLUMNS and not -(2**63) <= value < 2**63:
+                raise SchemaError(f"{where}: {raw!r} does not fit in 64 bits")
+            if i not in _INT_COLUMNS and not math.isfinite(value):
+                raise SchemaError(f"{where}: non-finite value {raw!r}")
+        filled = bool(record[_NUM_FLOWS])
+        if bool(record[_DELTA]) != filled:
+            empty, other = (_DELTA, _NUM_FLOWS) if filled else (_NUM_FLOWS, _DELTA)
             raise SchemaError(
-                f"{path}:{line_no}: column {CSV_COLUMNS[i]}: non-finite value {raw!r}"
+                f"{path}:{line_no}: column {CSV_COLUMNS[empty]}: empty while "
+                f"{CSV_COLUMNS[other]} is filled"
+            )
+        if filled != bool(records[0][_NUM_FLOWS]):
+            state, first = ("filled", "empty") if filled else ("empty", "filled")
+            raise SchemaError(
+                f"{path}:{line_no}: column num_flows: {state} here but {first} "
+                "on line 2; the bundle columns must be all empty or all filled"
             )
 
 
-def read_features_csv(path: str | Path) -> list[FlowFeatureVector]:
+def _parse(records: list[list[str]]) -> FlowTable | None:
+    """The records as a table, or None when a number is not finite or the
+    bundle columns are filled on some rows only; a field that does not
+    parse raises ValueError or OverflowError."""
+    columns = list(zip(*records)) or [()] * len(CSV_COLUMNS)
+    n = len(records)
+    numbers = np.fromiter(
+        map(float, chain.from_iterable(columns[_STATS_START:_STATS_END])),
+        dtype=float,
+        count=(_STATS_END - _STATS_START) * n,
+    ).reshape(_STATS_END - _STATS_START, n)
+    ints = {i: np.array(list(map(int, columns[i])), dtype=np.int64) for i in (1, 3)}
+    num_flows = delta = None
+    if all(columns[_NUM_FLOWS]) and all(columns[_DELTA]):
+        num_flows = np.array(list(map(int, columns[_NUM_FLOWS])), dtype=np.int64)
+        delta = np.fromiter(map(float, columns[_DELTA]), dtype=float, count=n)
+    elif any(columns[_NUM_FLOWS]) or any(columns[_DELTA]):
+        return None
+    if not np.isfinite(numbers).all() or (
+        delta is not None and not np.isfinite(delta).all()
+    ):
+        return None
+    return FlowTable(
+        initiator_ip=np.array(columns[0], dtype=object),
+        initiator_port=ints[1],
+        responder_ip=np.array(columns[2], dtype=object),
+        responder_port=ints[3],
+        protocol=np.array(columns[4], dtype=object),
+        start_time=numbers[0],
+        label=np.array(columns[-1], dtype=object),
+        stats=numbers[1:].T,
+        num_flows=num_flows,
+        src_ports_delta=delta,
+    )
+
+
+def read_features_csv(path: str | Path) -> FlowTable:
     """Load a flow CSV written by write_features_csv.
 
-    Validates the header and that every numeric field is a finite number;
-    a defect raises SchemaError naming the file, line and column.
+    Validates the header, that every numeric field is a finite number (the
+    ports and num_flows 64-bit integers) and that the bundle columns are
+    empty on every row or filled on every row; a defect raises SchemaError
+    naming the file, line and column.
     """
-    rows: list[FlowFeatureVector] = []
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected header row")
-        if header != CSV_COLUMNS:
-            raise SchemaError(
-                f"{path}: header mismatch; expected {len(CSV_COLUMNS)} documented "
-                f"columns starting {CSV_COLUMNS[:3]}, got {header[:3]}"
-            )
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(CSV_COLUMNS):
-                raise SchemaError(
-                    f"{path}:{line_no}: expected {len(CSV_COLUMNS)} fields, "
-                    f"got {len(record)}"
-                )
-            raw_num_flows, raw_delta = record[_STATS_END : _STATS_END + 2]
-            try:
-                numbers = [float(raw) for raw in record[_STATS_START:_STATS_END]]
-                row = FlowFeatureVector(
-                    initiator_ip=record[0],
-                    initiator_port=int(record[1]),
-                    responder_ip=record[2],
-                    responder_port=int(record[3]),
-                    protocol=record[4],
-                    start_time=numbers[0],
-                    values=dict(zip(FLOW_FEATURE_NAMES, numbers[1:])),
-                    num_flows=int(raw_num_flows) if raw_num_flows else None,
-                    src_ports_delta=float(raw_delta) if raw_delta else None,
-                    label=record[-1],
-                )
-            except ValueError:
-                _check_fields(path, line_no, record)
-                raise
-            # one sum is finite when every term is; only an overflowing sum
-            # of finite values reaches _check_fields and passes it
-            if not math.isfinite(sum(numbers, row.src_ports_delta or 0.0)):
-                _check_fields(path, line_no, record)
-            rows.append(row)
-    return rows
-
-
-def relabel(rows: list[FlowFeatureVector], label: str) -> list[FlowFeatureVector]:
-    return [dataclasses.replace(row, label=label) for row in rows]
+            header = next(reader, None)
+            records = list(reader)
+        except csv.Error as exc:
+            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
+    if header is None:
+        raise SchemaError(f"{path}: empty file, expected header row")
+    if header != CSV_COLUMNS:
+        raise SchemaError(
+            f"{path}: header mismatch; expected {len(CSV_COLUMNS)} documented "
+            f"columns starting {CSV_COLUMNS[:3]}, got {header[:3]}"
+        )
+    table = None
+    if all(len(record) == len(CSV_COLUMNS) for record in records):
+        try:
+            table = _parse(records)
+        except (ValueError, OverflowError):
+            pass
+    if table is None:
+        _check_rows(path, records)
+        raise AssertionError(f"{path}: a defect the row check does not name")
+    return table

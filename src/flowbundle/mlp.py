@@ -52,8 +52,8 @@ class MinMaxScaler:
 
 @dataclass
 class TrainingConfig:
-    learning_rate: float = 0.05
-    epochs: int = 500
+    learning_rate: float
+    epochs: int
     batch_size: int | None = None  # None = full batch
     loss: str = "cross_entropy"
     seed: int = 0

@@ -32,19 +32,15 @@ _scenario_cache: dict[int, dict] = {}
 
 
 def mimicking_by_class(seed):
-    """Aggregated feature rows of the desk-scale mimicking scenario."""
+    """Aggregated flow tables of the desk-scale mimicking scenario, by class."""
     if seed not in _scenario_cache:
         traffic = synth.build_scenario("mimicking", seed)
         assembled = flows.assemble_flows(traffic.packets)
         labels = synth.match_labels(assembled, traffic.manifest)
-        rows = aggregation.aggregate_features(
-            [features.extract_features(f, l)
-             for f, l in zip(assembled, labels)]
-        )
-        by_class: dict[str, list] = {}
-        for row in rows:
-            by_class.setdefault(row.label, []).append(row)
-        _scenario_cache[seed] = by_class
+        table = aggregation.aggregate_features(features.flow_table(assembled, labels))
+        _scenario_cache[seed] = {
+            name: table.take(table.label == name) for name in sorted(set(labels))
+        }
     return _scenario_cache[seed]
 
 
@@ -153,11 +149,11 @@ def test_05_flow_statistic_oracle_200_flows():
     rng = np.random.default_rng(105)
     for _ in range(200):
         flow = random_flow(rng, max_packets=50)
-        vec = features.extract_features(flow)
+        vec = dict(zip(features.FLOW_FEATURE_NAMES, features.extract_features(flow)))
         for direction, packets in (("fwd", flow.fwd_packets),
                                    ("bwd", flow.bwd_packets)):
             for stat, expected in brute_force_stats(packets).items():
-                got = vec.values[f"{direction}_{stat}"]
+                got = vec[f"{direction}_{stat}"]
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
     report_line(5, "all 34 flow statistics match brute force on 200 flows", True)
 
@@ -165,20 +161,20 @@ def test_05_flow_statistic_oracle_200_flows():
 def test_06_fig2_replay_bundles():
     traffic = synth.fig2_traffic()
     assembled = flows.assemble_flows(traffic.packets)
-    rows = [features.extract_features(f) for f in assembled]
-    bundles = aggregation.bundle_flows(rows)
+    table = features.flow_table(assembled, ["benign"] * len(assembled))
+    bundles = aggregation.bundle_flows(table)
     sizes = sorted((b.num_flows for b in bundles), reverse=True)
-    stamped = aggregation.propagate(bundles, rows)
-    all_stamped = all(
-        r.num_flows is not None and r.src_ports_delta is not None
-        for r in stamped
+    stamped = aggregation.aggregate_features(table)
+    all_stamped = (
+        stamped.aggregated
+        and len(stamped.num_flows) == len(stamped.src_ports_delta) == len(table)
     )
-    host_a = [r for r in stamped if r.initiator_ip == "10.0.0.1"]
+    host_a = stamped.num_flows[stamped.initiator_ip == "10.0.0.1"]
     report_line(
         6,
         "bundle replay yields sizes {4, 2, 1, 1} and stamps every row",
         sizes == [4, 2, 1, 1] and all_stamped
-        and all(r.num_flows == 4 for r in host_a),
+        and len(host_a) == 4 and all(host_a == 4),
         f"sizes {sizes}",
     )
 
@@ -217,11 +213,13 @@ def test_08_rfe_selects_aggregation_features():
     hits = 0
     for seed in SWEEP_SEEDS:
         by_class = mimicking_by_class(seed)
-        rows = by_class["benign"] + by_class["slowloris"]
         y = np.array(
             [0] * len(by_class["benign"]) + [1] * len(by_class["slowloris"])
         )
-        X = features.feature_matrix(rows, names)
+        X = np.vstack([
+            features.feature_matrix(by_class[name], names)
+            for name in ("benign", "slowloris")
+        ])
         cfg = PipelineConfig(seed=seed)
         result = rfe.rfe_select(
             X, y, names,
@@ -250,7 +248,7 @@ def test_09_zero_day_monotone_and_lift():
         rng = np.random.default_rng(seed)
         order = rng.permutation(len(benign))
         cut = int(0.7 * len(benign))
-        train_rows = [benign[i] for i in order[:cut]]
+        train_rows = benign.take(order[:cut])
         for names, sink in (
             (list(features.ALL_FEATURE_NAMES), acc_with),
             (list(features.FLOW_FEATURE_NAMES), acc_without),

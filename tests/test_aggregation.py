@@ -1,17 +1,12 @@
 import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowbundle.aggregation import (
-    AggregationError,
-    aggregate_features,
-    bundle_flows,
-    ports_delta,
-    propagate,
-)
-from flowbundle.features import FlowFeatureVector
+from flowbundle.aggregation import aggregate_features, bundle_flows, ports_delta
+from flowbundle.features import FLOW_FEATURE_NAMES, FlowTable, flow_table
 from flowbundle.flows import assemble_flows
 from flowbundle.synth import build_scenario, match_labels
 
@@ -23,16 +18,26 @@ def brute_force_delta(ports):
 
 
 def feature_row(ip, port, start=0.0, label="benign"):
-    return FlowFeatureVector(
-        initiator_ip=ip,
-        initiator_port=port,
-        responder_ip="192.168.10.10",
-        responder_port=80,
-        protocol="TCP",
-        start_time=start,
-        values={},
-        label=label,
+    return ip, port, start, label
+
+
+def table_of(rows):
+    """A flow table of feature_row tuples, every statistic 0."""
+    n = len(rows)
+    return FlowTable(
+        initiator_ip=np.array([r[0] for r in rows], dtype=object),
+        initiator_port=np.array([r[1] for r in rows], dtype=np.int64),
+        responder_ip=np.array(["192.168.10.10"] * n, dtype=object),
+        responder_port=np.full(n, 80),
+        protocol=np.array(["TCP"] * n, dtype=object),
+        start_time=np.array([r[2] for r in rows], dtype=float),
+        label=np.array([r[3] for r in rows], dtype=object),
+        stats=np.zeros((n, len(FLOW_FEATURE_NAMES))),
     )
+
+
+def flows_table(flows):
+    return flow_table(flows, ["benign"] * len(flows))
 
 
 class TestPortsDelta:
@@ -73,7 +78,7 @@ class TestBundleFlows:
     def test_fig2_bundle_sizes(self):
         traffic = build_scenario("fig2", seed=0)
         flows = assemble_flows(traffic.packets)
-        bundles = bundle_flows(flows)
+        bundles = bundle_flows(flows_table(flows))
         sizes = sorted((b.num_flows for b in bundles), reverse=True)
         assert sizes == [4, 2, 1, 1]
         by_ip = {b.initiator_ip: b.num_flows for b in bundles}
@@ -82,7 +87,7 @@ class TestBundleFlows:
 
     def test_single_flow_bundle(self):
         rows = [feature_row("10.0.0.9", 4242)]
-        bundles = bundle_flows(rows)
+        bundles = bundle_flows(table_of(rows))
         assert len(bundles) == 1
         assert bundles[0].num_flows == 1
         assert bundles[0].src_ports_delta == 0.0
@@ -90,7 +95,7 @@ class TestBundleFlows:
     def test_window_partitions_by_start_time(self):
         rows = [feature_row("10.0.0.1", 1000 + i, start=float(i) * 100)
                 for i in range(4)]
-        bundles = bundle_flows(rows, window=150.0)
+        bundles = bundle_flows(table_of(rows), window=150.0)
         assert sorted(b.window_index for b in bundles) == [0, 1, 2]
         assert sorted(b.num_flows for b in bundles) == [1, 1, 2]
         assert sum(b.num_flows for b in bundles) == 4
@@ -98,88 +103,80 @@ class TestBundleFlows:
     def test_unbounded_window_single_index(self):
         rows = [feature_row("10.0.0.1", 1000, start=0.0),
                 feature_row("10.0.0.1", 2000, start=1e6)]
-        bundles = bundle_flows(rows, window=None)
+        bundles = bundle_flows(table_of(rows), window=None)
         assert len(bundles) == 1
         assert bundles[0].window_index == 0
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
-            bundle_flows([], window=0.0)
+            bundle_flows(table_of([]), window=0.0)
         with pytest.raises(ValueError):
-            bundle_flows([], window=-5.0)
+            bundle_flows(table_of([]), window=-5.0)
 
     def test_empty_input(self):
-        assert bundle_flows([]) == []
+        assert bundle_flows(table_of([])) == []
 
     def test_adding_a_flow_never_decreases_num_flows(self):
         rows = [feature_row("10.0.0.1", 1000 + i) for i in range(5)]
-        before = bundle_flows(rows)[0].num_flows
-        after = bundle_flows(rows + [feature_row("10.0.0.1", 2000)])[0].num_flows
+        before = bundle_flows(table_of(rows))[0].num_flows
+        after = bundle_flows(table_of(rows + [feature_row("10.0.0.1", 2000)]))[0].num_flows
         assert after == before + 1
 
     def test_partition_property(self):
         traffic = build_scenario("mimicking", seed=4, scale="small")
-        flows = assemble_flows(traffic.packets)
-        bundles = bundle_flows(flows)
-        assert sum(b.num_flows for b in bundles) == len(flows)
+        table = flows_table(assemble_flows(traffic.packets))
+        bundles = bundle_flows(table)
+        assert sum(b.num_flows for b in bundles) == len(table)
         for b in bundles:
-            assert b.num_flows == len(b.member_flows) >= 1
+            assert b.num_flows == len(b.rows) >= 1
             assert b.src_ports_delta >= 0.0
-            assert all(f.initiator_ip == b.initiator_ip for f in b.member_flows)
+            assert all(table.initiator_ip[b.rows] == b.initiator_ip)
 
 
 class TestPropagate:
+    """aggregate_features stamps each bundle's features on its rows."""
+
     def test_four_flow_bundle_stamps_all_rows(self):
         ports = [3000, 1000, 2000, 6000]
         rows = [feature_row("10.0.0.1", p) for p in ports]
-        bundles = bundle_flows(rows)
-        out = propagate(bundles, rows)
+        out = aggregate_features(table_of(rows))
         expected = brute_force_delta(ports)
-        for row in out:
-            assert row.num_flows == 4
-            assert row.src_ports_delta == expected
+        assert out.num_flows.tolist() == [4] * 4
+        assert out.src_ports_delta.tolist() == [expected] * 4
 
     def test_singleton_row(self):
         rows = [feature_row("10.0.0.2", 1234)]
-        out = propagate(bundle_flows(rows), rows)
-        assert (out[0].num_flows, out[0].src_ports_delta) == (1, 0.0)
+        out = aggregate_features(table_of(rows))
+        assert (out.num_flows[0], out.src_ports_delta[0]) == (1, 0.0)
 
     def test_two_bundles_composed_with_delta_oracle(self):
         rows = (
             [feature_row("10.0.0.1", p) for p in (100, 300, 900)]
             + [feature_row("10.0.0.2", p) for p in (5000, 6000)]
         )
-        out = propagate(bundle_flows(rows), rows)
+        out = aggregate_features(table_of(rows))
         d1 = brute_force_delta([100, 300, 900])
         d2 = brute_force_delta([5000, 6000])
-        assert [(r.num_flows, r.src_ports_delta) for r in out] == [
+        assert list(zip(out.num_flows.tolist(), out.src_ports_delta.tolist())) == [
             (3, d1), (3, d1), (3, d1), (2, d2), (2, d2),
         ]
 
-    def test_orphan_row_raises(self):
-        rows = [feature_row("10.0.0.1", 100)]
-        bundles = bundle_flows(rows)
-        stranger = feature_row("10.0.0.3", 999)
-        with pytest.raises(AggregationError):
-            propagate(bundles, rows + [stranger])
-
     def test_other_fields_untouched(self):
-        row = feature_row("10.0.0.1", 100, start=42.5, label="slowloris")
-        row.values = {"fwd_pkt_count": 3.0}
-        out = propagate(bundle_flows([row]), [row])[0]
-        assert out.label == "slowloris"
-        assert out.start_time == 42.5
-        assert out.values == {"fwd_pkt_count": 3.0}
-        assert row.num_flows is None  # input object not mutated
+        table = table_of([feature_row("10.0.0.1", 100, start=42.5, label="slowloris")])
+        table.stats[0, FLOW_FEATURE_NAMES.index("fwd_pkt_count")] = 3.0
+        out = aggregate_features(table)
+        assert out.label.tolist() == ["slowloris"]
+        assert out.start_time.tolist() == [42.5]
+        assert out.stats.tolist() == table.stats.tolist()
+        assert out.stats.sum() == 3.0
+        assert table.num_flows is None  # input table not mutated
 
     def test_aggregate_features_idempotent(self):
         rows = [feature_row("10.0.0.1", p) for p in (10, 20, 80)]
-        once = aggregate_features(rows)
+        once = aggregate_features(table_of(rows))
         twice = aggregate_features(once)
-        assert [(r.num_flows, r.src_ports_delta) for r in once] == [
-            (r.num_flows, r.src_ports_delta) for r in twice
-        ]
-
+        assert once.num_flows.tolist() == twice.num_flows.tolist()
+        assert once.src_ports_delta.tolist() == twice.src_ports_delta.tolist()
 
 def test_scenario_port_step_appears_as_delta():
     # a sequential-port scanner with step 3 shows delta exactly 3.0
@@ -203,7 +200,7 @@ def test_scenario_port_step_appears_as_delta():
     flows = assemble_flows(traffic.packets)
     labels = match_labels(flows, traffic.manifest)
     assert labels == ["probe"] * 40
-    bundles = bundle_flows(flows)
+    bundles = bundle_flows(flow_table(flows, labels))
     assert len(bundles) == 1
     assert bundles[0].num_flows == 40
     assert bundles[0].src_ports_delta == 3.0

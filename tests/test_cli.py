@@ -33,13 +33,13 @@ def mimicking_csvs(tmp_path_factory):
                 "--out", str(flows_csv)]) == 0
     agg_csv = base / "agg.csv"
     assert run(["aggregate", "--in", str(flows_csv), "--out", str(agg_csv)]) == 0
-    rows = read_features_csv(agg_csv)
+    table = read_features_csv(agg_csv)
     benign_csv = base / "benign.csv"
     attack_csv = base / "slowloris.csv"
     from flowbundle.features import write_features_csv
 
-    write_features_csv([r for r in rows if r.label == "benign"], benign_csv)
-    write_features_csv([r for r in rows if r.label == "slowloris"], attack_csv)
+    write_features_csv(table.take(table.label == "benign"), benign_csv)
+    write_features_csv(table.take(table.label == "slowloris"), attack_csv)
     return base, agg_csv, benign_csv, attack_csv
 
 
@@ -55,9 +55,9 @@ def test_extract_matches_flow_assembly(fig2_capture, tmp_path):
     out = tmp_path / "flows.csv"
     assert run(["extract", "--pcap", str(pcap), "--labels", str(labels),
                 "--out", str(out)]) == 0
-    rows = read_features_csv(out)
-    assert len(rows) == 8
-    assert all(r.num_flows is None for r in rows)
+    table = read_features_csv(out)
+    assert len(table) == 8
+    assert not table.aggregated
 
 
 def test_aggregate_fills_slots(fig2_capture, tmp_path):
@@ -68,8 +68,8 @@ def test_aggregate_fills_slots(fig2_capture, tmp_path):
          "--out", str(flows_csv)])
     assert run(["aggregate", "--in", str(flows_csv), "--out",
                 str(agg_csv)]) == 0
-    rows = read_features_csv(agg_csv)
-    assert sorted({r.num_flows for r in rows}, reverse=True) == [4, 2, 1]
+    table = read_features_csv(agg_csv)
+    assert sorted(set(table.num_flows.tolist()), reverse=True) == [4, 2, 1]
 
 
 def test_aggregate_window_flag(fig2_capture, tmp_path):
@@ -358,6 +358,8 @@ def test_malformed_labels_csv_rejected(fig2_capture, tmp_path, capsys, row, prob
         ("fwd_byte_count", "abc", "'abc' is not a number"),
         ("responder_port", "http", "'http' is not a number"),
         ("num_flows", "2.5", "'2.5' is not a number"),
+        ("responder_port", "1" + "0" * 30, f"'1{'0' * 30}' does not fit in 64 bits"),
+        ("num_flows", str(2**63), f"'{2**63}' does not fit in 64 bits"),
     ],
 )
 def test_bad_flow_csv_value_rejected(mimicking_csvs, tmp_path, capsys, column, raw,
@@ -375,6 +377,88 @@ def test_bad_flow_csv_value_rejected(mimicking_csvs, tmp_path, capsys, column, r
         csv.writer(handle).writerows(records)
     assert run(["aggregate", "--in", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: {bad}:4: column {column}: {problem}\n"
+
+
+_MIXED = "the bundle columns must be all empty or all filled"
+
+
+@pytest.mark.parametrize(
+    "source, num_flows, delta, problem",
+    [
+        ("agg", "", "", f"column num_flows: empty here but filled on line 2; {_MIXED}"),
+        ("agg", "", None, "column num_flows: empty while src_ports_delta is filled"),
+        ("agg", None, "", "column src_ports_delta: empty while num_flows is filled"),
+        ("flows", "4", "1.5",
+         f"column num_flows: filled here but empty on line 2; {_MIXED}"),
+        ("flows", "4", None, "column src_ports_delta: empty while num_flows is filled"),
+        ("flows", None, "1.5", "column num_flows: empty while src_ports_delta is filled"),
+    ],
+)
+@pytest.mark.parametrize("command", ["aggregate", "rfe"])
+def test_mixed_bundle_columns_rejected(mimicking_csvs, tmp_path, capsys, source,
+                                       num_flows, delta, problem, command):
+    # a file aggregated on some rows only would make rfe, train and
+    # zeroday fit drop both bundle features without a word
+    import csv
+
+    from flowbundle.features import CSV_COLUMNS
+
+    base, agg_csv, _, _ = mimicking_csvs
+    with open(agg_csv if source == "agg" else base / "flows.csv", newline="") as handle:
+        records = list(csv.reader(handle))
+    for column, raw in (("num_flows", num_flows), ("src_ports_delta", delta)):
+        if raw is not None:
+            records[3][CSV_COLUMNS.index(column)] = raw
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", newline="") as handle:
+        csv.writer(handle).writerows(records)
+    argv = [command, "--in", str(bad)]
+    if command == "aggregate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}:4: {problem}\n"
+
+
+def test_extract_and_aggregate_report_counts(fig2_capture, tmp_path, capsys):
+    # perfbench's ingest check parses the extract line
+    pcap, labels = fig2_capture
+    flows_csv, agg_csv = tmp_path / "flows.csv", tmp_path / "agg.csv"
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(labels),
+                "--out", str(flows_csv)]) == 0
+    assert capsys.readouterr().out == f"64 packets (0 skipped) -> 8 flows -> {flows_csv}\n"
+    for window, bundles, shown in (("none", 4, "whole capture"), ("1", 5, "1.0")):
+        assert run(["aggregate", "--in", str(flows_csv), "--out", str(agg_csv),
+                    "--window", window]) == 0
+        assert capsys.readouterr().out == (
+            f"8 flows -> {bundles} bundles (window={shown}) -> {agg_csv}\n"
+        )
+
+
+# sha256 of the flow CSVs of `synth --scenario full --scale small --seed 3`
+# as the row-object writer produced them: the column writer keeps every byte
+_GOLDEN_SHA256 = {
+    "flows.csv": "22070710254e02a44c531fce357ae686fbd3ed4d7067f693c6666a86bca2d6b2",
+    "none.csv": "158701de9db9de7b8753ed77913a493df23ff00c5aef400932d660d3fcc7bf20",
+    "60.csv": "58438000ba1f7e1bdf4fd2b551ba2937ca039b51eef931ee7463d238a6ed4a8b",
+}
+
+
+def test_flow_csv_golden_bytes(tmp_path):
+    import hashlib
+
+    pcap, labels = tmp_path / "full.pcap", tmp_path / "labels.csv"
+    assert run(["synth", "--scenario", "full", "--scale", "small", "--seed", "3",
+                "--out", str(pcap), "--labels", str(labels)]) == 0
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(labels),
+                "--out", str(tmp_path / "flows.csv")]) == 0
+    for window in ("none", "60"):
+        assert run(["aggregate", "--in", str(tmp_path / "flows.csv"),
+                    "--out", str(tmp_path / f"{window}.csv"), "--window", window]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _GOLDEN_SHA256
+    }
+    assert digests == _GOLDEN_SHA256
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from flowbundle.config import PipelineConfig
 from flowbundle.evaluation import (
     ConfusionCounts,
-    ModelSpec,
     f1,
     kfold_evaluate,
     ordered_classes,
@@ -16,7 +17,7 @@ from flowbundle.evaluation import (
     run_experiment,
     stratified_folds,
 )
-from flowbundle.features import SchemaError, extract_features
+from flowbundle.features import SchemaError, flow_table
 from flowbundle.mlp import TrainingConfig
 
 from test_features import random_flow
@@ -106,11 +107,11 @@ class TestKfoldEvaluate:
         X = np.vstack([rng.normal(-3, 0.3, size=(60, 2)),
                        rng.normal(3, 0.3, size=(60, 2))])
         y = np.array([0] * 60 + [1] * 60)
-        spec = ModelSpec(
-            hidden_size=3,
+        report = kfold_evaluate(
+            X, y, ["benign", "attack"], 5,
             training=TrainingConfig(learning_rate=0.2, epochs=150, seed=0),
+            hidden_size=3, seed=0,
         )
-        report = kfold_evaluate(X, y, ["benign", "attack"], 5, spec, seed=0)
         for metrics in report.classes.values():
             assert metrics.recall_mean == 1.0
             assert metrics.recall_std == 0.0
@@ -119,22 +120,27 @@ class TestKfoldEvaluate:
     def test_deterministic(self, rng):
         X = rng.normal(size=(80, 3))
         y = np.array([0, 1] * 40)
-        spec = ModelSpec(training=TrainingConfig(epochs=20, seed=0))
-        r1 = kfold_evaluate(X, y, ["a", "b"], 4, spec, seed=3)
-        r2 = kfold_evaluate(X, y, ["a", "b"], 4, spec, seed=3)
+        training = TrainingConfig(learning_rate=0.05, epochs=20, seed=0)
+        r1 = kfold_evaluate(X, y, ["a", "b"], 4, training, hidden_size=3, seed=3)
+        r2 = kfold_evaluate(X, y, ["a", "b"], 4, training, hidden_size=3, seed=3)
         assert r1 == r2
 
 
-def rows_for(label, n, rng, tweak=None):
-    out = []
+def rows_for(label, n, rng, redraw_num_flows=None):
+    """n random flows with random bundle columns; redraw_num_flows, when
+    given, draws each row's num_flows a second time."""
+    flows, num_flows, deltas = [], [], []
     for _ in range(n):
-        row = extract_features(random_flow(rng), label=label)
-        row.num_flows = int(rng.integers(1, 30))
-        row.src_ports_delta = float(rng.uniform(0, 3000))
-        if tweak:
-            tweak(row)
-        out.append(row)
-    return out
+        flows.append(random_flow(rng))
+        num_flows.append(int(rng.integers(1, 30)))
+        deltas.append(float(rng.uniform(0, 3000)))
+        if redraw_num_flows:
+            num_flows[-1] = redraw_num_flows()
+    return dataclasses.replace(
+        flow_table(flows, [label] * n),
+        num_flows=np.array(num_flows, dtype=np.int64),
+        src_ports_delta=np.array(deltas, dtype=float),
+    )
 
 
 class TestRunExperiment:
@@ -150,7 +156,7 @@ class TestRunExperiment:
             "benign": rows_for("benign", 30, rng),
             "slowloris": rows_for(
                 "slowloris", 30, rng,
-                tweak=lambda r: setattr(r, "num_flows", int(rng.integers(50, 80))),
+                redraw_num_flows=lambda: int(rng.integers(50, 80)),
             ),
         }
         report, selection = run_experiment(
@@ -232,16 +238,16 @@ class TestRunExperiment:
 
     def test_with_aggregation_requires_populated_slots(self, rng):
         classes = {
-            "benign": [extract_features(random_flow(rng), "benign")
-                       for _ in range(12)],
-            "x": [extract_features(random_flow(rng), "x") for _ in range(12)],
+            "benign": flow_table([random_flow(rng) for _ in range(12)],
+                                 ["benign"] * 12),
+            "x": flow_table([random_flow(rng) for _ in range(12)], ["x"] * 12),
         }
         with pytest.raises(SchemaError, match="aggregation"):
             run_experiment("binary", classes, with_aggregation=True,
                            **self._fast_kwargs())
 
     def test_empty_class_rejected(self, rng):
-        classes = {"benign": rows_for("benign", 10, rng), "x": []}
+        classes = {"benign": rows_for("benign", 10, rng), "x": rows_for("x", 0, rng)}
         with pytest.raises(ValueError, match="no feature rows"):
             run_experiment("binary", classes, with_aggregation=False,
                            **self._fast_kwargs())
@@ -256,8 +262,8 @@ def test_ordered_classes():
 def test_report_to_dict_round_trip_shape(rng):
     X = rng.normal(size=(40, 2))
     y = np.array([0, 1] * 20)
-    spec = ModelSpec(training=TrainingConfig(epochs=10, seed=0))
-    report = kfold_evaluate(X, y, ["a", "b"], 4, spec, seed=0,
+    training = TrainingConfig(learning_rate=0.05, epochs=10, seed=0)
+    report = kfold_evaluate(X, y, ["a", "b"], 4, training, hidden_size=3, seed=0,
                             selected_features=["x", "y"])
     doc = report.to_dict()
     assert doc["folds"] == 4

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from flowbundle.features import (
@@ -11,6 +12,7 @@ from flowbundle.features import (
     SchemaError,
     extract_features,
     feature_matrix,
+    flow_table,
     label_classes,
     read_features_csv,
     write_features_csv,
@@ -20,27 +22,32 @@ from flowbundle.flows import BiFlow, FlowKey
 from conftest import tcp_packet, udp_packet
 
 
-def validate_vector(row):
-    """Ordering and non-negativity invariants of one extracted row."""
+def stats_of(flow):
+    """The flow's 34 statistics by name."""
+    return dict(zip(FLOW_FEATURE_NAMES, extract_features(flow)))
+
+
+def validate_vector(values):
+    """Ordering and non-negativity invariants of one flow's statistics."""
     for direction in ("fwd", "bwd"):
-        count = row.values[f"{direction}_pkt_count"]
+        count = values[f"{direction}_pkt_count"]
         if count >= 1:
-            lo = row.values[f"{direction}_pkt_len_min"]
-            mid = row.values[f"{direction}_pkt_len_mean"]
-            hi = row.values[f"{direction}_pkt_len_max"]
+            lo = values[f"{direction}_pkt_len_min"]
+            mid = values[f"{direction}_pkt_len_mean"]
+            hi = values[f"{direction}_pkt_len_max"]
             if not (lo <= mid + 1e-9 and mid <= hi + 1e-9):
                 raise AssertionError(f"{direction} packet length ordering broken")
         if count >= 2:
-            lo = row.values[f"{direction}_iat_min"]
-            mid = row.values[f"{direction}_iat_mean"]
-            hi = row.values[f"{direction}_iat_max"]
+            lo = values[f"{direction}_iat_min"]
+            mid = values[f"{direction}_iat_mean"]
+            hi = values[f"{direction}_iat_max"]
             if not (lo <= mid + 1e-9 and mid <= hi + 1e-9):
                 raise AssertionError(f"{direction} IAT ordering broken")
-        if row.values[f"{direction}_pkt_len_std"] < 0:
+        if values[f"{direction}_pkt_len_std"] < 0:
             raise AssertionError("negative std")
-        if count > 0 and row.values[f"{direction}_byte_count"] < 20 * count:
+        if count > 0 and values[f"{direction}_byte_count"] < 20 * count:
             raise AssertionError("byte count below IPv4 header minimum")
-    for value in row.values.values():
+    for value in values.values():
         if math.isnan(value) or math.isinf(value):
             raise AssertionError("non-finite feature value")
 
@@ -118,64 +125,64 @@ def random_flow(rng, max_packets=50):
 
 def test_packet_length_stats_hand_computed():
     fwd = [tcp_packet(float(i), length=l) for i, l in enumerate([100, 200, 300])]
-    vec = extract_features(make_flow(fwd))
-    assert vec.values["fwd_pkt_len_mean"] == 200.0
-    assert round(vec.values["fwd_pkt_len_std"], 4) == 81.6497
-    assert vec.values["fwd_byte_count"] == 600.0
-    assert vec.values["fwd_pkt_len_min"] == 100.0
-    assert vec.values["fwd_pkt_len_max"] == 300.0
+    vec = stats_of(make_flow(fwd))
+    assert vec["fwd_pkt_len_mean"] == 200.0
+    assert round(vec["fwd_pkt_len_std"], 4) == 81.6497
+    assert vec["fwd_byte_count"] == 600.0
+    assert vec["fwd_pkt_len_min"] == 100.0
+    assert vec["fwd_pkt_len_max"] == 300.0
 
 
 def test_iat_and_time_from_first_hand_computed():
     fwd = [tcp_packet(t) for t in (0.0, 2.0, 6.0)]
-    vec = extract_features(make_flow(fwd))
-    assert vec.values["fwd_iat_mean"] == 3.0       # mean(2, 4)
-    assert vec.values["fwd_iat_min"] == 2.0
-    assert vec.values["fwd_iat_max"] == 4.0
-    assert vec.values["fwd_time_from_first_mean"] == 4.0  # mean(2, 6)
+    vec = stats_of(make_flow(fwd))
+    assert vec["fwd_iat_mean"] == 3.0       # mean(2, 4)
+    assert vec["fwd_iat_min"] == 2.0
+    assert vec["fwd_iat_max"] == 4.0
+    assert vec["fwd_time_from_first_mean"] == 4.0  # mean(2, 6)
 
 
 def test_degenerate_directions_are_zero():
-    vec = extract_features(make_flow([tcp_packet(1.0, flags=("SYN",))]))
+    vec = stats_of(make_flow([tcp_packet(1.0, flags=("SYN",))]))
     for name in FLOW_FEATURE_NAMES:
         if name.startswith("bwd_"):
-            assert vec.values[name] == 0.0
+            assert vec[name] == 0.0
     for stat in ("iat_mean", "iat_std", "iat_min", "iat_max",
                  "time_from_first_mean"):
-        assert vec.values[f"fwd_{stat}"] == 0.0
-    assert vec.values["fwd_pkt_count"] == 1.0
-    assert vec.values["fwd_flag_syn_count"] == 1.0
+        assert vec[f"fwd_{stat}"] == 0.0
+    assert vec["fwd_pkt_count"] == 1.0
+    assert vec["fwd_flag_syn_count"] == 1.0
 
 
 def test_flag_counts_per_direction():
     fwd = [tcp_packet(0.0, flags=("SYN",)), tcp_packet(1.0, flags=("PSH", "ACK"))]
     bwd = [tcp_packet(0.5, src="10.0.0.2", dst="10.0.0.1", sport=80, dport=40000,
                       flags=("SYN", "ACK"))]
-    vec = extract_features(make_flow(fwd, bwd))
-    assert vec.values["fwd_flag_syn_count"] == 1.0
-    assert vec.values["fwd_flag_ack_count"] == 1.0
-    assert vec.values["fwd_flag_psh_count"] == 1.0
-    assert vec.values["bwd_flag_syn_count"] == 1.0
-    assert vec.values["bwd_flag_ack_count"] == 1.0
-    assert vec.values["bwd_flag_fin_count"] == 0.0
+    vec = stats_of(make_flow(fwd, bwd))
+    assert vec["fwd_flag_syn_count"] == 1.0
+    assert vec["fwd_flag_ack_count"] == 1.0
+    assert vec["fwd_flag_psh_count"] == 1.0
+    assert vec["bwd_flag_syn_count"] == 1.0
+    assert vec["bwd_flag_ack_count"] == 1.0
+    assert vec["bwd_flag_fin_count"] == 0.0
 
 
 def test_udp_flow_has_zero_flag_counts():
-    vec = extract_features(make_flow([udp_packet(0.0), udp_packet(1.0)]))
+    vec = stats_of(make_flow([udp_packet(0.0), udp_packet(1.0)]))
     for flag in ("syn", "ack", "fin", "rst", "psh", "urg"):
-        assert vec.values[f"fwd_flag_{flag}_count"] == 0.0
+        assert vec[f"fwd_flag_{flag}_count"] == 0.0
 
 
 def test_brute_force_oracle_on_random_flows(rng):
     for _ in range(200):
         flow = random_flow(rng)
-        vec = extract_features(flow)
+        vec = stats_of(flow)
         validate_vector(vec)
         for direction, packets in (("fwd", flow.fwd_packets),
                                    ("bwd", flow.bwd_packets)):
             expected = brute_force_stats(packets)
             for stat, exp in expected.items():
-                got = vec.values[f"{direction}_{stat}"]
+                got = vec[f"{direction}_{stat}"]
                 assert got == pytest.approx(exp, rel=1e-9, abs=1e-12), (
                     f"{direction}_{stat}"
                 )
@@ -183,7 +190,7 @@ def test_brute_force_oracle_on_random_flows(rng):
 
 def test_timestamp_scaling_by_power_of_two_is_exact(rng):
     flow = random_flow(rng, max_packets=20)
-    vec = extract_features(flow)
+    vec = stats_of(flow)
     for c in (0.5, 2.0, 8.0):
         scaled = make_flow(
             [dataclasses.replace(p, timestamp=p.timestamp * c)
@@ -191,12 +198,12 @@ def test_timestamp_scaling_by_power_of_two_is_exact(rng):
             [dataclasses.replace(p, timestamp=p.timestamp * c)
              for p in flow.bwd_packets],
         )
-        svec = extract_features(scaled)
+        svec = stats_of(scaled)
         for name in FLOW_FEATURE_NAMES:
             if "iat" in name or "time_from_first" in name:
-                assert svec.values[name] == vec.values[name] * c
+                assert svec[name] == vec[name] * c
             else:
-                assert svec.values[name] == vec.values[name]
+                assert svec[name] == vec[name]
 
 
 def test_payload_permutation_among_timestamps_changes_nothing(rng):
@@ -207,49 +214,56 @@ def test_payload_permutation_among_timestamps_changes_nothing(rng):
                        dport=1234, length=100 + 10 * t, flags=("ACK",))
             for t in range(5)
         ]
-    base = extract_features(flow)
+    base = stats_of(flow)
     times = [p.timestamp for p in flow.bwd_packets]
     perm = rng.permutation(len(times))
     shuffled = [
         dataclasses.replace(flow.bwd_packets[perm[i]], timestamp=times[i])
         for i in range(len(times))
     ]
-    vec = extract_features(make_flow(flow.fwd_packets, shuffled))
-    assert vec.values == base.values
+    vec = stats_of(make_flow(flow.fwd_packets, shuffled))
+    assert vec == base
 
 
 def test_csv_round_trip(tmp_path, rng):
-    rows = [extract_features(random_flow(rng), label=f"cls{i % 2}")
-            for i in range(10)]
-    rows[0].num_flows = 4
-    rows[0].src_ports_delta = 1500.0
-    path = tmp_path / "flows.csv"
-    write_features_csv(rows, path)
-    header = path.read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS)
-    back = read_features_csv(path)
-    assert len(back) == len(rows)
-    assert back[0].num_flows == 4
-    assert back[0].src_ports_delta == 1500.0
-    assert back[1].num_flows is None
-    for orig, rt in zip(rows, back):
-        assert rt.label == orig.label
-        assert rt.initiator_ip == orig.initiator_ip
-        assert rt.start_time == pytest.approx(orig.start_time, abs=1e-6)
-        for name in FLOW_FEATURE_NAMES:
-            assert rt.values[name] == pytest.approx(orig.values[name], abs=1e-6)
+    flows = [random_flow(rng) for _ in range(10)]
+    table = flow_table(flows, [f"cls{i % 2}" for i in range(10)])
+    aggregated = dataclasses.replace(
+        table,
+        num_flows=np.arange(4, 14),
+        src_ports_delta=np.array([1500.0] + [0.5 * i for i in range(1, 10)]),
+    )
+    for name, rows in (("flows.csv", table), ("aggregated.csv", aggregated)):
+        path = tmp_path / name
+        write_features_csv(rows, path)
+        header = path.read_text().splitlines()[0]
+        assert header == ",".join(CSV_COLUMNS)
+        back = read_features_csv(path)
+        assert len(back) == len(rows)
+        assert back.label.tolist() == rows.label.tolist()
+        assert back.initiator_ip.tolist() == rows.initiator_ip.tolist()
+        assert back.start_time == pytest.approx(rows.start_time, abs=1e-6)
+        assert back.stats == pytest.approx(rows.stats, abs=1e-6)
+    assert not read_features_csv(tmp_path / "flows.csv").aggregated
+    back = read_features_csv(tmp_path / "aggregated.csv")
+    assert back.num_flows.tolist() == list(range(4, 14))
+    assert back.src_ports_delta[0] == 1500.0
+    assert back.src_ports_delta.tolist() == aggregated.src_ports_delta.tolist()
 
 
 def test_csv_huge_finite_values_accepted(tmp_path, rng):
     # their sum overflows to inf, but every value is finite
-    row = extract_features(random_flow(rng))
-    row.values["fwd_iat_max"] = row.values["bwd_iat_max"] = 1e308
-    row.src_ports_delta = 1e308
+    table = flow_table([random_flow(rng)], ["benign"])
+    iat_max = [FLOW_FEATURE_NAMES.index(n) for n in ("fwd_iat_max", "bwd_iat_max")]
+    table.stats[0, iat_max] = 1e308
+    table = dataclasses.replace(
+        table, num_flows=np.array([1]), src_ports_delta=np.array([1e308])
+    )
     path = tmp_path / "flows.csv"
-    write_features_csv([row], path)
-    back = read_features_csv(path)[0]
-    assert back.values["fwd_iat_max"] == back.values["bwd_iat_max"] == 1e308
-    assert back.src_ports_delta == 1e308
+    write_features_csv(table, path)
+    back = read_features_csv(path)
+    assert back.stats[0, iat_max].tolist() == [1e308, 1e308]
+    assert back.src_ports_delta[0] == 1e308
 
 
 def test_csv_header_mismatch_raises(tmp_path):
@@ -260,10 +274,10 @@ def test_csv_header_mismatch_raises(tmp_path):
 
 
 def test_feature_matrix_requires_aggregation_when_asked(rng):
-    row = extract_features(random_flow(rng))
+    table = flow_table([random_flow(rng)], ["benign"])
     with pytest.raises(SchemaError, match="aggregation"):
-        feature_matrix([row], ALL_FEATURE_NAMES)
-    matrix = feature_matrix([row], FLOW_FEATURE_NAMES)
+        feature_matrix(table, ALL_FEATURE_NAMES)
+    matrix = feature_matrix(table, FLOW_FEATURE_NAMES)
     assert matrix.shape == (1, 34)
 
 
@@ -277,8 +291,7 @@ def test_feature_name_inventory():
 
 
 def test_label_classes_benign_first(rng):
-    rows = [extract_features(random_flow(rng), label=l)
-            for l in ("zeta", "benign", "alpha")]
-    y, names = label_classes(rows)
+    labels = ("zeta", "benign", "alpha")
+    y, names = label_classes(flow_table([random_flow(rng) for _ in labels], labels))
     assert names == ["benign", "alpha", "zeta"]
     assert y.tolist() == [2, 0, 1]

@@ -1,0 +1,101 @@
+"""Property-based fuzzing of the loaders through ``cli.main``.
+
+Flow CSV: a valid small file (the fig. 2 capture, unaggregated or
+aggregated) gets one mutation and goes through ``aggregate``, which only
+reads, bundles and writes.  The run must exit 0 or 1 with no traceback;
+an exit 1 prints one ``error:`` line naming the file and the mutated
+line; an exit 0 writes a file that reads back.
+"""
+
+import csv
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flowbundle.cli import main
+from flowbundle.features import CSV_COLUMNS, read_features_csv
+
+_BUNDLE_CELLS = [CSV_COLUMNS.index("num_flows"), CSV_COLUMNS.index("src_ports_delta")]
+
+
+@pytest.fixture(scope="module")
+def flow_csvs(tmp_path_factory):
+    """The fig. 2 capture's flow CSV, unaggregated and aggregated, as text."""
+    base = tmp_path_factory.mktemp("fuzz")
+    pcap, labels = base / "fig2.pcap", base / "labels.csv"
+    flows_csv, agg_csv = base / "flows.csv", base / "agg.csv"
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--scenario", "fig2", "--out", str(pcap),
+                     "--labels", str(labels)]) == 0
+        assert main(["extract", "--pcap", str(pcap), "--labels", str(labels),
+                     "--out", str(flows_csv)]) == 0
+        assert main(["aggregate", "--in", str(flows_csv), "--out", str(agg_csv)]) == 0
+    texts = []
+    for path in (flows_csv, agg_csv):
+        with open(path, newline="") as handle:
+            texts.append(handle.read())
+    return base, texts
+
+
+def _csv_text(records):
+    out = io.StringIO()
+    csv.writer(out).writerows(records)
+    return out.getvalue()
+
+
+@st.composite
+def mutated_flow_csv(draw, texts):
+    """(text, line): a flow CSV with one defect-prone change on data line
+    `line` (numbered as the loader numbers them, header = 1)."""
+    text = draw(st.sampled_from(texts))
+    records = list(csv.reader(io.StringIO(text, newline="")))
+    row = draw(st.integers(1, len(records) - 1))
+    record = records[row]
+    field = draw(st.integers(0, len(record) - 1))
+    kind = draw(st.sampled_from(
+        ["drop", "extra", "text", "special", "empty", "bundle", "truncate"]
+    ))
+    if kind == "truncate":
+        lines = text.splitlines(keepends=True)
+        last = lines[-1]
+        cut = draw(st.integers(0, len(last) - 1))
+        return "".join(lines[:-1]) + last[:cut], len(lines)
+    if kind == "drop":
+        del record[field]
+    elif kind == "extra":
+        record.insert(field, draw(st.text(max_size=8)))
+    elif kind == "text":
+        record[field] = draw(st.text(max_size=12))
+    elif kind == "special":
+        record[field] = draw(st.sampled_from(
+            ["nan", "NaN", "inf", "-inf", "1e999", "-1e999", "1e308", "", "-0"]
+        ))
+    elif kind == "empty":
+        record[field] = ""
+    else:
+        record[draw(st.sampled_from(_BUNDLE_CELLS))] = ""
+    return _csv_text(records), row + 1
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_flow_csv_exits_cleanly(flow_csvs, data):
+    base, texts = flow_csvs
+    text, line = data.draw(mutated_flow_csv(texts))
+    path, out = base / "mutated.csv", base / "out.csv"
+    path.write_text(text, newline="")
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["aggregate", "--in", str(path), "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1), err
+    if code == 0:
+        assert err == ""
+        assert len(read_features_csv(out)) == len(read_features_csv(path))
+    else:
+        assert err.startswith(f"error: {path}:{line}: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err

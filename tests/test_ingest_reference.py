@@ -269,10 +269,10 @@ def _assert_same_read(path):
 
 def _assert_same_stats(packets):
     got, want = _direction_stats(packets), reference_direction_stats(packets)
-    assert list(got) == list(want)
-    for name in want:
-        assert got[name] == want[name], name
-        assert type(got[name]) is float, name
+    assert list(want) == list(_DIRECTION_STATS)
+    assert got == list(want.values())
+    for name, value in zip(_DIRECTION_STATS, got):
+        assert type(value) is float, name
 
 
 def _assert_same_flows(packets, **timeouts):
@@ -359,14 +359,14 @@ class TestReferenceOracle:
         for flow in flows:
             _assert_same_stats(flow.fwd_packets)
             _assert_same_stats(flow.bwd_packets)
-            got = extract_features(flow, "x").values
+            got = extract_features(flow)
             want = {}
             for direction, packets in (("fwd", flow.fwd_packets),
                                        ("bwd", flow.bwd_packets)):
                 for stat, value in reference_direction_stats(packets).items():
                     want[f"{direction}_{stat}"] = value
-            assert list(got) == features.FLOW_FEATURE_NAMES
-            assert got == want
+            assert list(want) == features.FLOW_FEATURE_NAMES
+            assert got == list(want.values())
 
     @pytest.mark.parametrize(
         "order, magic, ticks",

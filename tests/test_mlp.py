@@ -375,7 +375,7 @@ class TestTrain:
     def test_non_finite_input_or_target_rejected(self, rng, bad):
         X = rng.normal(size=(20, 3))
         y = np.array([0, 1] * 10)
-        cfg = TrainingConfig(epochs=3, seed=0)
+        cfg = TrainingConfig(learning_rate=0.05, epochs=3, seed=0)
         X_bad = X.copy()
         X_bad[4, 1] = bad
         with pytest.raises(ValueError, match="training matrix contains non-finite"):
@@ -384,7 +384,7 @@ class TestTrain:
             train(init_model([3, 2, 2], seed=0), X, np.where(y == 1, bad, 0.0), cfg)
         T = X.copy()
         T[7, 2] = bad
-        mse = TrainingConfig(epochs=3, loss="mse", seed=0)
+        mse = TrainingConfig(learning_rate=0.05, epochs=3, loss="mse", seed=0)
         model = init_model([3, 2, 3], output_activation="identity", seed=0)
         with pytest.raises(ValueError, match="targets contain non-finite"):
             train(model, X, T, mse)
@@ -394,7 +394,7 @@ class TestTrain:
         X = rng.normal(size=(6, 2))
         y = np.array([0, 0, 1, 1, 0, 1])  # class 2 absent
         with pytest.raises(ValueError, match="class index 2"):
-            train(model, X, y, TrainingConfig(epochs=1))
+            train(model, X, y, TrainingConfig(learning_rate=0.05, epochs=1))
 
     def test_original_model_untouched(self, rng):
         model = init_model([2, 2, 2], seed=1)
@@ -606,20 +606,20 @@ class TestSerialization:
 class TestConfigValidation:
     def test_negative_learning_rate(self):
         with pytest.raises(ValueError):
-            TrainingConfig(learning_rate=-0.1)
+            TrainingConfig(learning_rate=-0.1, epochs=500)
 
     @pytest.mark.parametrize("epochs", [0, -1])
     def test_epochs_below_one(self, epochs):
         with pytest.raises(ValueError, match="epochs"):
-            TrainingConfig(epochs=epochs)
+            TrainingConfig(learning_rate=0.05, epochs=epochs)
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):
-            TrainingConfig(batch_size=0)
+            TrainingConfig(learning_rate=0.05, epochs=500, batch_size=0)
 
     def test_bad_loss(self):
         with pytest.raises(ValueError):
-            TrainingConfig(loss="hinge")
+            TrainingConfig(learning_rate=0.05, epochs=500, loss="hinge")
 
     def test_bad_activations(self):
         with pytest.raises(ValueError):

@@ -147,4 +147,5 @@ def test_config_validation():
     with pytest.raises(ValueError):
         fast_cfg(seed=0, k=0)
     with pytest.raises(ValueError):
-        RfeConfig(k=1, inner_training=TrainingConfig(), hidden_size=3, step=0)
+        RfeConfig(k=1, inner_training=TrainingConfig(learning_rate=0.05, epochs=500),
+                  hidden_size=3, step=0)

@@ -70,11 +70,11 @@ def test_unmatched_flow_raises():
 def test_fig2_bundles():
     traffic = fig2_traffic()
     assembled = flows.assemble_flows(traffic.packets)
-    rows = [features.extract_features(f) for f in assembled]
-    bundles = aggregation.bundle_flows(rows)
+    table = features.flow_table(assembled, ["benign"] * len(assembled))
+    bundles = aggregation.bundle_flows(table)
     assert sorted((b.num_flows for b in bundles), reverse=True) == [4, 2, 1, 1]
-    stamped = aggregation.propagate(bundles, rows)
-    assert all(r.num_flows is not None for r in stamped)
+    stamped = aggregation.aggregate_features(table)
+    assert stamped.aggregated and len(stamped.num_flows) == len(table)
 
 
 def test_packets_are_sorted():
@@ -96,21 +96,17 @@ def test_mimicking_flow_stats_indistinguishable_but_bundles_disjoint():
     traffic = build_scenario("mimicking", seed=4, scale="small")
     assembled = flows.assemble_flows(traffic.packets)
     labels = match_labels(assembled, traffic.manifest)
-    rows = aggregation.aggregate_features(
-        [features.extract_features(f, l) for f, l in zip(assembled, labels)]
-    )
-    benign = [r for r in rows if r.label == "benign"]
-    attack = [r for r in rows if r.label != "benign"]
+    rows = aggregation.aggregate_features(features.flow_table(assembled, labels))
+    benign = rows.take(rows.label == "benign")
+    attack = rows.take(rows.label != "benign")
     # flow-level columns: interquartile ranges overlap
     for column in ("fwd_pkt_len_mean", "fwd_iat_mean", "bwd_pkt_len_mean"):
-        b_lo, b_hi = iqr([r.values[column] for r in benign])
-        a_lo, a_hi = iqr([r.values[column] for r in attack])
+        b_lo, b_hi = iqr(features.feature_matrix(benign, [column])[:, 0].tolist())
+        a_lo, a_hi = iqr(features.feature_matrix(attack, [column])[:, 0].tolist())
         assert max(b_lo, a_lo) <= min(b_hi, a_hi), column
     # bundle-level columns: ranges are disjoint
-    assert max(r.num_flows for r in benign) < min(r.num_flows for r in attack)
-    assert min(r.src_ports_delta for r in benign) > max(
-        r.src_ports_delta for r in attack
-    )
+    assert benign.num_flows.max() < attack.num_flows.min()
+    assert benign.src_ports_delta.min() > attack.src_ports_delta.max()
 
 
 def test_labels_csv_round_trip(tmp_path):

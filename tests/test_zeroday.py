@@ -116,12 +116,14 @@ class TestFitBenign:
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            fit_benign(np.zeros((0, 4)), TrainingConfig(loss="mse"))
+            fit_benign(np.zeros((0, 4)),
+                       TrainingConfig(learning_rate=0.05, epochs=500, loss="mse"))
 
     def test_wrong_loss_rejected(self, rng):
         with pytest.raises(ValueError, match="mse"):
             fit_benign(rng.uniform(size=(5, 3)),
-                       TrainingConfig(loss="cross_entropy"))
+                       TrainingConfig(learning_rate=0.05, epochs=500,
+                                      loss="cross_entropy"))
 
 
 @pytest.fixture(scope="module")
@@ -129,20 +131,19 @@ def scenario_rows():
     traffic = synth.build_scenario("mimicking", seed=5, scale="small")
     flow_list = flows.assemble_flows(traffic.packets)
     labels = synth.match_labels(flow_list, traffic.manifest)
-    rows = [features.extract_features(f, l) for f, l in zip(flow_list, labels)]
-    return aggregation.aggregate_features(rows)
+    return aggregation.aggregate_features(features.flow_table(flow_list, labels))
 
 
 class TestMimickingScenario:
     def test_benign_validation_error_below_attack_error(self, scenario_rows):
-        benign = [r for r in scenario_rows if r.label == "benign"]
-        attack = [r for r in scenario_rows if r.label != "benign"]
+        benign = scenario_rows.take(scenario_rows.label == "benign")
+        attack = scenario_rows.take(scenario_rows.label != "benign")
         names = list(features.ALL_FEATURE_NAMES)
         rng = np.random.default_rng(5)
         order = rng.permutation(len(benign))
         cut = int(0.7 * len(benign))
-        X_train = features.feature_matrix([benign[i] for i in order[:cut]], names)
-        X_val = features.feature_matrix([benign[i] for i in order[cut:]], names)
+        X_train = features.feature_matrix(benign.take(order[:cut]), names)
+        X_val = features.feature_matrix(benign.take(order[cut:]), names)
         X_att = features.feature_matrix(attack, names)
         cfg = TrainingConfig(learning_rate=0.05, epochs=500, loss="mse", seed=5)
         model, _ = fit_benign(X_train, cfg)
@@ -154,8 +155,8 @@ class TestMimickingScenario:
 
     def test_aggregation_columns_zeroed_lowers_detection(self, scenario_rows):
         # the bundle features carry the detection signal for mimics
-        benign = [r for r in scenario_rows if r.label == "benign"]
-        attack = [r for r in scenario_rows if r.label != "benign"]
+        benign = scenario_rows.take(scenario_rows.label == "benign")
+        attack = scenario_rows.take(scenario_rows.label != "benign")
         names = list(features.ALL_FEATURE_NAMES)
         X_benign = features.feature_matrix(benign, names)
         X_attack = features.feature_matrix(attack, names)
