@@ -90,11 +90,7 @@ def _cmd_synth(args) -> int:
 
 def _extract_table(pcap_path, labels_path, cfg: PipelineConfig):
     capture = read_pcap(pcap_path)
-    flow_list = flows.assemble_flows(
-        capture.packets,
-        idle_timeout=cfg.idle_timeout_s,
-        active_timeout=cfg.active_timeout_s,
-    )
+    flow_list = flows.assemble_flows(capture.packets, cfg.idle_timeout_s, cfg.active_timeout_s)
     if labels_path:
         labels = synth.match_labels(flow_list, synth.read_labels_csv(labels_path))
     else:
@@ -557,9 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process: parsing leaves the parser unchanged
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, PcapFormatError) as exc:

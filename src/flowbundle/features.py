@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .flows import BiFlow
-from .pcap import PacketRecord
+from .flows import FlowSegments
+from .pcap import PROTOCOL_NAMES, TCP_FLAG_BITS, PacketTable
 
 _add_reduce = np.add.reduce
+# per flag byte value, 1.0 for each flag it carries, in TCP_FLAG_BITS order
+_FLAG_TABLE = np.array(
+    [[float(byte & bit != 0) for bit in TCP_FLAG_BITS.values()] for byte in range(64)]
+)
 
 _DIRECTION_STATS = (
     "pkt_count",
@@ -114,19 +117,21 @@ class FlowTable:
         })
 
 
-def _direction_stats(packets: list[PacketRecord]) -> list[float]:
-    """The 17 statistics of one direction, in _DIRECTION_STATS order."""
-    n = len(packets)
+def _direction_stats(packets: PacketTable, rows: np.ndarray) -> list[float]:
+    """The 17 statistics of the packets in ``rows``, given in time order,
+    in _DIRECTION_STATS order."""
+    n = len(rows)
     if not n:
         return [0.0] * len(_DIRECTION_STATS)
+    times, lengths = packets.timestamp[rows], packets.ip_total_length[rows]
     # sums, means and population stds take the steps ndarray.sum/mean/std
-    # take (a pairwise add.reduce, then a division by the count), so every
-    # value is bit-identical to theirs
-    sizes = [p.ip_total_length for p in packets]
-    lengths = np.array(sizes, dtype=float)
+    # take on float64 (a pairwise add.reduce, then a division by the
+    # count), so every value is bit-identical to theirs; the integer
+    # length sum is exact, as every partial float sum would be
     total = float(_add_reduce(lengths))
     mean = total / n
     dev = lengths - mean
+    sizes = lengths.tolist()
     stats = [
         float(n),
         total,
@@ -137,42 +142,45 @@ def _direction_stats(packets: list[PacketRecord]) -> list[float]:
     ]
 
     if n >= 2:
-        times = np.array([p.timestamp for p in packets], dtype=float)
         iats = times[1:] - times[:-1]
         iat_mean = float(_add_reduce(iats)) / (n - 1)
         dev = iats - iat_mean
+        gaps = iats.tolist()
         # offsets of every successive packet from the direction's first
         offsets = times[1:] - times[0]
         stats += [
             iat_mean,
             math.sqrt(_add_reduce(dev * dev) / (n - 1)),
-            float(np.minimum.reduce(iats)),
-            float(np.maximum.reduce(iats)),
+            min(gaps),
+            max(gaps),
             float(_add_reduce(offsets)) / (n - 1),
         ]
     else:
         stats += [0.0] * 5
 
-    flags = Counter(chain.from_iterable(p.tcp_flags for p in packets))
-    stats += [float(flags[flag]) for flag in ("SYN", "ACK", "FIN", "RST", "PSH", "URG")]
+    flag_counts = np.bincount(packets.tcp_flags[rows], minlength=64) @ _FLAG_TABLE
+    stats += flag_counts.tolist()
     return stats
 
 
-def extract_features(flow: BiFlow) -> list[float]:
-    """The flow's 34 statistics, in FLOW_FEATURE_NAMES order."""
-    return _direction_stats(flow.fwd_packets) + _direction_stats(flow.bwd_packets)
+def extract_features(flows: FlowSegments, index: int) -> list[float]:
+    """Flow ``index``'s 34 statistics, in FLOW_FEATURE_NAMES order."""
+    fwd, bwd = flows.direction_rows(index)
+    return _direction_stats(flows.packets, fwd) + _direction_stats(flows.packets, bwd)
 
 
-def flow_table(flows: list[BiFlow], labels: list[str]) -> FlowTable:
+def flow_table(flows: FlowSegments, labels: list[str]) -> FlowTable:
     """One row per flow: its identity, its label and its 34 statistics."""
-    stats = np.array([extract_features(flow) for flow in flows], dtype=float)
+    stats = np.array([extract_features(flows, i) for i in range(len(flows))], dtype=float)
     return FlowTable(
-        initiator_ip=np.array([flow.initiator[0] for flow in flows], dtype=object),
-        initiator_port=np.array([flow.initiator[1] for flow in flows], dtype=np.int64),
-        responder_ip=np.array([flow.responder[0] for flow in flows], dtype=object),
-        responder_port=np.array([flow.responder[1] for flow in flows], dtype=np.int64),
-        protocol=np.array([flow.key.protocol.name for flow in flows], dtype=object),
-        start_time=np.array([flow.start_time for flow in flows], dtype=float),
+        initiator_ip=flows.initiator_ip,
+        initiator_port=flows.initiator_port,
+        responder_ip=flows.responder_ip,
+        responder_port=flows.responder_port,
+        protocol=np.array(
+            [PROTOCOL_NAMES[p] for p in flows.protocol.tolist()], dtype=object
+        ),
+        start_time=flows.start_time,
         label=np.array(labels, dtype=object),
         stats=stats.reshape(len(flows), len(FLOW_FEATURE_NAMES)),
     )

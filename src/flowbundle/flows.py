@@ -2,137 +2,113 @@
 
 from __future__ import annotations
 
-import socket
-from dataclasses import dataclass, field
-from operator import attrgetter
+from dataclasses import dataclass
 
-from .pcap import PacketRecord, Protocol
+import numpy as np
 
-DEFAULT_IDLE_TIMEOUT_S = 120.0
-DEFAULT_ACTIVE_TIMEOUT_S = 1800.0
+from .pcap import TCP_FLAG_BITS, PacketTable
 
-
-def _endpoint_sort_key(endpoint: tuple[str, int]) -> tuple[bytes, int]:
-    ip, port = endpoint
-    return socket.inet_aton(ip), port
+_FIN, _RST = TCP_FLAG_BITS["FIN"], TCP_FLAG_BITS["RST"]
 
 
-@dataclass(frozen=True)
-class FlowKey:
-    """Direction-agnostic flow identity; endpoint_a <= endpoint_b."""
+@dataclass(frozen=True, eq=False)
+class FlowSegments:
+    """Bidirectional flows as row segments of a packet table.
 
-    endpoint_a: tuple[str, int]
-    endpoint_b: tuple[str, int]
-    protocol: Protocol
-
-    @classmethod
-    def from_packet(cls, packet: PacketRecord) -> "FlowKey":
-        src = (packet.src_ip, packet.src_port)
-        dst = (packet.dst_ip, packet.dst_port)
-        a, b = sorted((src, dst), key=_endpoint_sort_key)
-        return cls(endpoint_a=a, endpoint_b=b, protocol=packet.protocol)
-
-
-@dataclass
-class BiFlow:
-    """All packets of one conversation, split by direction.
-
-    The initiator is the source of the first packet; fwd_packets travel
-    initiator -> responder, bwd_packets the other way.
+    Flow i's packets are ``packets`` rows ``rows[bounds[i]:bounds[i + 1]]``,
+    in time order; ``forward`` marks, per entry of ``rows``, the packets
+    that travel initiator -> responder.  The initiator is the source of the
+    flow's first packet.  The identity columns hold one value per flow.
     """
 
-    key: FlowKey
-    initiator: tuple[str, int]
-    responder: tuple[str, int]
-    fwd_packets: list[PacketRecord] = field(default_factory=list)
-    bwd_packets: list[PacketRecord] = field(default_factory=list)
-    start_time: float = 0.0
-    end_time: float = 0.0
+    packets: PacketTable
+    rows: np.ndarray
+    bounds: np.ndarray
+    forward: np.ndarray
+    initiator_ip: np.ndarray
+    initiator_port: np.ndarray
+    responder_ip: np.ndarray
+    responder_port: np.ndarray
+    protocol: np.ndarray
+    start_time: np.ndarray
 
-    @property
-    def initiator_ip(self) -> str:
-        return self.initiator[0]
+    def __len__(self) -> int:
+        return len(self.start_time)
 
-    @property
-    def initiator_port(self) -> int:
-        return self.initiator[1]
-
-
-class _OpenFlow:
-    __slots__ = ("flow", "last_ts", "fin_fwd", "fin_bwd", "closed")
-
-    def __init__(self, flow: BiFlow):
-        self.flow = flow
-        self.last_ts = flow.start_time
-        self.fin_fwd = False
-        self.fin_bwd = False
-        self.closed = False
-
-    def add(self, packet: PacketRecord, forward: bool) -> None:
-        flow = self.flow
-        (flow.fwd_packets if forward else flow.bwd_packets).append(packet)
-        timestamp = packet.timestamp
-        if timestamp > flow.end_time:
-            flow.end_time = timestamp
-        self.last_ts = timestamp
-
-        flags = packet.tcp_flags
-        if "RST" in flags or (self.fin_fwd and self.fin_bwd):
-            # a completed FIN exchange closes on this packet (typically the
-            # final ACK)
-            self.closed = True
-        if "FIN" in flags:
-            if forward:
-                self.fin_fwd = True
-            else:
-                self.fin_bwd = True
+    def direction_rows(self, index: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flow ``index``'s forward and backward packet rows, in time order."""
+        segment = slice(self.bounds[index], self.bounds[index + 1])
+        rows, forward = self.rows[segment], self.forward[segment]
+        return rows[forward], rows[~forward]
 
 
 def assemble_flows(
-    packets: list[PacketRecord],
-    idle_timeout: float = DEFAULT_IDLE_TIMEOUT_S,
-    active_timeout: float | None = DEFAULT_ACTIVE_TIMEOUT_S,
-) -> list[BiFlow]:
+    packets: PacketTable, idle_timeout: float, active_timeout: float | None
+) -> FlowSegments:
     """Partition packets into bidirectional flows, in flow creation order.
 
     A new flow for a key starts when the gap since that key's last packet
     exceeds idle_timeout, the flow outlives active_timeout, or the prior
-    flow ended via RST / a completed FIN exchange.  Input is stably
-    sorted by timestamp first, so file order breaks ties.
+    flow ended via RST / a completed FIN exchange (on the packet after the
+    second FIN, typically the final ACK).  Packets are taken in stable
+    timestamp order, so file order breaks ties.
     """
     if idle_timeout <= 0:
         raise ValueError("idle_timeout must be positive")
     if active_timeout is not None and active_timeout <= idle_timeout:
         raise ValueError("active_timeout must exceed idle_timeout (or be None)")
 
-    flows: list[BiFlow] = []
-    # keyed by both endpoints in string order, which identifies the same
-    # conversations as FlowKey; the FlowKey is built once per flow
-    active: dict[tuple, _OpenFlow] = {}
-
-    for packet in sorted(packets, key=attrgetter("timestamp")):
-        src = (packet.src_ip, packet.src_port)
-        dst = (packet.dst_ip, packet.dst_port)
-        key = (src, dst, packet.protocol) if src <= dst else (dst, src, packet.protocol)
-        open_flow = active.get(key)
+    order = np.argsort(packets.timestamp, kind="stable")
+    times = packets.timestamp.tolist()
+    src_ips, dst_ips = packets.src_ip.tolist(), packets.dst_ip.tolist()
+    src_ports, dst_ports = packets.src_port.tolist(), packets.dst_port.tolist()
+    protocols, flag_bytes = packets.protocol.tolist(), packets.tcp_flags.tolist()
+    firsts: list[int] = []  # per flow, its first packet's row
+    # per packet in time order: its flow and its direction
+    flow_of: list[int] = []
+    forward: list[bool] = []
+    # open flows keyed by both endpoints in string order, so both directions
+    # share a key: [flow, initiator, start time, last packet time, FIN bits
+    # seen (1 forward, 2 backward)]; a flow that closes leaves the dict
+    active: dict[tuple, list] = {}
+    for row in order.tolist():
+        t = times[row]
+        src = (src_ips[row], src_ports[row])
+        dst = (dst_ips[row], dst_ports[row])
+        proto = protocols[row]
+        key = (src, dst, proto) if src <= dst else (dst, src, proto)
+        state = active.get(key)
         if (
-            open_flow is None
-            or open_flow.closed
-            or packet.timestamp - open_flow.last_ts > idle_timeout
-            or (
-                active_timeout is not None
-                and packet.timestamp - open_flow.flow.start_time > active_timeout
-            )
+            state is None
+            or t - state[3] > idle_timeout
+            or (active_timeout is not None and t - state[2] > active_timeout)
         ):
-            flow = BiFlow(
-                key=FlowKey.from_packet(packet),
-                initiator=src,
-                responder=dst,
-                start_time=packet.timestamp,
-                end_time=packet.timestamp,
-            )
-            flows.append(flow)
-            open_flow = active[key] = _OpenFlow(flow)
-        open_flow.add(packet, src == open_flow.flow.initiator)
+            state = active[key] = [len(firsts), src, t, t, 0]
+            firsts.append(row)
+        fwd = src == state[1]
+        flow_of.append(state[0])
+        forward.append(fwd)
+        state[3] = t
+        flags = flag_bytes[row]
+        if flags & _RST or state[4] == 3:
+            del active[key]
+        elif flags & _FIN:
+            state[4] |= 1 if fwd else 2
 
-    return flows
+    flow_index = np.array(flow_of, dtype=np.int64)
+    by_flow = np.argsort(flow_index, kind="stable")
+    bounds = np.zeros(len(firsts) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flow_index, minlength=len(firsts)), out=bounds[1:])
+    firsts = np.array(firsts, dtype=np.int64)
+    return FlowSegments(
+        packets=packets,
+        rows=order[by_flow],
+        bounds=bounds,
+        forward=np.array(forward, dtype=bool)[by_flow],
+        initiator_ip=packets.src_ip[firsts],
+        initiator_port=packets.src_port[firsts],
+        responder_ip=packets.dst_ip[firsts],
+        responder_port=packets.dst_port[firsts],
+        protocol=packets.protocol[firsts],
+        start_time=packets.timestamp[firsts],
+    )

@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import ALL_FEATURE_NAMES
+
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
 OUTPUT_ACTIVATIONS = ("softmax", "sigmoid", "identity")
 LOSSES = ("mse", "cross_entropy")
@@ -415,6 +417,29 @@ def _finite_array(path: str | Path, key: str, value, size: int) -> np.ndarray:
     return array
 
 
+def checked_names(
+    path: str | Path, doc: dict, key: str, allowed=None, size: int | None = None
+) -> list[str] | None:
+    """``doc[key]`` as a list of distinct names, else a ValueError naming
+    the file and the key.  With ``size`` it holds that many names or is
+    null (None), without it at least one; ``allowed`` limits the names."""
+    value = doc.get(key)
+    if value is None and size is not None:
+        return None
+    count = "a non-empty list of" if size is None else f"a list of {size}"
+    if not (
+        isinstance(value, list)
+        and all(isinstance(name, str) for name in value)
+        and len(set(value)) == len(value)
+        and (len(value) == size if size is not None else value)
+    ):
+        raise ValueError(f"{path}: key {key!r} must be {count} distinct names")
+    for name in value:
+        if allowed is not None and name not in allowed:
+            raise ValueError(f"{path}: key {key!r}: {name!r} is not a feature name")
+    return list(value)
+
+
 def load_model(path: str | Path) -> ModelArtifact:
     doc = read_versioned_json(
         path,
@@ -475,7 +500,9 @@ def load_model(path: str | Path) -> ModelArtifact:
     )
     return ModelArtifact(
         model=model,
-        feature_names=doc.get("feature_names"),
-        class_names=doc.get("class_names"),
+        feature_names=checked_names(
+            path, doc, "feature_names", ALL_FEATURE_NAMES, sizes[0]
+        ),
+        class_names=checked_names(path, doc, "class_names", size=sizes[-1]),
         extra=doc.get("extra") or {},
     )

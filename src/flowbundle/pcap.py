@@ -8,23 +8,21 @@ counted rather than raised, so real captures parse cleanly.
 
 from __future__ import annotations
 
-import enum
 import socket
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
-TCP_FLAG_NAMES = ("SYN", "ACK", "FIN", "RST", "PSH", "URG")
-_FLAG_NAME_SET = frozenset(TCP_FLAG_NAMES)
+import numpy as np
 
-_TCP_FLAG_BITS = {
-    "FIN": 0x01,
-    "SYN": 0x02,
-    "RST": 0x04,
-    "PSH": 0x08,
-    "ACK": 0x10,
-    "URG": 0x20,
+# TCP flag bits, in the order the flow statistics count them; ECE and CWR
+# (0x40, 0x80) are not carried
+TCP_FLAG_BITS = {
+    "SYN": 0x02, "ACK": 0x10, "FIN": 0x01, "RST": 0x04, "PSH": 0x08, "URG": 0x20
 }
+TCP, UDP = 6, 17
+PROTOCOL_NAMES = {TCP: "TCP", UDP: "UDP"}
 
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
@@ -38,82 +36,74 @@ _MAGICS = {
 }
 
 
-class Protocol(enum.Enum):
-    """Transport protocols carried through the pipeline."""
-
-    TCP = 6
-    UDP = 17
-
-
 class PcapFormatError(ValueError):
     """Raised for unreadable pcap structure (bad magic, truncation, ...)."""
 
 
-@dataclass(frozen=True)
-class PacketRecord:
-    """One parsed packet: capture timestamp, 5-tuple, size and TCP flags."""
+# a PacketTable row, as iterating the table yields it, and each column's dtype
+Packet = namedtuple(
+    "Packet",
+    "timestamp src_ip dst_ip src_port dst_port protocol ip_total_length tcp_flags",
+)
+_DTYPES = (float, object, object, np.int64, np.int64, np.uint8, np.int64, np.uint8)
 
-    timestamp: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    protocol: Protocol
-    ip_total_length: int
-    tcp_flags: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"negative timestamp {self.timestamp}")
-        for port in (self.src_port, self.dst_port):
-            if not 0 <= port <= 65535:
-                raise ValueError(f"port {port} out of range")
-        if not _FLAG_NAME_SET.issuperset(self.tcp_flags):
-            unknown = set(self.tcp_flags) - _FLAG_NAME_SET
-            raise ValueError(f"unknown TCP flags {sorted(unknown)}")
-        # the flag set is empty exactly when the packet is UDP
-        if self.protocol is Protocol.UDP and self.tcp_flags:
-            raise ValueError("UDP packet cannot carry TCP flags")
-        if self.protocol is Protocol.TCP and not self.tcp_flags:
-            raise ValueError("TCP packet must carry at least one flag")
-        min_len = 20 + (20 if self.protocol is Protocol.TCP else 8)
-        if self.ip_total_length < min_len:
-            raise ValueError(
-                f"ip_total_length {self.ip_total_length} below {min_len} "
-                f"minimum for {self.protocol.name}"
-            )
+@dataclass(frozen=True, eq=False)
+class PacketTable:
+    """Packets as columns, one row per packet.
+
+    ``timestamp`` is float64 seconds, the addresses object arrays of
+    dotted strings, ports and ``ip_total_length`` int64, ``protocol`` 6
+    (TCP) or 17 (UDP) and ``tcp_flags`` the TCP flag byte without ECE and
+    CWR, 0 for UDP.
+    """
+
+    timestamp: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    protocol: np.ndarray
+    ip_total_length: np.ndarray
+    tcp_flags: np.ndarray
+
+    @classmethod
+    def from_lists(cls, *columns) -> PacketTable:
+        """The table of per-column sequences, in Packet field order."""
+        return cls(*(np.array(c, dtype=d) for c, d in zip(columns, _DTYPES)))
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __iter__(self):
+        columns = (column.tolist() for column in vars(self).values())
+        return map(Packet._make, zip(*columns))
+
+    def take(self, rows) -> PacketTable:
+        """The rows an index array, slice or boolean mask selects, in that order."""
+        return PacketTable(*(column[rows] for column in vars(self).values()))
 
 
 @dataclass
 class PcapRead:
     """Result of reading a capture: accepted packets plus skip accounting."""
 
-    packets: list[PacketRecord]
+    packets: PacketTable
     link_type: int
     skipped: int = 0
     skipped_by_reason: dict[str, int] = field(default_factory=dict)
 
 
-def _skip(result: PcapRead, reason: str) -> None:
-    result.skipped += 1
-    result.skipped_by_reason[reason] = result.skipped_by_reason.get(reason, 0) + 1
-
-
 # version/IHL, total length, flags+fragment offset, protocol, both addresses
 _IPV4_HEADER = struct.Struct("!BxHxxHxBxx8s")
 _PORTS = struct.Struct("!HH")
-# the flag set of every value of the TCP flags byte; ECE and CWR (0x40,
-# 0x80) have no name, so the table repeats every 64 values
-_FLAG_SETS = tuple(
-    frozenset(name for name, bit in _TCP_FLAG_BITS.items() if byte & bit)
-    for byte in range(64)
-) * 4
 
 
 def _parse_ipv4(
-    data: bytes, ip: int, end: int, timestamp: float, names: dict
-) -> PacketRecord | str:
-    """Parse the IPv4 packet in ``data[ip:end]``; a str is a skip reason.
+    data: bytes, ip: int, end: int, timestamp: float, names: dict, columns: tuple
+) -> str | None:
+    """Append the IPv4 packet in ``data[ip:end]`` to the column lists, or
+    return the reason it is skipped.
 
     ``names`` maps the 8 raw address bytes to their dotted strings for
     the duration of one read.
@@ -130,36 +120,41 @@ def _parse_ipv4(
         return "malformed"
     if frag & 0x3FFF:  # MF set or non-zero offset
         return "fragment"
-    if proto != 6 and proto != 17:
+    if proto != TCP and proto != UDP:
         return "non_tcp_udp"
+    transport = ip + ihl
+    if proto == TCP:
+        if end - transport < 20 or total_length < ihl + 20:
+            return "malformed"
+        flags = data[transport + 13] & 0x3F
+        if not flags:
+            # null-flag TCP segments have no representation downstream
+            return "malformed"
+    else:
+        if end - transport < 8 or total_length < ihl + 8:
+            return "malformed"
+        flags = 0
     ips = names.get(addresses)
     if ips is None:
         ips = names[addresses] = (
             socket.inet_ntoa(addresses[:4]),
             socket.inet_ntoa(addresses[4:]),
         )
-    transport = ip + ihl
-    if proto == 6:
-        if end - transport < 20 or total_length < ihl + 20:
-            return "malformed"
-        flags = _FLAG_SETS[data[transport + 13]]
-        if not flags:
-            # null-flag TCP segments have no representation downstream
-            return "malformed"
-        protocol = Protocol.TCP
-    else:
-        if end - transport < 8 or total_length < ihl + 8:
-            return "malformed"
-        flags = frozenset()
-        protocol = Protocol.UDP
     src_port, dst_port = _PORTS.unpack_from(data, transport)
-    return PacketRecord(
-        timestamp, ips[0], ips[1], src_port, dst_port, protocol, total_length, flags
-    )
+    times, srcs, dsts, sports, dports, protocols, lengths, flag_bytes = columns
+    times.append(timestamp)
+    srcs.append(ips[0])
+    dsts.append(ips[1])
+    sports.append(src_port)
+    dports.append(dst_port)
+    protocols.append(proto)
+    lengths.append(total_length)
+    flag_bytes.append(flags)
+    return None
 
 
 def read_pcap(path: str | Path) -> PcapRead:
-    """Parse a classic pcap file into PacketRecords, in file order.
+    """Parse a classic pcap file into a PacketTable, in file order.
 
     Non-IPv4 frames, fragments, VLAN-tagged frames and non-TCP/UDP
     packets are counted in ``skipped_by_reason``.  Structural problems
@@ -181,8 +176,8 @@ def read_pcap(path: str | Path) -> PcapRead:
     if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
         raise PcapFormatError(f"{path}: unsupported link type {link_type}")
 
-    result = PcapRead(packets=[], link_type=link_type)
-    append = result.packets.append
+    columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
+    skipped: dict[str, int] = {}
     ethernet = link_type == LINKTYPE_ETHERNET
     names: dict[bytes, tuple[str, str]] = {}
     size = len(data)
@@ -202,23 +197,27 @@ def read_pcap(path: str | Path) -> PcapRead:
                 f"(need {incl_len} bytes)"
             )
         timestamp = (ts_sec * ticks + ts_frac) / ticks
-        if ethernet:
-            if incl_len < 14:
-                _skip(result, "malformed")
-                continue
-            ethertype = data[frame_start + 12] << 8 | data[frame_start + 13]
-            if ethertype != 0x0800:
-                _skip(result, "vlan" if ethertype == 0x8100 else "non_ipv4")
-                continue
-            frame_start += 14
-        record = _parse_ipv4(data, frame_start, offset, timestamp, names)
-        if type(record) is str:
-            _skip(result, record)
+        if not ethernet:
+            reason = _parse_ipv4(data, frame_start, offset, timestamp, names, columns)
+        elif incl_len < 14:
+            reason = "malformed"
         else:
-            append(record)
-    return result
+            ethertype = data[frame_start + 12] << 8 | data[frame_start + 13]
+            if ethertype == 0x0800:
+                reason = _parse_ipv4(
+                    data, frame_start + 14, offset, timestamp, names, columns
+                )
+            else:
+                reason = "vlan" if ethertype == 0x8100 else "non_ipv4"
+        if reason is not None:
+            skipped[reason] = skipped.get(reason, 0) + 1
+    return PcapRead(
+        PacketTable.from_lists(*columns), link_type, sum(skipped.values()), skipped
+    )
 
 
+# packets packed per buffer and write, which bounds the writer's memory
+_CHUNK = 2048
 _RECORD_HEADER = struct.Struct("<IIII")
 # Ethernet and IPv4 headers and the ports; then the rest of the TCP header
 # from its data offset, or the UDP length.  Fields left out stay the zeros
@@ -226,7 +225,6 @@ _RECORD_HEADER = struct.Struct("<IIII")
 _HEADERS = struct.Struct("!6s6sHHHHHBBH4s4sHH")
 _TCP_REST = struct.Struct("!BBHH")
 _UDP_LENGTH = struct.Struct("!H")
-_FLAG_BYTES = {flags: byte for byte, flags in enumerate(_FLAG_SETS[:64])}
 # the constant words of each checksum: IPv4 version/IHL, DF and TTL; TCP
 # protocol in the pseudo-header, data offset and window
 _IP_SUM = 0x4500 + 0x4000 + 0x4000
@@ -252,54 +250,29 @@ def _address(cache: dict, ip: str) -> tuple[bytes, bytes, int]:
     return entry
 
 
-def write_pcap(packets: list[PacketRecord], path: str | Path) -> None:
-    """Write packets as a classic microsecond pcap with Ethernet framing.
-
-    Packets must already be in non-decreasing timestamp order; timestamps
-    are stored at microsecond resolution, so feeding quantized timestamps
-    round-trips exactly through read_pcap.  Each frame carries an IPv4
-    header (DF, TTL 64, id = packet index), a zero TCP sequence/ack or a
-    zero UDP checksum, and a zero payload; MACs derive from the addresses.
-    """
-    for prev, cur in zip(packets, packets[1:]):
-        if cur.timestamp < prev.timestamp:
-            raise ValueError("packets must be sorted by timestamp before writing")
-    if packets and round(packets[-1].timestamp * 1_000_000) >= 1_000_000 << 32:
-        raise ValueError(
-            f"{path}: timestamp {packets[-1].timestamp} is past the pcap's "
-            "32-bit seconds field"
-        )
-    out = bytearray(24 + sum(30 + rec.ip_total_length for rec in packets))
-    struct.pack_into(
-        "<IHHiIII", out, 0, 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET
-    )
+def _frames(packets: PacketTable, first: int, addresses: dict) -> bytearray:
+    """The pcap records of ``packets``, the first of which is packet ``first``."""
+    out = bytearray(30 * len(packets) + int(packets.ip_total_length.sum()))
     record_header = _RECORD_HEADER.pack_into
     headers = _HEADERS.pack_into
     tcp_rest = _TCP_REST.pack_into
     udp_length = _UDP_LENGTH.pack_into
-    addresses: dict[str, tuple[bytes, bytes, int]] = {}
-    offset = 24
-    for i, rec in enumerate(packets):
-        src, src_mac, src_sum = addresses.get(rec.src_ip) or _address(
-            addresses, rec.src_ip
-        )
-        dst, dst_mac, dst_sum = addresses.get(rec.dst_ip) or _address(
-            addresses, rec.dst_ip
-        )
-        length = rec.ip_total_length
+    offset = 0
+    columns = (column.tolist() for column in vars(packets).values())
+    for i, row in enumerate(zip(*columns), first):
+        timestamp, src_ip, dst_ip, sport, dport, proto, length, flags = row
+        src, src_mac, src_sum = addresses.get(src_ip) or _address(addresses, src_ip)
+        dst, dst_mac, dst_sum = addresses.get(dst_ip) or _address(addresses, dst_ip)
         ip_id = i & 0xFFFF
-        us = round(rec.timestamp * 1_000_000)
+        us = round(timestamp * 1_000_000)
         frame = length + 14
         record_header(out, offset, us // 1_000_000, us % 1_000_000, frame, frame)
-        proto = rec.protocol.value
-        sport, dport = rec.src_port, rec.dst_port
         ip_sum = _checksum(_IP_SUM + proto + length + ip_id + src_sum + dst_sum)
         headers(
             out, offset + 16, dst_mac, src_mac, 0x0800, 0x4500, length, ip_id,
             0x4000, 64, proto, ip_sum, src, dst, sport, dport,
         )
-        if proto == 6:
-            flags = _FLAG_BYTES[rec.tcp_flags]
+        if proto == TCP:
             tcp_sum = _checksum(
                 _TCP_SUM + length - 20 + src_sum + dst_sum + sport + dport + flags
             )
@@ -308,4 +281,31 @@ def write_pcap(packets: list[PacketRecord], path: str | Path) -> None:
             # zero UDP checksum means "not computed" and is legal for IPv4
             udp_length(out, offset + 54, length - 20)
         offset += 30 + length
-    Path(path).write_bytes(out)
+    return out
+
+
+def write_pcap(packets: PacketTable, path: str | Path) -> None:
+    """Write packets as a classic microsecond pcap with Ethernet framing.
+
+    Packets must already be in non-decreasing timestamp order; timestamps
+    are stored at microsecond resolution, so feeding quantized timestamps
+    round-trips exactly through read_pcap.  Each frame carries an IPv4
+    header (DF, TTL 64, id = packet index), a zero TCP sequence/ack or a
+    zero UDP checksum, and a zero payload; MACs derive from the addresses.
+    Frames are packed and written ``_CHUNK`` packets at a time.
+    """
+    times = packets.timestamp
+    if np.any(times[1:] < times[:-1]):
+        raise ValueError("packets must be sorted by timestamp before writing")
+    if len(times) and round(float(times[-1]) * 1_000_000) >= 1_000_000 << 32:
+        raise ValueError(
+            f"{path}: timestamp {float(times[-1])} is past the pcap's "
+            "32-bit seconds field"
+        )
+    header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)
+    addresses: dict[str, tuple[bytes, bytes, int]] = {}
+    with open(path, "wb") as handle:
+        handle.write(header)
+        for first in range(0, len(packets), _CHUNK):
+            chunk = packets.take(slice(first, first + _CHUNK))
+            handle.write(_frames(chunk, first, addresses))

@@ -2,7 +2,7 @@
 
 Each round retrains the classifier from a fresh seeded init on the
 surviving features, scores feature i as sum_j |w_ij| over the first
-layer, and drops the weakest until k remain.
+layer, and drops the weakest one until k remain.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mlp import TrainingConfig, init_model, read_versioned_json, train
+from .features import ALL_FEATURE_NAMES
+from .mlp import TrainingConfig, checked_names, init_model, read_versioned_json, train
 
 SELECTION_FORMAT_VERSION = 1
 
@@ -25,13 +26,10 @@ class RfeConfig:
     k: int
     inner_training: TrainingConfig
     hidden_size: int
-    step: int = 1
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
 
 
 @dataclass
@@ -88,7 +86,7 @@ def rfe_select(
         scores = _importances(
             X[:, remaining], y, n_classes, cfg, seed=base_seed + round_index
         )
-        order = sorted(
+        weakest = min(
             range(len(remaining)),
             key=lambda i: (
                 scores[i],
@@ -96,10 +94,7 @@ def rfe_select(
                 remaining[i],
             ),
         )
-        n_drop = min(cfg.step, len(remaining) - cfg.k)
-        for i in sorted(order[:n_drop], reverse=True):
-            eliminated.append(feature_names[remaining[i]])
-            del remaining[i]
+        eliminated.append(feature_names[remaining.pop(weakest)])
         round_index += 1
 
     final_scores = _importances(
@@ -129,4 +124,4 @@ def load_selection(path: str | Path) -> list[str]:
     doc = read_versioned_json(
         path, "selection", SELECTION_FORMAT_VERSION, ("selected",)
     )
-    return list(doc["selected"])
+    return checked_names(path, doc, "selected", ALL_FEATURE_NAMES)

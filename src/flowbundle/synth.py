@@ -12,13 +12,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .flows import BiFlow
-from .pcap import PacketRecord, Protocol, write_pcap  # noqa: F401  (re-export)
+from .flows import FlowSegments
+from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
+from .pcap import write_pcap  # noqa: F401  (re-export)
 
 EPHEMERAL_RANGE = (32768, 61000)
 _SEQUENTIAL_BASES = (20000, 40000)  # first port of a sequential source, drawn
@@ -136,7 +136,7 @@ class FlowLabel:
 
 @dataclass
 class GeneratedTraffic:
-    packets: list[PacketRecord]
+    packets: PacketTable
     manifest: list[FlowLabel]
 
 
@@ -154,59 +154,20 @@ def _draw_length(rng: np.random.Generator, cls: TrafficClassSpec) -> int:
     return min(max(round(rng.normal(cls.pkt_len_mean, cls.pkt_len_std)), 60), 1500)
 
 
-# (initiator -> responder?, TCP flags) of each packet of a flow's shape
-_SCAN_STEPS = ((True, frozenset({"SYN"})), (False, frozenset({"RST", "ACK"})))
-_TCP_OPEN = (
-    (True, frozenset({"SYN"})),
-    (False, frozenset({"SYN", "ACK"})),
-    (True, frozenset({"ACK"})),
+_SYN, _ACK, _FIN, _RST, _PSH = (
+    TCP_FLAG_BITS[name] for name in ("SYN", "ACK", "FIN", "RST", "PSH")
 )
-_TCP_EXCHANGE = ((True, frozenset({"PSH", "ACK"})), (False, frozenset({"ACK"})))
-_TCP_CLOSE = (
-    (True, frozenset({"FIN", "ACK"})),
-    (False, frozenset({"FIN", "ACK"})),
-    (True, frozenset({"ACK"})),
-)
-_UDP_EXCHANGE = ((True, frozenset()), (False, frozenset()))
-
-
-def _build_flow(
-    rng: np.random.Generator,
-    cls: TrafficClassSpec,
-    src_ip: str,
-    src_port: int,
-    dst_ip: str,
-    dst_port: int,
-    start: float,
-) -> list[PacketRecord]:
-    protocol = Protocol[cls.protocol]
-    if cls.flow_shape == "scan":
-        steps = _SCAN_STEPS if protocol is Protocol.TCP else _UDP_EXCHANGE
-    else:
-        n = int(rng.integers(cls.data_exchanges[0], cls.data_exchanges[1] + 1))
-        if protocol is Protocol.TCP:
-            steps = _TCP_OPEN + _TCP_EXCHANGE * n + _TCP_CLOSE
-        else:
-            steps = _UDP_EXCHANGE * (n + 1)
-    forward_ends = (src_ip, dst_ip, src_port, dst_port)
-    backward_ends = (dst_ip, src_ip, dst_port, src_port)
-    packets = []
-    t = start
-    for i, (forward, flags) in enumerate(steps):
-        if i > 0:
-            t += rng.exponential(cls.iat_mean)
-        src, dst, sport, dport = forward_ends if forward else backward_ends
-        packets.append(
-            PacketRecord(
-                _quantize(t), src, dst, sport, dport, protocol,
-                _draw_length(rng, cls), flags,
-            )
-        )
-    return packets
+# (initiator -> responder?, TCP flag byte) of each packet of a flow's shape
+_SCAN_STEPS = ((True, _SYN), (False, _RST | _ACK))
+_TCP_OPEN = ((True, _SYN), (False, _SYN | _ACK), (True, _ACK))
+_TCP_EXCHANGE = ((True, _PSH | _ACK), (False, _ACK))
+_TCP_CLOSE = ((True, _FIN | _ACK), (False, _FIN | _ACK), (True, _ACK))
+_UDP_EXCHANGE = ((True, 0), (False, 0))
 
 
 def _add_flow(
-    traffic: GeneratedTraffic,
+    columns: tuple[list, ...],
+    manifest: list[FlowLabel],
     rng: np.random.Generator,
     cls: TrafficClassSpec,
     src_ip: str,
@@ -215,10 +176,40 @@ def _add_flow(
     dst_port: int,
     start: float,
 ) -> None:
-    """Append one flow's packets and its manifest entry."""
-    traffic.packets += _build_flow(rng, cls, src_ip, src_port, dst_ip, dst_port, start)
-    traffic.manifest.append(
+    """Append one flow's packets to the Packet-order columns, and its label."""
+    protocol = TCP if cls.protocol == "TCP" else UDP
+    if cls.flow_shape == "scan":
+        steps = _SCAN_STEPS if protocol == TCP else _UDP_EXCHANGE
+    else:
+        n = int(rng.integers(cls.data_exchanges[0], cls.data_exchanges[1] + 1))
+        if protocol == TCP:
+            steps = _TCP_OPEN + _TCP_EXCHANGE * n + _TCP_CLOSE
+        else:
+            steps = _UDP_EXCHANGE * (n + 1)
+    forwards, flag_bytes = zip(*steps)
+    times, lengths = [], []
+    t = start
+    for i in range(len(steps)):
+        if i > 0:
+            t += rng.exponential(cls.iat_mean)
+        times.append(_quantize(t))
+        lengths.append(_draw_length(rng, cls))
+    forward_ends = (src_ip, dst_ip, src_port, dst_port)
+    backward_ends = (dst_ip, src_ip, dst_port, src_port)
+    ends = zip(*(forward_ends if forward else backward_ends for forward in forwards))
+    packets = (times, *ends, [protocol] * len(steps), lengths, flag_bytes)
+    for column, values in zip(columns, packets):
+        column.extend(values)
+    manifest.append(
         FlowLabel(src_ip, src_port, dst_ip, dst_port, cls.protocol, start, cls.label)
+    )
+
+
+def _traffic(columns: tuple[list, ...], manifest: list[FlowLabel]) -> GeneratedTraffic:
+    """The generated packets, stably sorted by timestamp, and the manifest."""
+    packets = PacketTable.from_lists(*columns)
+    return GeneratedTraffic(
+        packets.take(np.argsort(packets.timestamp, kind="stable")), manifest
     )
 
 
@@ -238,7 +229,8 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
     """Emit all scenario packets (timestamp-sorted) plus the label manifest."""
     rng = np.random.default_rng(spec.seed)
     servers = [f"192.168.10.{10 + i}" for i in range(spec.n_servers)]
-    traffic = GeneratedTraffic(packets=[], manifest=[])
+    columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
+    manifest: list[FlowLabel] = []
 
     for class_index, cls in enumerate(spec.classes):
         for source_index in range(cls.n_sources):
@@ -265,15 +257,13 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
                     dst_port = 80
                 start = _quantize(_BASE_EPOCH + float(starts[flow_index]))
                 _add_flow(
-                    traffic, rng, cls, src_ip, sports[flow_index], dst_ip, dst_port,
-                    start,
+                    columns, manifest, rng, cls, src_ip, sports[flow_index], dst_ip,
+                    dst_port, start,
                 )
-
-    traffic.packets.sort(key=attrgetter("timestamp"))
-    return traffic
+    return _traffic(columns, manifest)
 
 
-def match_labels(flows: list[BiFlow], manifest: list[FlowLabel]) -> list[str]:
+def match_labels(flows: FlowSegments, manifest: list[FlowLabel]) -> list[str]:
     """Label each assembled flow from the manifest; unmatched flows raise."""
     lookup = {
         _flow_key_of(e.initiator_ip, e.initiator_port, e.responder_ip,
@@ -281,9 +271,12 @@ def match_labels(flows: list[BiFlow], manifest: list[FlowLabel]) -> list[str]:
         for e in manifest
     }
     labels = []
-    for flow in flows:
-        key = _flow_key_of(*flow.initiator, *flow.responder,
-                           flow.key.protocol.name, flow.start_time)
+    for ip, port, rip, rport, proto, start in zip(
+        flows.initiator_ip.tolist(), flows.initiator_port.tolist(),
+        flows.responder_ip.tolist(), flows.responder_port.tolist(),
+        flows.protocol.tolist(), flows.start_time.tolist(),
+    ):
+        key = _flow_key_of(ip, port, rip, rport, PROTOCOL_NAMES[proto], start)
         label = lookup.get(key)
         if label is None:
             raise LabelError(
@@ -423,12 +416,13 @@ def fig2_traffic(seed: int = 0) -> GeneratedTraffic:
     )
     lo, hi = EPHEMERAL_RANGE
     sports = [int(p) for p in rng.choice(np.arange(lo, hi), len(pattern), False)]
-    traffic = GeneratedTraffic(packets=[], manifest=[])
+    columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
+    manifest: list[FlowLabel] = []
     for i, (src, dst) in enumerate(pattern):
         start = _quantize(_BASE_EPOCH + 0.5 * i)
-        _add_flow(traffic, rng, cls, hosts[src], sports[i], hosts[dst], 80, start)
-    traffic.packets.sort(key=attrgetter("timestamp"))
-    return traffic
+        _add_flow(columns, manifest, rng, cls, hosts[src], sports[i], hosts[dst], 80,
+                  start)
+    return _traffic(columns, manifest)
 
 
 SCENARIOS = ("mimicking", "full", "fig2")

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from flowbundle.pcap import PacketRecord, Protocol
+from flowbundle.config import PipelineConfig
+from flowbundle.flows import FlowSegments
+from flowbundle.pcap import TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
+
+_CFG = PipelineConfig()
+# assemble_flows' timeouts as the pipeline defaults them
+TIMEOUTS = dict(idle_timeout=_CFG.idle_timeout_s, active_timeout=_CFG.active_timeout_s)
 
 
 def tcp_packet(
@@ -13,28 +19,67 @@ def tcp_packet(
     length=60,
     flags=("ACK",),
 ):
-    return PacketRecord(
+    return Packet(
         timestamp=ts,
         src_ip=src,
         dst_ip=dst,
         src_port=sport,
         dst_port=dport,
-        protocol=Protocol.TCP,
+        protocol=TCP,
         ip_total_length=length,
-        tcp_flags=frozenset(flags),
+        tcp_flags=sum(TCP_FLAG_BITS[name] for name in flags),
     )
 
 
 def udp_packet(ts, src="10.0.0.1", dst="10.0.0.2", sport=40000, dport=53, length=64):
-    return PacketRecord(
+    return Packet(
         timestamp=ts,
         src_ip=src,
         dst_ip=dst,
         src_port=sport,
         dst_port=dport,
-        protocol=Protocol.UDP,
+        protocol=UDP,
         ip_total_length=length,
+        tcp_flags=0,
     )
+
+
+def packet_table(packets):
+    """The PacketTable of a list of Packet rows."""
+    return PacketTable.from_lists(*zip(*packets) if packets else [[]] * 8)
+
+
+def has_flag(packet, name):
+    return bool(packet.tcp_flags & TCP_FLAG_BITS[name])
+
+
+def flow_segments(flows):
+    """FlowSegments of (fwd, bwd) packet lists, one flow per pair, each
+    direction's packets given in time order; the first forward packet
+    gives the flow's identity.  A flow's rows hold its forward packets
+    before its backward ones, not interleaved by time: the statistics read
+    each direction on its own."""
+    packets = [p for fwd, bwd in flows for p in (*fwd, *bwd)]
+    sizes = [len(fwd) + len(bwd) for fwd, bwd in flows]
+    firsts = [fwd[0] for fwd, _ in flows]
+    return FlowSegments(
+        packets=packet_table(packets),
+        rows=np.arange(len(packets)),
+        bounds=np.cumsum([0] + sizes),
+        forward=np.array([d for fwd, bwd in flows
+                          for d in [True] * len(fwd) + [False] * len(bwd)], dtype=bool),
+        initiator_ip=np.array([p.src_ip for p in firsts], dtype=object),
+        initiator_port=np.array([p.src_port for p in firsts], dtype=np.int64),
+        responder_ip=np.array([p.dst_ip for p in firsts], dtype=object),
+        responder_port=np.array([p.dst_port for p in firsts], dtype=np.int64),
+        protocol=np.array([p.protocol for p in firsts], dtype=np.uint8),
+        start_time=np.array([p.timestamp for p in firsts], dtype=float),
+    )
+
+
+def flow_packets(flows, index):
+    """Flow ``index``'s forward and backward Packet rows, in time order."""
+    return tuple(list(flows.packets.take(rows)) for rows in flows.direction_rows(index))
 
 
 @pytest.fixture

@@ -15,7 +15,8 @@ from flowbundle import aggregation, evaluation, features, flows, mlp, rfe, synth
 from flowbundle.cli import main as cli_main
 from flowbundle.config import PipelineConfig
 
-from test_features import brute_force_stats, random_flow
+from conftest import TIMEOUTS
+from test_features import brute_force_stats, make_flow, random_flow
 from test_mlp import finite_difference_grads, max_relative_error
 
 SWEEP_SEEDS = range(10)
@@ -35,7 +36,7 @@ def mimicking_by_class(seed):
     """Aggregated flow tables of the desk-scale mimicking scenario, by class."""
     if seed not in _scenario_cache:
         traffic = synth.build_scenario("mimicking", seed)
-        assembled = flows.assemble_flows(traffic.packets)
+        assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
         labels = synth.match_labels(assembled, traffic.manifest)
         table = aggregation.aggregate_features(features.flow_table(assembled, labels))
         _scenario_cache[seed] = {
@@ -148,10 +149,10 @@ def test_04_metric_oracle_500_tallies():
 def test_05_flow_statistic_oracle_200_flows():
     rng = np.random.default_rng(105)
     for _ in range(200):
-        flow = random_flow(rng, max_packets=50)
-        vec = dict(zip(features.FLOW_FEATURE_NAMES, features.extract_features(flow)))
-        for direction, packets in (("fwd", flow.fwd_packets),
-                                   ("bwd", flow.bwd_packets)):
+        fwd, bwd = random_flow(rng, max_packets=50)
+        stats = features.extract_features(make_flow(fwd, bwd), 0)
+        vec = dict(zip(features.FLOW_FEATURE_NAMES, stats))
+        for direction, packets in (("fwd", fwd), ("bwd", bwd)):
             for stat, expected in brute_force_stats(packets).items():
                 got = vec[f"{direction}_{stat}"]
                 assert got == pytest.approx(expected, rel=1e-9, abs=1e-12)
@@ -160,7 +161,7 @@ def test_05_flow_statistic_oracle_200_flows():
 
 def test_06_fig2_replay_bundles():
     traffic = synth.fig2_traffic()
-    assembled = flows.assemble_flows(traffic.packets)
+    assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     table = features.flow_table(assembled, ["benign"] * len(assembled))
     bundles = aggregation.bundle_flows(table)
     sizes = sorted((b.num_flows for b in bundles), reverse=True)

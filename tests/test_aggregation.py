@@ -10,6 +10,8 @@ from flowbundle.features import FLOW_FEATURE_NAMES, FlowTable, flow_table
 from flowbundle.flows import assemble_flows
 from flowbundle.synth import build_scenario, match_labels
 
+from conftest import TIMEOUTS
+
 
 def brute_force_delta(ports):
     ordered = sorted(ports)
@@ -77,7 +79,7 @@ class TestPortsDelta:
 class TestBundleFlows:
     def test_fig2_bundle_sizes(self):
         traffic = build_scenario("fig2", seed=0)
-        flows = assemble_flows(traffic.packets)
+        flows = assemble_flows(traffic.packets, **TIMEOUTS)
         bundles = bundle_flows(flows_table(flows))
         sizes = sorted((b.num_flows for b in bundles), reverse=True)
         assert sizes == [4, 2, 1, 1]
@@ -124,7 +126,7 @@ class TestBundleFlows:
 
     def test_partition_property(self):
         traffic = build_scenario("mimicking", seed=4, scale="small")
-        table = flows_table(assemble_flows(traffic.packets))
+        table = flows_table(assemble_flows(traffic.packets, **TIMEOUTS))
         bundles = bundle_flows(table)
         assert sum(b.num_flows for b in bundles) == len(table)
         for b in bundles:
@@ -197,7 +199,7 @@ def test_scenario_port_step_appears_as_delta():
         ],
     )
     traffic = generate(spec)
-    flows = assemble_flows(traffic.packets)
+    flows = assemble_flows(traffic.packets, **TIMEOUTS)
     labels = match_labels(flows, traffic.manifest)
     assert labels == ["probe"] * 40
     bundles = bundle_flows(flow_table(flows, labels))

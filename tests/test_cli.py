@@ -3,7 +3,7 @@ import json
 import pytest
 
 from flowbundle.cli import main
-from flowbundle.features import read_features_csv
+from flowbundle.features import ALL_FEATURE_NAMES, read_features_csv
 
 
 def run(argv):
@@ -434,9 +434,12 @@ def test_extract_and_aggregate_report_counts(fig2_capture, tmp_path, capsys):
         )
 
 
-# sha256 of the flow CSVs of `synth --scenario full --scale small --seed 3`
-# as the row-object writer produced them: the column writer keeps every byte
+# sha256 of the capture, the labels and the flow CSVs of `synth --scenario
+# full --scale small --seed 3` as the per-packet-object synth and writer and
+# the row-object CSV writer produced them: the table code keeps every byte
 _GOLDEN_SHA256 = {
+    "full.pcap": "990b19df524ab655f303465e67a03f5b70e1a44aed592faf322bfc8312515f32",
+    "labels.csv": "9f706c9af3f024d5698de859da30901b6f0475b9c9cb5ea7acae0533f28f845a",
     "flows.csv": "22070710254e02a44c531fce357ae686fbd3ed4d7067f693c6666a86bca2d6b2",
     "none.csv": "158701de9db9de7b8753ed77913a493df23ff00c5aef400932d660d3fcc7bf20",
     "60.csv": "58438000ba1f7e1bdf4fd2b551ba2937ca039b51eef931ee7463d238a6ed4a8b",
@@ -494,6 +497,17 @@ def test_ini_syntax_error_rejected(fig2_capture, tmp_path, capsys, text, problem
         ("weights", [[0.5], [0.5]], "key 'weights[0]' must be a list of"),
         ("layer_sizes", [36, "8", 36], "key 'layer_sizes' must be a list of"),
         ("layer_sizes", 36, "key 'layer_sizes' must be a list of"),
+        ("feature_names", 5, "key 'feature_names' must be a list of 36 distinct names"),
+        ("feature_names", ALL_FEATURE_NAMES[:-1] + ["bogus"],
+         "key 'feature_names': 'bogus' is not a feature name"),
+        ("feature_names", ALL_FEATURE_NAMES[:-1],
+         "key 'feature_names' must be a list of 36 distinct names"),
+        ("feature_names", ALL_FEATURE_NAMES[:-1] + ALL_FEATURE_NAMES[:1],
+         "key 'feature_names' must be a list of 36 distinct names"),
+        ("class_names", ["benign", "benign"] + [f"c{i}" for i in range(34)],
+         "key 'class_names' must be a list of 36 distinct names"),
+        ("class_names", ["benign"], "key 'class_names' must be a list of 36 distinct names"),
+        ("class_names", list(range(36)), "key 'class_names' must be a list of 36 distinct"),
     ],
 )
 def test_mistyped_model_rejected(mimicking_csvs, tmp_path, capsys, key, value, problem):
@@ -508,6 +522,32 @@ def test_mistyped_model_rejected(mimicking_csvs, tmp_path, capsys, key, value, p
     assert run(["zeroday", "detect", "--model", str(model_path),
                 "--in", str(attack_csv)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {model_path}: {problem}")
+
+
+
+@pytest.mark.parametrize(
+    "selected, problem",
+    [
+        (["bogus"], "key 'selected': 'bogus' is not a feature name"),
+        (["fwd_pkt_count", "bogus"], "key 'selected': 'bogus' is not a feature name"),
+        ("fwd_pkt_count", "key 'selected' must be a non-empty list of distinct names"),
+        ([], "key 'selected' must be a non-empty list of distinct names"),
+        (["fwd_pkt_count", "fwd_pkt_count"],
+         "key 'selected' must be a non-empty list of distinct names"),
+        ([5], "key 'selected' must be a non-empty list of distinct names"),
+        (None, "key 'selected' must be a non-empty list of distinct names"),
+    ],
+)
+def test_bad_selection_names_rejected(mimicking_csvs, tmp_path, capsys, selected,
+                                      problem):
+    _, agg_csv, _, _ = mimicking_csvs
+    selection = tmp_path / "sel.json"
+    selection.write_text(json.dumps({"format_version": 1, "selected": selected}))
+    capsys.readouterr()
+    assert run(["train", "--in", str(agg_csv), "--selection", str(selection),
+                "--model", str(tmp_path / "model.json"), "--epochs", "1"]) == 1
+    assert capsys.readouterr().err == f"error: {selection}: {problem}\n"
+    assert not (tmp_path / "model.json").exists()
 
 
 _SPEC_CLASS = '"label": "benign", "n_sources": 2, "flows_per_source": [2, 3]'

@@ -20,6 +20,7 @@ from flowbundle.evaluation import (
 from flowbundle.features import SchemaError, flow_table
 from flowbundle.mlp import TrainingConfig
 
+from conftest import flow_segments
 from test_features import random_flow
 
 
@@ -137,7 +138,7 @@ def rows_for(label, n, rng, redraw_num_flows=None):
         if redraw_num_flows:
             num_flows[-1] = redraw_num_flows()
     return dataclasses.replace(
-        flow_table(flows, [label] * n),
+        flow_table(flow_segments(flows), [label] * n),
         num_flows=np.array(num_flows, dtype=np.int64),
         src_ports_delta=np.array(deltas, dtype=float),
     )
@@ -238,9 +239,10 @@ class TestRunExperiment:
 
     def test_with_aggregation_requires_populated_slots(self, rng):
         classes = {
-            "benign": flow_table([random_flow(rng) for _ in range(12)],
+            "benign": flow_table(flow_segments([random_flow(rng) for _ in range(12)]),
                                  ["benign"] * 12),
-            "x": flow_table([random_flow(rng) for _ in range(12)], ["x"] * 12),
+            "x": flow_table(flow_segments([random_flow(rng) for _ in range(12)]),
+                            ["x"] * 12),
         }
         with pytest.raises(SchemaError, match="aggregation"):
             run_experiment("binary", classes, with_aggregation=True,

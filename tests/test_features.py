@@ -17,14 +17,13 @@ from flowbundle.features import (
     read_features_csv,
     write_features_csv,
 )
-from flowbundle.flows import BiFlow, FlowKey
 
-from conftest import tcp_packet, udp_packet
+from conftest import flow_segments, has_flag, tcp_packet, udp_packet
 
 
-def stats_of(flow):
-    """The flow's 34 statistics by name."""
-    return dict(zip(FLOW_FEATURE_NAMES, extract_features(flow)))
+def stats_of(flows, index=0):
+    """Flow ``index``'s 34 statistics by name."""
+    return dict(zip(FLOW_FEATURE_NAMES, extract_features(flows, index)))
 
 
 def validate_vector(values):
@@ -53,19 +52,8 @@ def validate_vector(values):
 
 
 def make_flow(fwd, bwd=()):
-    """Build a BiFlow directly from per-direction packet lists."""
-    first = fwd[0]
-    key = FlowKey.from_packet(first)
-    all_pkts = list(fwd) + list(bwd)
-    return BiFlow(
-        key=key,
-        initiator=(first.src_ip, first.src_port),
-        responder=(first.dst_ip, first.dst_port),
-        fwd_packets=list(fwd),
-        bwd_packets=list(bwd),
-        start_time=first.timestamp,
-        end_time=max(p.timestamp for p in all_pkts),
-    )
+    """One flow built directly from per-direction packet lists."""
+    return flow_segments([(list(fwd), list(bwd))])
 
 
 def brute_force_stats(packets):
@@ -95,7 +83,7 @@ def brute_force_stats(packets):
         out["time_from_first_mean"] = statistics.mean(t - times[0] for t in times[1:])
     for flag in ("SYN", "ACK", "FIN", "RST", "PSH", "URG"):
         out[f"flag_{flag.lower()}_count"] = sum(
-            1 for p in packets if flag in p.tcp_flags
+            1 for p in packets if has_flag(p, flag)
         )
     return out
 
@@ -120,7 +108,7 @@ def random_flow(rng, max_packets=50):
             flags=flags,
         )
         (fwd if i < n_fwd else bwd).append(pkt)
-    return make_flow(fwd, bwd)
+    return fwd, bwd
 
 
 def test_packet_length_stats_hand_computed():
@@ -175,11 +163,10 @@ def test_udp_flow_has_zero_flag_counts():
 
 def test_brute_force_oracle_on_random_flows(rng):
     for _ in range(200):
-        flow = random_flow(rng)
-        vec = stats_of(flow)
+        fwd, bwd = random_flow(rng)
+        vec = stats_of(make_flow(fwd, bwd))
         validate_vector(vec)
-        for direction, packets in (("fwd", flow.fwd_packets),
-                                   ("bwd", flow.bwd_packets)):
+        for direction, packets in (("fwd", fwd), ("bwd", bwd)):
             expected = brute_force_stats(packets)
             for stat, exp in expected.items():
                 got = vec[f"{direction}_{stat}"]
@@ -189,14 +176,12 @@ def test_brute_force_oracle_on_random_flows(rng):
 
 
 def test_timestamp_scaling_by_power_of_two_is_exact(rng):
-    flow = random_flow(rng, max_packets=20)
-    vec = stats_of(flow)
+    fwd, bwd = random_flow(rng, max_packets=20)
+    vec = stats_of(make_flow(fwd, bwd))
     for c in (0.5, 2.0, 8.0):
         scaled = make_flow(
-            [dataclasses.replace(p, timestamp=p.timestamp * c)
-             for p in flow.fwd_packets],
-            [dataclasses.replace(p, timestamp=p.timestamp * c)
-             for p in flow.bwd_packets],
+            [p._replace(timestamp=p.timestamp * c) for p in fwd],
+            [p._replace(timestamp=p.timestamp * c) for p in bwd],
         )
         svec = stats_of(scaled)
         for name in FLOW_FEATURE_NAMES:
@@ -207,26 +192,23 @@ def test_timestamp_scaling_by_power_of_two_is_exact(rng):
 
 
 def test_payload_permutation_among_timestamps_changes_nothing(rng):
-    flow = random_flow(rng, max_packets=15)
-    if len(flow.bwd_packets) < 2:
-        flow.bwd_packets = [
+    fwd, bwd = random_flow(rng, max_packets=15)
+    if len(bwd) < 2:
+        bwd = [
             tcp_packet(float(t), src="10.0.0.2", dst="10.0.0.1", sport=80,
                        dport=1234, length=100 + 10 * t, flags=("ACK",))
             for t in range(5)
         ]
-    base = stats_of(flow)
-    times = [p.timestamp for p in flow.bwd_packets]
+    base = stats_of(make_flow(fwd, bwd))
+    times = [p.timestamp for p in bwd]
     perm = rng.permutation(len(times))
-    shuffled = [
-        dataclasses.replace(flow.bwd_packets[perm[i]], timestamp=times[i])
-        for i in range(len(times))
-    ]
-    vec = stats_of(make_flow(flow.fwd_packets, shuffled))
+    shuffled = [bwd[perm[i]]._replace(timestamp=times[i]) for i in range(len(times))]
+    vec = stats_of(make_flow(fwd, shuffled))
     assert vec == base
 
 
 def test_csv_round_trip(tmp_path, rng):
-    flows = [random_flow(rng) for _ in range(10)]
+    flows = flow_segments([random_flow(rng) for _ in range(10)])
     table = flow_table(flows, [f"cls{i % 2}" for i in range(10)])
     aggregated = dataclasses.replace(
         table,
@@ -253,7 +235,7 @@ def test_csv_round_trip(tmp_path, rng):
 
 def test_csv_huge_finite_values_accepted(tmp_path, rng):
     # their sum overflows to inf, but every value is finite
-    table = flow_table([random_flow(rng)], ["benign"])
+    table = flow_table(flow_segments([random_flow(rng)]), ["benign"])
     iat_max = [FLOW_FEATURE_NAMES.index(n) for n in ("fwd_iat_max", "bwd_iat_max")]
     table.stats[0, iat_max] = 1e308
     table = dataclasses.replace(
@@ -274,7 +256,7 @@ def test_csv_header_mismatch_raises(tmp_path):
 
 
 def test_feature_matrix_requires_aggregation_when_asked(rng):
-    table = flow_table([random_flow(rng)], ["benign"])
+    table = flow_table(flow_segments([random_flow(rng)]), ["benign"])
     with pytest.raises(SchemaError, match="aggregation"):
         feature_matrix(table, ALL_FEATURE_NAMES)
     matrix = feature_matrix(table, FLOW_FEATURE_NAMES)
@@ -292,6 +274,7 @@ def test_feature_name_inventory():
 
 def test_label_classes_benign_first(rng):
     labels = ("zeta", "benign", "alpha")
-    y, names = label_classes(flow_table([random_flow(rng) for _ in labels], labels))
+    flows = flow_segments([random_flow(rng) for _ in labels])
+    y, names = label_classes(flow_table(flows, labels))
     assert names == ["benign", "alpha", "zeta"]
     assert y.tolist() == [2, 0, 1]

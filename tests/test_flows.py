@@ -1,13 +1,18 @@
+import numpy as np
 import pytest
 
-from flowbundle.flows import FlowKey, assemble_flows
+from flowbundle.flows import assemble_flows
 from flowbundle.synth import build_scenario
 
-from conftest import tcp_packet, udp_packet
+from conftest import TIMEOUTS, flow_packets, packet_table, tcp_packet, udp_packet
 
 
-def packet_count(flow):
-    return len(flow.fwd_packets) + len(flow.bwd_packets)
+def assemble(packets, **timeouts):
+    return assemble_flows(packet_table(packets), **{**TIMEOUTS, **timeouts})
+
+
+def packet_counts(flows):
+    return np.diff(flows.bounds).tolist()
 
 
 def test_single_bidirectional_flow():
@@ -17,32 +22,32 @@ def test_single_bidirectional_flow():
         tcp_packet(1.0, src="10.0.0.2", dst="10.0.0.1", sport=80, dport=1234,
                    flags=("SYN", "ACK")),
     ]
-    flows = assemble_flows(packets, idle_timeout=120)
+    flows = assemble(packets, idle_timeout=120)
     assert len(flows) == 1
-    flow = flows[0]
-    assert len(flow.fwd_packets) == 1
-    assert len(flow.bwd_packets) == 1
-    assert flow.initiator == ("10.0.0.1", 1234)
-    assert flow.start_time == 0.0
-    assert flow.end_time == 1.0
+    fwd, bwd = flow_packets(flows, 0)
+    assert len(fwd) == 1
+    assert len(bwd) == 1
+    assert (flows.initiator_ip[0], flows.initiator_port[0]) == ("10.0.0.1", 1234)
+    assert flows.start_time[0] == 0.0
+    assert flows.packets.timestamp[flows.rows[-1]] == 1.0
 
 
 def test_idle_timeout_splits_flow():
     packets = [tcp_packet(0.0, flags=("ACK",)), tcp_packet(200.0, flags=("ACK",))]
-    flows = assemble_flows(packets, idle_timeout=120)
+    flows = assemble(packets, idle_timeout=120)
     assert len(flows) == 2
-    assert all(packet_count(f) == 1 for f in flows)
+    assert packet_counts(flows) == [1, 1]
 
 
 def test_active_timeout_splits_long_flow():
     packets = [tcp_packet(t, flags=("ACK",)) for t in (0.0, 50.0, 100.0, 150.0)]
-    flows = assemble_flows(packets, idle_timeout=60, active_timeout=120)
-    assert [packet_count(f) for f in flows] == [3, 1]
+    flows = assemble(packets, idle_timeout=60, active_timeout=120)
+    assert packet_counts(flows) == [3, 1]
 
 
 def test_active_timeout_disabled():
     packets = [tcp_packet(t, flags=("ACK",)) for t in (0.0, 50.0, 100.0, 150.0)]
-    flows = assemble_flows(packets, idle_timeout=60, active_timeout=None)
+    flows = assemble(packets, idle_timeout=60, active_timeout=None)
     assert len(flows) == 1
 
 
@@ -52,8 +57,8 @@ def test_rst_closes_flow():
         tcp_packet(1.0, flags=("RST",)),
         tcp_packet(2.0, flags=("SYN",)),
     ]
-    flows = assemble_flows(packets, idle_timeout=120)
-    assert [packet_count(f) for f in flows] == [2, 1]
+    flows = assemble(packets, idle_timeout=120)
+    assert packet_counts(flows) == [2, 1]
 
 
 def test_fin_exchange_includes_final_ack_then_closes():
@@ -66,29 +71,22 @@ def test_fin_exchange_includes_final_ack_then_closes():
         tcp_packet(3.0, flags=("ACK",), **a),       # completes the teardown
         tcp_packet(4.0, flags=("PSH", "ACK"), **a),  # new conversation
     ]
-    flows = assemble_flows(packets, idle_timeout=120)
-    assert [packet_count(f) for f in flows] == [4, 1]
+    flows = assemble(packets, idle_timeout=120)
+    assert packet_counts(flows) == [4, 1]
 
 
 def test_udp_terminates_by_idle_timeout_only():
     packets = [udp_packet(t) for t in (0.0, 1.0, 2.0)]
-    flows = assemble_flows(packets, idle_timeout=120)
+    flows = assemble(packets, idle_timeout=120)
     assert len(flows) == 1
 
 
 def test_key_is_direction_agnostic():
     p1 = tcp_packet(0.0, src="10.0.0.9", dst="10.0.0.1", sport=5555, dport=80)
     p2 = tcp_packet(1.0, src="10.0.0.1", dst="10.0.0.9", sport=80, dport=5555)
-    assert FlowKey.from_packet(p1) == FlowKey.from_packet(p2)
-    key = FlowKey.from_packet(p1)
-    assert key.endpoint_a <= key.endpoint_b
-
-
-def test_ip_ordering_is_numeric_not_string():
-    # 10.0.0.2 sorts before 10.0.0.10 numerically
-    p = tcp_packet(0.0, src="10.0.0.10", dst="10.0.0.2", sport=1, dport=2)
-    key = FlowKey.from_packet(p)
-    assert key.endpoint_a == ("10.0.0.2", 2)
+    flows = assemble([p1, p2])
+    assert len(flows) == 1
+    assert flow_packets(flows, 0) == ([p1], [p2])
 
 
 def test_partition_property(rng):
@@ -107,52 +105,65 @@ def test_partition_property(rng):
         else:
             packets.append(udp_packet(t, src=src, dst=dst,
                                       sport=int(rng.integers(1024, 1030))))
-    flows = assemble_flows(packets, idle_timeout=5.0)
-    assert sum(packet_count(f) for f in flows) == len(packets)
-    for flow in flows:
-        first = flow.fwd_packets[0].timestamp
-        for pkt in flow.fwd_packets + flow.bwd_packets:
+    flows = assemble(packets, idle_timeout=5.0)
+    assert sum(packet_counts(flows)) == len(packets)
+    assert sorted(flows.rows.tolist()) == list(range(len(packets)))
+    for i in range(len(flows)):
+        fwd, bwd = flow_packets(flows, i)
+        first = fwd[0].timestamp
+        for pkt in fwd + bwd:
             assert pkt.timestamp >= first
-        assert flow.start_time == first
-        assert flow.end_time >= flow.start_time
+        assert flows.start_time[i] == first
+        segment = flows.packets.timestamp[flows.rows[flows.bounds[i]:flows.bounds[i + 1]]]
+        assert (np.diff(segment) >= 0).all()
 
 
 def test_every_packet_matches_flow_key(rng):
     traffic = build_scenario("mimicking", seed=1, scale="small")
-    flows = assemble_flows(traffic.packets)
-    for flow in flows:
-        for pkt in flow.fwd_packets + flow.bwd_packets:
-            assert FlowKey.from_packet(pkt) == flow.key
+    flows = assemble_flows(traffic.packets, **TIMEOUTS)
+    for i in range(len(flows)):
+        initiator = (flows.initiator_ip[i], flows.initiator_port[i])
+        responder = (flows.responder_ip[i], flows.responder_port[i])
+        fwd, bwd = flow_packets(flows, i)
+        for pkt in fwd:
+            assert ((pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)) == (
+                initiator, responder)
+        for pkt in bwd:
+            assert ((pkt.src_ip, pkt.src_port), (pkt.dst_ip, pkt.dst_port)) == (
+                responder, initiator)
+        for pkt in fwd + bwd:
+            assert pkt.protocol == flows.protocol[i]
 
 
 def test_determinism():
     traffic = build_scenario("mimicking", seed=2, scale="small")
-    f1 = assemble_flows(traffic.packets)
-    f2 = assemble_flows(traffic.packets)
-    assert f1 == f2
+    f1 = assemble_flows(traffic.packets, **TIMEOUTS)
+    f2 = assemble_flows(traffic.packets, **TIMEOUTS)
+    for name in ("rows", "bounds", "forward", "initiator_ip", "initiator_port",
+                 "responder_ip", "responder_port", "protocol", "start_time"):
+        assert np.array_equal(getattr(f1, name), getattr(f2, name)), name
 
 
 def test_unsorted_input_is_sorted_first():
     packets = [tcp_packet(5.0, flags=("ACK",)), tcp_packet(0.0, flags=("SYN",))]
-    flows = assemble_flows(packets, idle_timeout=120)
+    flows = assemble(packets, idle_timeout=120)
     assert len(flows) == 1
-    assert flows[0].fwd_packets[0].tcp_flags == frozenset({"SYN"})
+    assert flow_packets(flows, 0)[0][0].tcp_flags == 0x02
 
 
 def test_fig2_host_a_yields_four_flows():
     traffic = build_scenario("fig2", seed=0)
-    flows = assemble_flows(traffic.packets)
-    a_flows = [f for f in flows if f.initiator_ip == "10.0.0.1"]
-    assert len(a_flows) == 4
+    flows = assemble_flows(traffic.packets, **TIMEOUTS)
+    assert (flows.initiator_ip == "10.0.0.1").sum() == 4
     assert len(flows) == 8
 
 
 def test_bad_timeouts_rejected():
     with pytest.raises(ValueError):
-        assemble_flows([], idle_timeout=0)
+        assemble([], idle_timeout=0)
     with pytest.raises(ValueError):
-        assemble_flows([], idle_timeout=120, active_timeout=100)
+        assemble([], idle_timeout=120, active_timeout=100)
 
 
 def test_empty_input():
-    assert assemble_flows([]) == []
+    assert len(assemble([])) == 0

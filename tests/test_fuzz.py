@@ -5,10 +5,16 @@ aggregated) gets one mutation and goes through ``aggregate``, which only
 reads, bundles and writes.  The run must exit 0 or 1 with no traceback;
 an exit 1 prints one ``error:`` line naming the file and the mutated
 line; an exit 0 writes a file that reads back.
+
+Pcap: the fig. 2 capture gets one overwritten header field or is cut
+short, and goes through ``extract``.  The run must exit 0 with a flow
+CSV that reads back, or exit 1 or 2 with one ``error:`` or ``i/o
+error:`` line naming the file, never a traceback.
 """
 
 import csv
 import io
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -98,4 +104,73 @@ def test_mutated_flow_csv_exits_cleanly(flow_csvs, data):
         assert len(read_features_csv(out)) == len(read_features_csv(path))
     else:
         assert err.startswith(f"error: {path}:{line}: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# (offset within a record, byte count) of the header fields a mutation
+# overwrites; every fig. 2 frame is Ethernet + IPv4 without options + TCP
+_RECORD_FIELDS = {
+    "incl_len": (8, 4),
+    "ethertype": (16 + 12, 2),
+    "version_ihl": (16 + 14, 1),
+    "total_length": (16 + 16, 2),
+    "fragment": (16 + 20, 2),
+    "protocol": (16 + 23, 1),
+    "tcp_flags": (16 + 47, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def capture(tmp_path_factory):
+    """The fig. 2 capture's bytes and the byte offset of every record."""
+    base = tmp_path_factory.mktemp("fuzz_pcap")
+    pcap = base / "fig2.pcap"
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--scenario", "fig2", "--out", str(pcap)]) == 0
+    data = pcap.read_bytes()
+    records, offset = [], 24
+    while offset < len(data):
+        records.append(offset)
+        offset += 16 + struct.unpack_from("<I", data, offset + 8)[0]
+    return base, data, records
+
+
+@st.composite
+def mutated_capture(draw, data, records):
+    """The capture with one header field overwritten, or cut short."""
+    kind = draw(st.sampled_from(["global", "record", "truncate", *_RECORD_FIELDS]))
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    if kind == "global":
+        start = draw(st.integers(0, 23))
+        size = draw(st.integers(1, 24 - start))
+    else:
+        record = draw(st.sampled_from(records))
+        if kind == "record":
+            start, size = record + draw(st.integers(0, 15)), 1
+        else:
+            start, size = record + _RECORD_FIELDS[kind][0], _RECORD_FIELDS[kind][1]
+    value = draw(st.binary(min_size=size, max_size=size))
+    return data[:start] + value + data[start + size:]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_pcap_exits_cleanly(capture, data):
+    base, original, records = capture
+    path, out = base / "mutated.pcap", base / "flows.csv"
+    path.write_bytes(data.draw(mutated_capture(original, records)))
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["extract", "--pcap", str(path), "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 0:
+        assert err == ""
+        flows = int(stdout.getvalue().split(" flows -> ")[0].rsplit(" ", 1)[1])
+        assert len(read_features_csv(out)) == flows
+    else:
+        prefix = "error: " if code == 1 else "i/o error: "
+        assert err.startswith(prefix) and str(path) in err, err
         assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -1,11 +1,12 @@
 """Exact-equality oracle for the ingest hot loops.
 
 ``read_pcap``, ``assemble_flows`` and ``_direction_stats`` parse at
-buffer offsets, key open flows by plain tuples and reduce with fewer
-numpy calls.  The straightforward implementations they replaced are kept
-here verbatim as the reference; packets, flows and all 34 statistics
-must compare equal with ``==``, not within a tolerance, so a shift in the
-last bit of any statistic fails.
+buffer offsets into a packet table, cut flows as row segments of that
+table and reduce its columns with fewer numpy calls.  The
+straightforward object-based implementations they replaced are kept
+here verbatim as the reference (their record types in packet_records);
+packets, flows and all 34 statistics must compare equal with ``==``, not
+within a tolerance, so a shift in the last bit of any statistic fails.
 """
 
 import socket
@@ -17,22 +18,31 @@ import pytest
 
 from flowbundle import features
 from flowbundle.features import _DIRECTION_STATS, _direction_stats, extract_features
-from flowbundle.flows import BiFlow, FlowKey, assemble_flows
+from flowbundle.flows import assemble_flows
 from flowbundle.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
     _MAGICS,
-    _TCP_FLAG_BITS,
-    PacketRecord,
     PcapFormatError,
     PcapRead,
-    Protocol,
     read_pcap,
     write_pcap,
 )
 from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
 
-from conftest import tcp_packet, udp_packet
+from conftest import TIMEOUTS
+from packet_records import (
+    _TCP_FLAG_BITS,
+    BiFlow,
+    FlowKey,
+    PacketRecord,
+    Protocol,
+    biflows_of,
+    records_of,
+    table_of,
+    tcp_packet,
+    udp_packet,
+)
 
 # ---------------------------------------------------------------------------
 # reference implementations, verbatim
@@ -259,16 +269,18 @@ def reference_direction_stats(packets):
 
 
 def _assert_same_read(path):
+    """The reference's read, after checking the table read equals it."""
     got, want = read_pcap(path), reference_read_pcap(path)
-    assert got.packets == want.packets
+    assert records_of(got.packets) == want.packets
     assert got.link_type == want.link_type
     assert got.skipped == want.skipped
     assert got.skipped_by_reason == want.skipped_by_reason
-    return got
+    return want
 
 
 def _assert_same_stats(packets):
-    got, want = _direction_stats(packets), reference_direction_stats(packets)
+    got = _direction_stats(table_of(packets), np.arange(len(packets)))
+    want = reference_direction_stats(packets)
     assert list(want) == list(_DIRECTION_STATS)
     assert got == list(want.values())
     for name, value in zip(_DIRECTION_STATS, got):
@@ -276,10 +288,12 @@ def _assert_same_stats(packets):
 
 
 def _assert_same_flows(packets, **timeouts):
-    got = assemble_flows(packets, **timeouts)
+    """The flow segments and the reference's BiFlows, after checking they
+    hold the same flows."""
+    got = assemble_flows(table_of(packets), **{**TIMEOUTS, **timeouts})
     want = reference_assemble_flows(packets, **timeouts)
-    assert got == want
-    return got
+    assert biflows_of(got) == want
+    return got, want
 
 
 def _frame(payload, ethertype=0x0800):
@@ -353,13 +367,13 @@ class TestReferenceOracle:
         write_pcap(generate(spec).packets, path)
         capture = _assert_same_read(path)
         assert capture.skipped == 0
-        flows = _assert_same_flows(capture.packets)
+        segments, flows = _assert_same_flows(capture.packets)
         assert {f.key.protocol for f in flows} == {Protocol.TCP, Protocol.UDP}
         assert max(len(f.fwd_packets) for f in flows) >= 9
-        for flow in flows:
+        for index, flow in enumerate(flows):
             _assert_same_stats(flow.fwd_packets)
             _assert_same_stats(flow.bwd_packets)
-            got = extract_features(flow)
+            got = extract_features(segments, index)
             want = {}
             for direction, packets in (("fwd", flow.fwd_packets),
                                        ("bwd", flow.bwd_packets)):
@@ -446,5 +460,5 @@ class TestReferenceOracle:
                 packets.append(tcp_packet(t, src=hosts[a], dst=hosts[b], sport=sport,
                                           dport=dport,
                                           flags=flag_sets[int(rng.integers(0, 5))]))
-        flows = _assert_same_flows(packets, **timeouts)
+        _, flows = _assert_same_flows(packets, **timeouts)
         assert len(flows) > 50

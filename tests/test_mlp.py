@@ -553,13 +553,15 @@ class TestSerialization:
             model, X, y, TrainingConfig(learning_rate=0.1, epochs=30, seed=6)
         )
         path = tmp_path / "model.json"
+        # feature names are checked against the pipeline's on load
+        names = ["fwd_pkt_count", "num_flows"]
         save_model(
-            ModelArtifact(model=trained, feature_names=["a", "b"],
+            ModelArtifact(model=trained, feature_names=names,
                           class_names=["benign", "attack"]),
             path,
         )
         loaded = load_model(path)
-        assert loaded.feature_names == ["a", "b"]
+        assert loaded.feature_names == names
         assert loaded.class_names == ["benign", "attack"]
         probe = rng.normal(size=(5, 2))
         assert np.array_equal(

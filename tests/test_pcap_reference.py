@@ -1,11 +1,13 @@
 """Exact-equality oracle for the capture write path.
 
-``write_pcap`` fills one preallocated buffer at offsets and computes the
-IPv4 and TCP checksums from header word sums, leaving the all-zero
-payload out; ``synth._build_flow`` hoists its flag sets and protocol out
-of the per-packet loop.  The straightforward implementations they
-replaced are kept here verbatim as the reference, and the written bytes
-(and the generated packets) must compare equal with ``==``.
+``write_pcap`` fills a preallocated buffer per chunk of packets at
+offsets from the packet table's columns and computes the IPv4 and TCP
+checksums from header word sums, leaving the all-zero payload out; ``synth._add_flow`` extends
+per-column lists with its flag bytes and protocol hoisted out of the
+per-packet loop.  The straightforward object-based implementations they
+replaced are kept here verbatim as the reference (their record types in
+packet_records), and the written bytes (and the generated packets) must
+compare equal with ``==``.
 """
 
 import socket
@@ -17,17 +19,19 @@ import numpy as np
 import pytest
 
 from flowbundle import synth
-from flowbundle.pcap import (
+from flowbundle.pcap import LINKTYPE_ETHERNET, Packet, PacketTable, write_pcap
+from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
+
+from packet_records import (
     _TCP_FLAG_BITS,
-    LINKTYPE_ETHERNET,
     TCP_FLAG_NAMES,
     PacketRecord,
     Protocol,
-    write_pcap,
+    records_of,
+    table_of,
+    tcp_packet,
+    udp_packet,
 )
-from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
-
-from conftest import tcp_packet, udp_packet
 
 # ---------------------------------------------------------------------------
 # reference implementations, verbatim
@@ -182,7 +186,7 @@ def reference_build_flow(
 
 def _assert_same_bytes(packets: list[PacketRecord], tmp_path: Path) -> bytes:
     got, want = tmp_path / "got.pcap", tmp_path / "want.pcap"
-    write_pcap(packets, got)
+    write_pcap(table_of(packets), got)
     reference_write_pcap(packets, want)
     data = got.read_bytes()
     assert data == want.read_bytes()
@@ -211,7 +215,7 @@ class TestWriterOracle:
                              flow_shape="scan", protocol="UDP",
                              port_pattern="sequential"),
         ]
-        packets = generate(spec).packets
+        packets = records_of(generate(spec).packets)
         assert {p.protocol for p in packets} == {Protocol.TCP, Protocol.UDP}
         _assert_same_bytes(packets, tmp_path)
 
@@ -272,7 +276,7 @@ class TestWriterOracle:
         ]
         packets = [base[i % 3] for i in range(65_541)]
         path = tmp_path / "wrap.pcap"
-        write_pcap(packets, path)
+        write_pcap(table_of(packets), path)
         data = path.read_bytes()
         record = 16 + 14 + length
         assert len(data) == 24 + len(packets) * record
@@ -285,7 +289,7 @@ class TestWriterOracle:
 
 
 class TestGeneratorOracle:
-    """The hoisted `_build_flow` draws and emits what the reference does."""
+    """The hoisted `_add_flow` draws and emits what the reference does."""
 
     @pytest.mark.parametrize("shape, protocol", [
         ("exchange", "TCP"), ("exchange", "UDP"), ("scan", "TCP"), ("scan", "UDP"),
@@ -299,7 +303,9 @@ class TestGeneratorOracle:
         for flow in range(40):
             args = ("10.0.0.1", 40000 + flow, "192.168.10.10", 80,
                     synth._BASE_EPOCH + flow)
-            got = synth._build_flow(got_rng, cls, *args)
+            columns = tuple([] for _ in Packet._fields)
+            synth._add_flow(columns, [], got_rng, cls, *args)
+            got = records_of(PacketTable.from_lists(*columns))
             want = reference_build_flow(want_rng, cls, *args)
             assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state

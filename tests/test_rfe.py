@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flowbundle.features import ALL_FEATURE_NAMES
 from flowbundle.mlp import TrainingConfig
 from flowbundle.rfe import (
     RfeConfig,
@@ -59,17 +60,6 @@ def test_partition_and_trace_properties():
     assert scores == sorted(scores, reverse=True)
 
 
-def test_step_removes_several_per_round():
-    rng = np.random.default_rng(4)
-    X, y = planted_dataset(rng, n_noise=9)
-    names = [f"f{i}" for i in range(10)]
-    cfg = fast_cfg(seed=4, k=4)
-    cfg.step = 3
-    result = rfe_select(X, y, names, cfg)
-    assert len(result.selected) == 4
-    assert len(result.eliminated) == 6
-
-
 def test_duplicated_column_never_crowds_out_planted_feature():
     failures = 0
     for seed in range(5):
@@ -121,7 +111,8 @@ def test_deterministic_given_seed():
 def test_selection_manifest_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     X, y = planted_dataset(rng)
-    names = [f"f{i}" for i in range(X.shape[1])]
+    # a selection holds feature names of the pipeline
+    names = ALL_FEATURE_NAMES[:X.shape[1]]
     result = rfe_select(X, y, names, fast_cfg(seed=9, k=2))
     path = tmp_path / "selection.json"
     save_selection(result, path)
@@ -146,6 +137,3 @@ def test_selection_manifest_defects_name_the_file(tmp_path, text, message):
 def test_config_validation():
     with pytest.raises(ValueError):
         fast_cfg(seed=0, k=0)
-    with pytest.raises(ValueError):
-        RfeConfig(k=1, inner_training=TrainingConfig(learning_rate=0.05, epochs=500),
-                  hidden_size=3, step=0)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flowbundle import aggregation, features, flows
-from flowbundle.pcap import read_pcap
+from flowbundle.pcap import UDP, read_pcap
 from flowbundle.synth import (
     LabelError,
     ScenarioSpec,
@@ -20,6 +20,8 @@ from flowbundle.synth import (
     write_labels_csv,
     write_pcap,
 )
+
+from conftest import TIMEOUTS
 
 
 def iqr(values):
@@ -48,12 +50,12 @@ def test_seed_determinism_byte_identical(tmp_path):
 def test_different_seeds_differ():
     a = build_scenario("mimicking", seed=1, scale="small")
     b = build_scenario("mimicking", seed=2, scale="small")
-    assert a.packets != b.packets
+    assert list(a.packets) != list(b.packets)
 
 
 def test_manifest_completeness():
     traffic = build_scenario("full", seed=6, scale="small")
-    assembled = flows.assemble_flows(traffic.packets)
+    assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     assert len(assembled) == len(traffic.manifest)
     labels = match_labels(assembled, traffic.manifest)
     assert len(labels) == len(assembled)
@@ -62,14 +64,14 @@ def test_manifest_completeness():
 
 def test_unmatched_flow_raises():
     traffic = build_scenario("fig2", seed=0)
-    assembled = flows.assemble_flows(traffic.packets)
+    assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     with pytest.raises(LabelError):
         match_labels(assembled, traffic.manifest[:-1])
 
 
 def test_fig2_bundles():
     traffic = fig2_traffic()
-    assembled = flows.assemble_flows(traffic.packets)
+    assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     table = features.flow_table(assembled, ["benign"] * len(assembled))
     bundles = aggregation.bundle_flows(table)
     assert sorted((b.num_flows for b in bundles), reverse=True) == [4, 2, 1, 1]
@@ -79,7 +81,7 @@ def test_fig2_bundles():
 
 def test_packets_are_sorted():
     traffic = build_scenario("full", seed=3, scale="small")
-    times = [p.timestamp for p in traffic.packets]
+    times = traffic.packets.timestamp.tolist()
     assert times == sorted(times)
 
 
@@ -94,7 +96,7 @@ def test_scenario_parses_with_zero_skips(tmp_path):
 
 def test_mimicking_flow_stats_indistinguishable_but_bundles_disjoint():
     traffic = build_scenario("mimicking", seed=4, scale="small")
-    assembled = flows.assemble_flows(traffic.packets)
+    assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     labels = match_labels(assembled, traffic.manifest)
     rows = aggregation.aggregate_features(features.flow_table(assembled, labels))
     benign = rows.take(rows.label == "benign")
@@ -182,9 +184,9 @@ def test_udp_class_generates_flagless_packets():
     )
     traffic = generate(spec)
     assert traffic.packets
-    assert all(p.protocol.name == "UDP" for p in traffic.packets)
-    assert all(p.tcp_flags == frozenset() for p in traffic.packets)
-    assembled = flows.assemble_flows(traffic.packets)
+    assert all(p.protocol == UDP for p in traffic.packets)
+    assert all(p.tcp_flags == 0 for p in traffic.packets)
+    assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     assert match_labels(assembled, traffic.manifest) == ["dns"] * 3
 
 

@@ -12,6 +12,8 @@ from flowbundle.zeroday import (
     fit_benign,
 )
 
+from conftest import TIMEOUTS
+
 
 def accuracy_at(report, threshold):
     for outcome in report.outcomes:
@@ -129,7 +131,7 @@ class TestFitBenign:
 @pytest.fixture(scope="module")
 def scenario_rows():
     traffic = synth.build_scenario("mimicking", seed=5, scale="small")
-    flow_list = flows.assemble_flows(traffic.packets)
+    flow_list = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     labels = synth.match_labels(flow_list, traffic.manifest)
     return aggregation.aggregate_features(features.flow_table(flow_list, labels))
 
