@@ -92,7 +92,11 @@ def _extract_table(pcap_path, labels_path, cfg: PipelineConfig):
     capture = read_pcap(pcap_path)
     flow_list = flows.assemble_flows(capture.packets, cfg.idle_timeout_s, cfg.active_timeout_s)
     if labels_path:
-        labels = synth.match_labels(flow_list, synth.read_labels_csv(labels_path))
+        manifest = synth.read_labels_csv(labels_path)
+        try:
+            labels = synth.match_labels(flow_list, manifest)
+        except synth.LabelError as exc:
+            raise synth.LabelError(f"{labels_path}: {exc}") from None
     else:
         labels = ["benign"] * len(flow_list)
     return capture, features.flow_table(flow_list, labels)

@@ -8,6 +8,7 @@ aggregation step fills them.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -16,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .flows import FlowSegments
-from .pcap import PROTOCOL_NAMES, TCP_FLAG_BITS, PacketTable
-
-_add_reduce = np.add.reduce
-# per flag byte value, 1.0 for each flag it carries, in TCP_FLAG_BITS order
-_FLAG_TABLE = np.array(
-    [[float(byte & bit != 0) for bit in TCP_FLAG_BITS.values()] for byte in range(64)]
-)
+from .pcap import PROTOCOL_NAMES, TCP_FLAG_BITS
 
 _DIRECTION_STATS = (
     "pkt_count",
@@ -117,61 +112,47 @@ class FlowTable:
         })
 
 
-def _direction_stats(packets: PacketTable, rows: np.ndarray) -> list[float]:
-    """The 17 statistics of the packets in ``rows``, given in time order,
-    in _DIRECTION_STATS order."""
-    n = len(rows)
-    if not n:
-        return [0.0] * len(_DIRECTION_STATS)
-    times, lengths = packets.timestamp[rows], packets.ip_total_length[rows]
-    # sums, means and population stds take the steps ndarray.sum/mean/std
-    # take on float64 (a pairwise add.reduce, then a division by the
-    # count), so every value is bit-identical to theirs; the integer
-    # length sum is exact, as every partial float sum would be
-    total = float(_add_reduce(lengths))
-    mean = total / n
-    dev = lengths - mean
-    sizes = lengths.tolist()
-    stats = [
-        float(n),
-        total,
-        mean,
-        math.sqrt(_add_reduce(dev * dev) / n),
-        float(min(sizes)),
-        float(max(sizes)),
-    ]
+def extract_features(flows: FlowSegments) -> np.ndarray:
+    """Every flow's 34 statistics, an (n, 34) block in FLOW_FEATURE_NAMES order.
 
-    if n >= 2:
-        iats = times[1:] - times[:-1]
-        iat_mean = float(_add_reduce(iats)) / (n - 1)
-        dev = iats - iat_mean
-        gaps = iats.tolist()
-        # offsets of every successive packet from the direction's first
-        offsets = times[1:] - times[0]
-        stats += [
-            iat_mean,
-            math.sqrt(_add_reduce(dev * dev) / (n - 1)),
-            min(gaps),
-            max(gaps),
-            float(_add_reduce(offsets)) / (n - 1),
-        ]
-    else:
-        stats += [0.0] * 5
-
-    flag_counts = np.bincount(packets.tcp_flags[rows], minlength=64) @ _FLAG_TABLE
-    stats += flag_counts.tolist()
-    return stats
-
-
-def extract_features(flows: FlowSegments, index: int) -> list[float]:
-    """Flow ``index``'s 34 statistics, in FLOW_FEATURE_NAMES order."""
-    fwd, bwd = flows.direction_rows(index)
-    return _direction_stats(flows.packets, fwd) + _direction_stats(flows.packets, bwd)
+    Each direction's flows are batched by packet count m into C-ordered
+    (flows, m) matrices, so every ``axis=1`` sum, mean and population std
+    reduces one contiguous row exactly as it would a 1-D array: each value
+    is bit-identical to the per-direction result.
+    """
+    n, packets = len(flows), flows.packets
+    flow_of = np.repeat(np.arange(n), np.diff(flows.bounds))
+    out = np.zeros((n, len(FLOW_FEATURE_NAMES)))
+    for half, mask in zip(np.hsplit(out, 2), (flows.forward, ~flows.forward)):
+        rows = flows.rows[mask]
+        counts = np.bincount(flow_of[mask], minlength=n)
+        starts = np.cumsum(counts) - counts
+        order = np.argsort(counts, kind="stable")
+        sizes, firsts = np.unique(counts[order], return_index=True)
+        for m, members in zip(sizes.tolist(), np.split(order, firsts[1:])):
+            if not m:
+                continue  # an empty direction's statistics are all 0
+            take = rows[starts[members, None] + np.arange(m)]
+            times, lengths = packets.timestamp[take], packets.ip_total_length[take]
+            stats = [m, lengths.sum(axis=1), lengths.mean(axis=1), lengths.std(axis=1),
+                     lengths.min(axis=1), lengths.max(axis=1)]
+            if m >= 2:
+                iats = np.diff(times, axis=1)
+                # offsets of every successive packet from the direction's first
+                offsets = times[:, 1:] - times[:, :1]
+                stats += [iats.mean(axis=1), iats.std(axis=1), iats.min(axis=1),
+                          iats.max(axis=1), offsets.mean(axis=1)]
+            else:
+                stats += [0.0] * 5
+            flags = packets.tcp_flags[take]
+            stats += [np.count_nonzero(flags & bit, axis=1) for bit in TCP_FLAG_BITS.values()]
+            for j, column in enumerate(stats):
+                half[members, j] = column
+    return out
 
 
 def flow_table(flows: FlowSegments, labels: list[str]) -> FlowTable:
     """One row per flow: its identity, its label and its 34 statistics."""
-    stats = np.array([extract_features(flows, i) for i in range(len(flows))], dtype=float)
     return FlowTable(
         initiator_ip=flows.initiator_ip,
         initiator_port=flows.initiator_port,
@@ -182,7 +163,7 @@ def flow_table(flows: FlowSegments, labels: list[str]) -> FlowTable:
         ),
         start_time=flows.start_time,
         label=np.array(labels, dtype=object),
-        stats=stats.reshape(len(flows), len(FLOW_FEATURE_NAMES)),
+        stats=extract_features(flows),
     )
 
 
@@ -332,6 +313,22 @@ def _parse(records: list[list[str]]) -> FlowTable | None:
     )
 
 
+def csv_records(path: str | Path, error: type[ValueError]) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file; a byte that is not UTF-8 or a CSV
+    syntax error raises ``error`` naming the file and line."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_features_csv(path: str | Path) -> FlowTable:
     """Load a flow CSV written by write_features_csv.
 
@@ -340,15 +337,10 @@ def read_features_csv(path: str | Path) -> FlowTable:
     empty on every row or filled on every row; a defect raises SchemaError
     naming the file, line and column.
     """
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            records = list(reader)
-        except csv.Error as exc:
-            raise SchemaError(f"{path}:{reader.line_num}: {exc}") from None
-    if header is None:
+    records = csv_records(path, SchemaError)
+    if not records:
         raise SchemaError(f"{path}: empty file, expected header row")
+    header, records = records[0], records[1:]
     if header != CSV_COLUMNS:
         raise SchemaError(
             f"{path}: header mismatch; expected {len(CSV_COLUMNS)} documented "

@@ -35,12 +35,6 @@ class FlowSegments:
     def __len__(self) -> int:
         return len(self.start_time)
 
-    def direction_rows(self, index: int) -> tuple[np.ndarray, np.ndarray]:
-        """Flow ``index``'s forward and backward packet rows, in time order."""
-        segment = slice(self.bounds[index], self.bounds[index + 1])
-        rows, forward = self.rows[segment], self.forward[segment]
-        return rows[forward], rows[~forward]
-
 
 def assemble_flows(
     packets: PacketTable, idle_timeout: float, active_timeout: float | None

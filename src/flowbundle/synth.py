@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .features import csv_records
 from .flows import FlowSegments
 from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
 from .pcap import write_pcap  # noqa: F401  (re-export)
@@ -132,6 +133,11 @@ class FlowLabel:
     protocol: str
     start_time: float
     label: str
+
+    @property
+    def key(self) -> tuple:
+        return _flow_key_of(self.initiator_ip, self.initiator_port, self.responder_ip,
+                            self.responder_port, self.protocol, self.start_time)
 
 
 @dataclass
@@ -265,11 +271,7 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
 
 def match_labels(flows: FlowSegments, manifest: list[FlowLabel]) -> list[str]:
     """Label each assembled flow from the manifest; unmatched flows raise."""
-    lookup = {
-        _flow_key_of(e.initiator_ip, e.initiator_port, e.responder_ip,
-                     e.responder_port, e.protocol, e.start_time): e.label
-        for e in manifest
-    }
+    lookup = {e.key: e.label for e in manifest}
     labels = []
     for ip, port, rip, rport, proto, start in zip(
         flows.initiator_ip.tolist(), flows.initiator_port.tolist(),
@@ -466,32 +468,39 @@ def write_labels_csv(manifest: list[FlowLabel], path: str | Path) -> None:
 
 
 def read_labels_csv(path: str | Path) -> list[FlowLabel]:
-    manifest = []
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _LABEL_COLUMNS:
-            raise LabelError(f"{path}: unexpected label manifest header {header}")
-        for line_no, record in enumerate(reader, start=2):
-            if len(record) != len(_LABEL_COLUMNS):
+    """A labels CSV's entries; a bad field, or two labels for one flow, raise
+    LabelError naming the file and line."""
+    records = csv_records(path, LabelError)
+    header = records[0] if records else None
+    if header != _LABEL_COLUMNS:
+        raise LabelError(f"{path}: unexpected label manifest header {header}")
+    manifest, seen = [], {}  # flow key -> (its label, the line giving it)
+    for line_no, record in enumerate(records[1:], start=2):
+        if len(record) != len(_LABEL_COLUMNS):
+            raise LabelError(
+                f"{path}:{line_no}: expected {len(_LABEL_COLUMNS)} fields, got {len(record)}"
+            )
+        try:
+            entry = FlowLabel(record[0], int(record[1]), record[2], int(record[3]),
+                              record[4], float(record[5]), record[6])
+        except ValueError as exc:
+            raise LabelError(f"{path}:{line_no}: {exc}") from None
+        for i, ok, want in (
+            (1, 0 <= entry.initiator_port < 65536, "a port from 0 to 65535"),
+            (3, 0 <= entry.responder_port < 65536, "a port from 0 to 65535"),
+            (5, 0 <= entry.start_time < 2**32, "a pcap time from 0 to 2**32 s"),
+        ):
+            if not ok:
                 raise LabelError(
-                    f"{path}:{line_no}: expected {len(_LABEL_COLUMNS)} fields, "
-                    f"got {len(record)}"
+                    f"{path}:{line_no}: column {_LABEL_COLUMNS[i]}: {record[i]!r} is not {want}"
                 )
-            try:
-                manifest.append(
-                    FlowLabel(
-                        initiator_ip=record[0],
-                        initiator_port=int(record[1]),
-                        responder_ip=record[2],
-                        responder_port=int(record[3]),
-                        protocol=record[4],
-                        start_time=float(record[5]),
-                        label=record[6],
-                    )
-                )
-            except ValueError as exc:
-                raise LabelError(f"{path}:{line_no}: {exc}") from None
+        label, first = seen.setdefault(entry.key, (entry.label, line_no))
+        if label != entry.label:
+            raise LabelError(
+                f"{path}:{line_no}: flow {entry.key} is labelled {entry.label!r} here "
+                f"but {label!r} on line {first}"
+            )
+        manifest.append(entry)
     return manifest
 
 

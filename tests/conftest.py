@@ -55,13 +55,13 @@ def has_flag(packet, name):
 
 def flow_segments(flows):
     """FlowSegments of (fwd, bwd) packet lists, one flow per pair, each
-    direction's packets given in time order; the first forward packet
-    gives the flow's identity.  A flow's rows hold its forward packets
-    before its backward ones, not interleaved by time: the statistics read
-    each direction on its own."""
+    direction's packets given in time order; the first forward packet (the
+    first backward one when there is none) gives the flow's identity.  A
+    flow's rows hold its forward packets before its backward ones, not
+    interleaved by time: the statistics read each direction on its own."""
     packets = [p for fwd, bwd in flows for p in (*fwd, *bwd)]
     sizes = [len(fwd) + len(bwd) for fwd, bwd in flows]
-    firsts = [fwd[0] for fwd, _ in flows]
+    firsts = [(fwd or bwd)[0] for fwd, bwd in flows]
     return FlowSegments(
         packets=packet_table(packets),
         rows=np.arange(len(packets)),
@@ -77,9 +77,16 @@ def flow_segments(flows):
     )
 
 
+def direction_rows(flows, index):
+    """Flow ``index``'s forward and backward packet rows, in time order."""
+    segment = slice(flows.bounds[index], flows.bounds[index + 1])
+    rows, forward = flows.rows[segment], flows.forward[segment]
+    return rows[forward], rows[~forward]
+
+
 def flow_packets(flows, index):
     """Flow ``index``'s forward and backward Packet rows, in time order."""
-    return tuple(list(flows.packets.take(rows)) for rows in flows.direction_rows(index))
+    return tuple(list(flows.packets.take(rows)) for rows in direction_rows(flows, index))
 
 
 @pytest.fixture

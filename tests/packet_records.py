@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from flowbundle.flows import FlowSegments
 from flowbundle.pcap import Packet, PacketTable
 
-from conftest import packet_table
+from conftest import direction_rows, packet_table
 
 # ---------------------------------------------------------------------------
 # verbatim copies
@@ -179,7 +179,7 @@ def biflows_of(flows: FlowSegments) -> list[BiFlow]:
     out = []
     for index in range(len(flows)):
         fwd, bwd = (records_of(flows.packets.take(rows))
-                    for rows in flows.direction_rows(index))
+                    for rows in direction_rows(flows, index))
         first = records_of(flows.packets.take(flows.rows[flows.bounds[index]:][:1]))[0]
         out.append(BiFlow(
             key=FlowKey.from_packet(first),

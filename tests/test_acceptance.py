@@ -150,7 +150,7 @@ def test_05_flow_statistic_oracle_200_flows():
     rng = np.random.default_rng(105)
     for _ in range(200):
         fwd, bwd = random_flow(rng, max_packets=50)
-        stats = features.extract_features(make_flow(fwd, bwd), 0)
+        stats = features.extract_features(make_flow(fwd, bwd))[0]
         vec = dict(zip(features.FLOW_FEATURE_NAMES, stats))
         for direction, packets in (("fwd", fwd), ("bwd", bwd)):
             for stat, expected in brute_force_stats(packets).items():

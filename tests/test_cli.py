@@ -336,6 +336,12 @@ def test_replicate_small_deterministic(tmp_path):
         ("10.0.0.1,40000,10.0.0.2,80,TCP,1.000000\n", "expected 7 fields, got 6"),
         ("10.0.0.1,http,10.0.0.2,80,TCP,1.000000,benign\n",
          "invalid literal for int() with base 10: 'http'"),
+        ("10.0.0.1,40000,10.0.0.2,80,TCP,inf,benign\n",
+         "column start_time: 'inf' is not a pcap time from 0 to 2**32 s"),
+        ("10.0.0.1,40000,10.0.0.2,80,TCP,nan,benign\n",
+         "column start_time: 'nan' is not a pcap time from 0 to 2**32 s"),
+        ("10.0.0.1,40000,10.0.0.2,65536,TCP,1.000000,benign\n",
+         "column responder_port: '65536' is not a port from 0 to 65535"),
     ],
 )
 def test_malformed_labels_csv_rejected(fig2_capture, tmp_path, capsys, row, problem):
@@ -346,6 +352,35 @@ def test_malformed_labels_csv_rejected(fig2_capture, tmp_path, capsys, row, prob
     assert run(["extract", "--pcap", str(pcap), "--labels", str(bad),
                 "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: {bad}:3: {problem}\n"
+
+
+def test_conflicting_labels_rejected(fig2_capture, tmp_path, capsys):
+    pcap, labels = fig2_capture
+    lines = labels.read_text().splitlines(keepends=True)
+    bad = tmp_path / "labels.csv"
+    bad.write_text("".join(lines) + lines[1].replace(",benign", ",attack"))
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(bad),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{len(lines) + 1}: flow "), err
+    assert err.endswith(" is labelled 'attack' here but 'benign' on line 2\n"), err
+
+
+@pytest.mark.parametrize("command", ["extract", "aggregate"])
+def test_non_utf8_csv_rejected(fig2_capture, tmp_path, capsys, command):
+    pcap, labels = fig2_capture
+    flows = tmp_path / "flows.csv"
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(labels),
+                "--out", str(flows)]) == 0
+    source = labels if command == "extract" else flows
+    data = source.read_bytes().splitlines(keepends=True)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"".join(data[:2]) + b"\xff" + b"".join(data[2:]))
+    argv = (["extract", "--pcap", str(pcap), "--labels", str(bad)] if command == "extract"
+            else ["aggregate", "--in", str(bad)])
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:3: byte 0xff is not UTF-8\n"
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,7 @@ from conftest import flow_segments, has_flag, tcp_packet, udp_packet
 
 def stats_of(flows, index=0):
     """Flow ``index``'s 34 statistics by name."""
-    return dict(zip(FLOW_FEATURE_NAMES, extract_features(flows, index)))
+    return dict(zip(FLOW_FEATURE_NAMES, extract_features(flows)[index]))
 
 
 def validate_vector(values):

@@ -10,6 +10,13 @@ Pcap: the fig. 2 capture gets one overwritten header field or is cut
 short, and goes through ``extract``.  The run must exit 0 with a flow
 CSV that reads back, or exit 1 or 2 with one ``error:`` or ``i/o
 error:`` line naming the file, never a traceback.
+
+Labels CSV: the fig. 2 manifest gets one mutation (a field changed,
+dropped or added, a port or start time out of range, a second label for
+a flow, a byte that is not UTF-8, a cut) and goes through ``extract``
+with the unchanged capture.  The run must exit 0 with a flow CSV that
+reads back, or exit 1 with one ``error:`` line naming the file, and the
+line and column where the mutation fixes them.
 """
 
 import csv
@@ -23,6 +30,7 @@ from hypothesis import strategies as st
 
 from flowbundle.cli import main
 from flowbundle.features import CSV_COLUMNS, read_features_csv
+from flowbundle.synth import _LABEL_COLUMNS
 
 _BUNDLE_CELLS = [CSV_COLUMNS.index("num_flows"), CSV_COLUMNS.index("src_ports_delta")]
 
@@ -173,4 +181,83 @@ def test_mutated_pcap_exits_cleanly(capture, data):
     else:
         prefix = "error: " if code == 1 else "i/o error: "
         assert err.startswith(prefix) and str(path) in err, err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# values out of range for a column, by the column's index
+_OUT_OF_RANGE = {
+    1: ["-1", "65536", "70000", "99999999999999999999"],
+    3: ["-1", "65536", "70000", "99999999999999999999"],
+    5: ["nan", "NaN", "inf", "-inf", "1e999", "1e308", "-1", "4294967296"],
+}
+
+
+@pytest.fixture(scope="module")
+def labelled_capture(tmp_path_factory):
+    """The fig. 2 capture's path and its labels CSV as bytes."""
+    base = tmp_path_factory.mktemp("fuzz_labels")
+    pcap, labels = base / "fig2.pcap", base / "labels.csv"
+    with redirect_stdout(io.StringIO()):
+        assert main(["synth", "--scenario", "fig2", "--out", str(pcap),
+                     "--labels", str(labels)]) == 0
+    return base, pcap, labels.read_bytes()
+
+
+@st.composite
+def mutated_labels_csv(draw, data):
+    """(bytes, expected error prefix after the path): the labels CSV with
+    one mutation; the prefix is "" where the mutation does not fix the
+    line the loader must name."""
+    records = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    row = draw(st.integers(1, len(records) - 1))
+    record = records[row]
+    kind = draw(st.sampled_from(
+        ["text", "range", "drop", "extra", "duplicate", "byte", "truncate"]
+    ))
+    if kind == "byte":
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from([0x80, 0xBF, 0xC3, 0xED, 0xF8, 0xFE, 0xFF]))
+        line = data.count(b"\n", 0, at) + 1
+        return data[:at] + bytes([byte]) + data[at:], f":{line}: byte 0x{byte:02x} is not UTF-8"
+    if kind == "truncate":
+        return data[:draw(st.integers(0, len(data) - 1))], ""
+    expect = ""
+    if kind == "text":
+        record[draw(st.integers(0, len(record) - 1))] = draw(st.text(max_size=12))
+    elif kind == "range":
+        column = draw(st.sampled_from(sorted(_OUT_OF_RANGE)))
+        record[column] = draw(st.sampled_from(_OUT_OF_RANGE[column]))
+        expect = f":{row + 1}: column {_LABEL_COLUMNS[column]}: "
+    elif kind == "drop":
+        del record[draw(st.integers(0, len(record) - 1))]
+        expect = f":{row + 1}: expected 7 fields, got 6"
+    elif kind == "extra":
+        record.insert(draw(st.integers(0, len(record))), draw(st.text(max_size=8)))
+        expect = f":{row + 1}: expected 7 fields, got 8"
+    else:
+        label = draw(st.text(min_size=1, max_size=8).filter(lambda t: t != record[-1]))
+        records.insert(row + 1, record[:-1] + [label])
+        expect = f":{row + 2}: flow "
+    return _csv_text(records).encode(), expect
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_labels_csv_exits_cleanly(labelled_capture, data):
+    base, pcap, original = labelled_capture
+    text, expect = data.draw(mutated_labels_csv(original))
+    path, out = base / "mutated.csv", base / "flows.csv"
+    path.write_bytes(text)
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["extract", "--pcap", str(pcap), "--labels", str(path),
+                     "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1), err
+    if code == 0:
+        assert err == "" and not expect
+        assert len(read_features_csv(out)) == 8
+    else:
+        assert err.startswith(f"error: {path}{expect}"), err
         assert err.count("\n") == 1 and err.endswith("\n"), err

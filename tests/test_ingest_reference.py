@@ -1,8 +1,8 @@
 """Exact-equality oracle for the ingest hot loops.
 
-``read_pcap``, ``assemble_flows`` and ``_direction_stats`` parse at
+``read_pcap``, ``assemble_flows`` and ``extract_features`` parse at
 buffer offsets into a packet table, cut flows as row segments of that
-table and reduce its columns with fewer numpy calls.  The
+table and reduce its columns in batches of equal-length directions.  The
 straightforward object-based implementations they replaced are kept
 here verbatim as the reference (their record types in packet_records);
 packets, flows and all 34 statistics must compare equal with ``==``, not
@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from flowbundle import features
-from flowbundle.features import _DIRECTION_STATS, _direction_stats, extract_features
+from flowbundle.features import _DIRECTION_STATS, extract_features
 from flowbundle.flows import assemble_flows
 from flowbundle.pcap import (
     LINKTYPE_ETHERNET,
@@ -30,7 +30,7 @@ from flowbundle.pcap import (
 )
 from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
 
-from conftest import TIMEOUTS
+from conftest import TIMEOUTS, flow_segments
 from packet_records import (
     _TCP_FLAG_BITS,
     BiFlow,
@@ -278,13 +278,41 @@ def _assert_same_read(path):
     return want
 
 
-def _assert_same_stats(packets):
-    got = _direction_stats(table_of(packets), np.arange(len(packets)))
-    want = reference_direction_stats(packets)
-    assert list(want) == list(_DIRECTION_STATS)
-    assert got == list(want.values())
-    for name, value in zip(_DIRECTION_STATS, got):
-        assert type(value) is float, name
+def _assert_same_stats(flows):
+    """extract_features over one table of (fwd, bwd) record lists equals the
+    reference's statistics of each direction, compared with ``==``."""
+    segments = flow_segments([(list(table_of(fwd)), list(table_of(bwd)))
+                              for fwd, bwd in flows])
+    got = extract_features(segments)
+    assert got.dtype == np.float64 and got.shape == (len(flows), 2 * len(_DIRECTION_STATS))
+    for row, (fwd, bwd) in zip(got.tolist(), flows):
+        want = reference_direction_stats(fwd), reference_direction_stats(bwd)
+        assert list(want[0]) == list(_DIRECTION_STATS)
+        assert row == [*want[0].values(), *want[1].values()]
+
+
+def _random_direction(rng, n, epoch):
+    """n TCP records in time order, with runs of equal timestamps."""
+    flag_pool = ["SYN", "ACK", "FIN", "RST", "PSH", "URG"]
+    times = np.sort(epoch + rng.exponential(0.3, size=n).cumsum())
+    times[rng.random(n) < 0.3] = times[0] if n else 0.0
+    times.sort()
+    return [
+        tcp_packet(
+            float(round(t, 6)),
+            length=int(rng.integers(40, 1500)),
+            flags=[str(f) for f in rng.choice(
+                flag_pool, size=int(rng.integers(1, 4)), replace=False)],
+        )
+        for t in times
+    ]
+
+
+def _paired(directions):
+    """One flow per direction list, paired with the list as far from it in
+    ``directions`` as possible, so every list is read forward and backward
+    and no flow is empty while some list is not."""
+    return list(zip(directions, reversed(directions)))
 
 
 def _assert_same_flows(packets, **timeouts):
@@ -370,17 +398,15 @@ class TestReferenceOracle:
         segments, flows = _assert_same_flows(capture.packets)
         assert {f.key.protocol for f in flows} == {Protocol.TCP, Protocol.UDP}
         assert max(len(f.fwd_packets) for f in flows) >= 9
+        table = extract_features(segments)
         for index, flow in enumerate(flows):
-            _assert_same_stats(flow.fwd_packets)
-            _assert_same_stats(flow.bwd_packets)
-            got = extract_features(segments, index)
             want = {}
             for direction, packets in (("fwd", flow.fwd_packets),
                                        ("bwd", flow.bwd_packets)):
                 for stat, value in reference_direction_stats(packets).items():
                     want[f"{direction}_{stat}"] = value
             assert list(want) == features.FLOW_FEATURE_NAMES
-            assert got == list(want.values())
+            assert table[index].tolist() == list(want.values())
 
     @pytest.mark.parametrize(
         "order, magic, ticks",
@@ -418,25 +444,21 @@ class TestReferenceOracle:
 
     def test_random_directions(self):
         rng = np.random.default_rng(7)
-        flag_pool = ["SYN", "ACK", "FIN", "RST", "PSH", "URG"]
+        directions = []
         for n in list(range(0, 40)) + [127, 128, 129, 300]:
             for epoch in (0.0, 1.5e9):
-                times = np.sort(epoch + rng.exponential(0.3, size=n).cumsum())
-                # runs of equal timestamps
-                times[rng.random(n) < 0.3] = times[0] if n else 0.0
-                times.sort()
-                packets = [
-                    tcp_packet(
-                        float(round(t, 6)),
-                        length=int(rng.integers(40, 1500)),
-                        flags=[str(f) for f in rng.choice(
-                            flag_pool, size=int(rng.integers(1, 4)), replace=False)],
-                    )
-                    for t in times
-                ]
-                _assert_same_stats(packets)
-                _assert_same_stats([udp_packet(p.timestamp, length=p.ip_total_length)
-                                    for p in packets])
+                packets = _random_direction(rng, n, epoch)
+                directions += [packets, [udp_packet(p.timestamp, length=p.ip_total_length)
+                                         for p in packets]]
+        _assert_same_stats(_paired(directions))
+
+    def test_direction_lengths_in_one_table(self):
+        # around numpy's 8-wide unrolled and 128-long pairwise summation blocks
+        rng = np.random.default_rng(15)
+        directions = [_random_direction(rng, n, epoch)
+                      for n in (0, 1, 2, 7, 8, 9, 127, 128, 129, 1000)
+                      for epoch in (0.0, 1.5e9, 1.5e9)]
+        _assert_same_stats(_paired(directions))
 
     @pytest.mark.parametrize(
         "timeouts",
