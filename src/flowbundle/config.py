@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .features import utf8_text
 from .mlp import TrainingConfig
 from .zeroday import DEFAULT_THRESHOLDS, ThresholdPolicy
 
@@ -151,12 +152,12 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key = value config file; unknown sections or keys reject."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        parser.read_string(utf8_text(path, ConfigError), source=str(path))
         sections = {section: parser.items(section) for section in parser.sections()}
+    except OSError:
+        raise ConfigError(f"config file {path} not found or unreadable") from None
     except configparser.Error as exc:
         raise _syntax_error(path, exc) from None
-    if not read:
-        raise ConfigError(f"config file {path} not found or unreadable")
     cfg = PipelineConfig()
     for section, items in sections.items():
         if section not in _SCHEMA:

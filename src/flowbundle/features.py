@@ -199,33 +199,31 @@ def label_classes(
     return y, class_names
 
 
-def _text(values: np.ndarray, integer: bool) -> list[str]:
-    """A numeric column as CSV fields: counts as integers, floats at 6 d.p."""
-    return list(map(("%d" if integer else "%.6f").__mod__, values.tolist()))
-
-
 def write_features_csv(table: FlowTable, path: str | Path) -> None:
-    """Write flows using the documented column order, floats at 6 d.p."""
-    stats = table.stats.T
-    columns = [
-        table.initiator_ip.tolist(),
-        _text(table.initiator_port, True),
-        table.responder_ip.tolist(),
-        _text(table.responder_port, True),
-        table.protocol.tolist(),
-        _text(table.start_time, False),
-    ]
-    columns += [_text(stats[j], name in _INT_FEATURES) for j, name in enumerate(FLOW_FEATURE_NAMES)]
-    if table.aggregated:
-        columns += [_text(table.num_flows, True), _text(table.src_ports_delta, False)]
-    else:
-        # the bundle columns stay empty until aggregation fills them
-        columns += [[""] * len(table)] * 2
-    columns.append(table.label.tolist())
+    """Write flows in the documented column order, floats at 6 d.p., from one
+    ``%`` row template, or by csv.writer when a string field needs quoting."""
+    empty = np.full(len(table), "", dtype=object)  # the bundle columns before aggregation
+    kinds, columns = zip(*(
+        (kind, column.tolist()) for kind, column in [
+            ("%s", table.initiator_ip), ("%d", table.initiator_port),
+            ("%s", table.responder_ip), ("%d", table.responder_port),
+            ("%s", table.protocol), ("%.6f", table.start_time),
+            *(("%d" if name in _INT_FEATURES else "%.6f", column)
+              for name, column in zip(FLOW_FEATURE_NAMES, table.stats.T)),
+            ("%d", table.num_flows) if table.aggregated else ("%s", empty),
+            ("%.6f", table.src_ports_delta) if table.aggregated else ("%s", empty),
+            ("%s", table.label),
+        ]
+    ))
+    strings = "".join(chain(*(c for kind, c in zip(kinds, columns) if kind == "%s")))
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(*columns))
+        if any(char in strings for char in ',"\r\n'):
+            writer.writerows(zip(*(map(k.__mod__, c) for k, c in zip(kinds, columns))))
+        else:
+            template = ",".join(kinds) + "\r\n"
+            handle.write("".join(map(template.__mod__, zip(*columns))))
 
 
 # start_time and the 34 statistics are consecutive columns
@@ -313,16 +311,20 @@ def _parse(records: list[list[str]]) -> FlowTable | None:
     )
 
 
-def csv_records(path: str | Path, error: type[ValueError]) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file; a byte that is not UTF-8 or a CSV
-    syntax error raises ``error`` naming the file and line."""
+def utf8_text(path: str | Path, error: type[ValueError]) -> str:
+    """A UTF-8 file's text; a byte that is not UTF-8 raises ``error`` naming the line."""
     data = Path(path).read_bytes()
     try:
-        text = data.decode()
+        return data.decode()
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise error(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+
+
+def csv_records(path: str | Path, error: type[ValueError]) -> list[list[str]]:
+    """Every row of a UTF-8 CSV file; a byte that is not UTF-8 or a CSV
+    syntax error raises ``error`` naming the file and line."""
+    reader = csv.reader(io.StringIO(utf8_text(path, error), newline=""))
     try:
         return list(reader)
     except csv.Error as exc:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import ALL_FEATURE_NAMES
+from .features import ALL_FEATURE_NAMES, utf8_text
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
 OUTPUT_ACTIVATIONS = ("softmax", "sigmoid", "identity")
@@ -392,7 +392,7 @@ def read_versioned_json(
 ) -> dict:
     """Parse a JSON manifest; any defect is a ValueError naming the file."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(utf8_text(path, ValueError))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -153,67 +153,114 @@ def _parse_ipv4(
     return None
 
 
+# bytes of the capture read at a time, which bounds the reader's memory
+_READ_BYTES = 1 << 22
+
+
 def read_pcap(path: str | Path) -> PcapRead:
     """Parse a classic pcap file into a PacketTable, in file order.
 
     Non-IPv4 frames, fragments, VLAN-tagged frames and non-TCP/UDP
     packets are counted in ``skipped_by_reason``.  Structural problems
     (bad magic, truncated records, unsupported link type) raise
-    PcapFormatError naming the byte offset.
+    PcapFormatError naming the byte offset.  The file is read in blocks, each
+    block's plain frames parsed at once and the others by ``_parse_ipv4``.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 24:
-        raise PcapFormatError(
-            f"{path}: file too short for pcap global header ({len(data)} bytes)"
-        )
-    magic = data[:4]
-    if magic not in _MAGICS:
-        raise PcapFormatError(f"{path}: bad magic {magic.hex()} at offset 0")
-    order, ticks = _MAGICS[magic]
-    _version_major, _version_minor, _tz, _sigfigs, _snaplen, link_type = struct.unpack(
-        order + "HHiIII", data[4:24]
-    )
-    if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-        raise PcapFormatError(f"{path}: unsupported link type {link_type}")
+    with open(path, "rb") as handle:
+        data = handle.read(24)
+        if len(data) < 24:
+            raise PcapFormatError(
+                f"{path}: file too short for pcap global header ({len(data)} bytes)")
+        magic = data[:4]
+        if magic not in _MAGICS:
+            raise PcapFormatError(f"{path}: bad magic {magic.hex()} at offset 0")
+        order, ticks = _MAGICS[magic]
+        (link_type,) = struct.unpack_from(order + "I", data, 20)
+        if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
+            raise PcapFormatError(f"{path}: unsupported link type {link_type}")
+        # Ethernet header length, 0 for raw IP, and a record's bytes through the TCP flags
+        eth, width = (14, 64) if link_type == LINKTYPE_ETHERNET else (0, 50)
+        ip = 16 + eth  # a frame's IP header, from its record header
+        unpack_incl_len = struct.Struct(order + "8xI").unpack_from
+        parts: list[tuple[np.ndarray, ...]] = []  # per block, the plain frames' fields
+        slow_columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
+        slow_rows: list[int] = []
+        skipped: dict[str, int] = {}
+        names: dict[bytes, tuple[str, str]] = {}
+        position, frames, want, data = 24, 0, _READ_BYTES, bytearray()
+        file_size = Path(path).stat().st_size
+        while True:
+            block = min(want, file_size - position)
+            if len(data) < block + width:  # else the last block's buffer is reused
+                data = bytearray(block + width)
+            # bytes past a frame's end never reach a packet: a plain frame's fields lie within it
+            size = handle.readinto(memoryview(data)[:block])
+            offset, frame_starts, cut = 0, [], None
+            while offset < size:
+                frame_starts.append(offset + 16)
+                offset += 16 + unpack_incl_len(data, offset)[0]
+            if offset > size:  # the last record runs past the block
+                frame_start = frame_starts.pop()
+                cut = (f"truncated record header at byte offset {position + frame_start - 16}"
+                       if frame_start > size else
+                       f"truncated packet data at byte offset {position + frame_start} "
+                       f"(need {offset - frame_start} bytes)")
+                offset = frame_start - 16
+            last = size < want
+            if cut and last:  # cut by the end of the file
+                raise PcapFormatError(f"{path}: {cut}")
+            records = np.array(frame_starts, dtype=np.int64) - 16
 
-    columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
-    skipped: dict[str, int] = {}
-    ethernet = link_type == LINKTYPE_ETHERNET
-    names: dict[bytes, tuple[str, str]] = {}
-    size = len(data)
-    offset = 24
-    unpack_rec_header = struct.Struct(order + "IIII").unpack_from
-    while offset < size:
-        if offset + 16 > size:
-            raise PcapFormatError(
-                f"{path}: truncated record header at byte offset {offset}"
-            )
-        ts_sec, ts_frac, incl_len, _orig_len = unpack_rec_header(data, offset)
-        frame_start = offset + 16
-        offset = frame_start + incl_len
-        if offset > size:
-            raise PcapFormatError(
-                f"{path}: truncated packet data at byte offset {frame_start} "
-                f"(need {incl_len} bytes)"
-            )
-        timestamp = (ts_sec * ticks + ts_frac) / ticks
-        if not ethernet:
-            reason = _parse_ipv4(data, frame_start, offset, timestamp, names, columns)
-        elif incl_len < 14:
-            reason = "malformed"
-        else:
-            ethertype = data[frame_start + 12] << 8 | data[frame_start + 13]
-            if ethertype == 0x0800:
-                reason = _parse_ipv4(
-                    data, frame_start + 14, offset, timestamp, names, columns
-                )
-            else:
-                reason = "vlan" if ethertype == 0x8100 else "non_ipv4"
-        if reason is not None:
-            skipped[reason] = skipped.get(reason, 0) + 1
-    return PcapRead(
-        PacketTable.from_lists(*columns), link_type, sum(skipped.values()), skipped
+            def field(at: int, n: int = 1, byte_order: str = ">") -> np.ndarray:
+                # the ``n``-byte unsigned integer ``at`` bytes into each record
+                view = np.ndarray((len(data) - at - n + 1,), f"V{n}", data, at, strides=(1,))
+                return view[records].view(f"{byte_order}u{n}")
+
+            sec, frac, incl_len = (field(at, 4, order) for at in (0, 4, 8))
+            protocol, total_length, flags = field(ip + 9), field(ip + 2, 2), field(ip + 33) & 0x3F
+            room = incl_len.astype(np.int64) - eth
+            tcp = (protocol == TCP) & (room >= 40) & (total_length >= 40) & (flags != 0)
+            udp = (protocol == UDP) & (room >= 28) & (total_length >= 28)
+            plain = (tcp | udp) & (field(ip) == 0x45) & (field(ip + 6, 2) & 0x3FFF == 0)
+            plain &= field(ip - 2, 2) == 0x0800 if eth else True  # Ethernet carries IPv4
+            fast = np.flatnonzero(plain)
+            parts.append((frames + fast, sec[fast].astype(np.int64) * ticks + frac[fast],
+                          *(field(ip + at, n)[fast] for at, n in ((12, 8), (20, 2), (22, 2))),
+                          protocol[fast], total_length[fast], np.where(tcp[fast], flags[fast], 0)))
+            for i in np.flatnonzero(~plain).tolist():
+                start, end = frame_starts[i], frame_starts[i] + int(incl_len[i])
+                ethertype = data[start + 12] << 8 | data[start + 13] if end - start >= 14 else None
+                if not eth or ethertype == 0x0800:
+                    timestamp = (int(sec[i]) * ticks + int(frac[i])) / ticks
+                    reason = _parse_ipv4(data, start + eth, end, timestamp, names, slow_columns)
+                else:
+                    reason = {None: "malformed", 0x8100: "vlan"}.get(ethertype, "non_ipv4")
+                if reason is None:
+                    slow_rows.append(frames + i)
+                else:
+                    skipped[reason] = skipped.get(reason, 0) + 1
+            if last:
+                break
+            frames, position = frames + len(frame_starts), position + offset
+            handle.seek(position)
+            want = 2 * want if offset == 0 else _READ_BYTES  # until one record fits
+
+    index, stamps, pairs, *rest = (np.concatenate(column) for column in zip(*parts))
+    pairs, which = np.unique(pairs, return_inverse=True)
+    addresses = [pair.to_bytes(8, "big") for pair in pairs.tolist()]
+    columns = (
+        # Python's int division rounds correctly; float64's does not past 2**53
+        np.array([a / ticks for a in stamps.tolist()]),
+        np.array([socket.inet_ntoa(a[:4]) for a in addresses], dtype=object)[which],
+        np.array([socket.inet_ntoa(a[4:]) for a in addresses], dtype=object)[which],
+        *rest,
     )
+    if slow_rows:  # both row sets are in file order: merge them by frame index
+        by_frame = np.argsort(np.concatenate([index, slow_rows]))
+        columns = tuple(np.concatenate([column, np.array(extra, column.dtype)])[by_frame]
+                        for column, extra in zip(columns, slow_columns))
+    packets = PacketTable.from_lists(*columns)
+    return PcapRead(packets, link_type, sum(skipped.values()), skipped)
 
 
 # packets packed per buffer and write, which bounds the writer's memory

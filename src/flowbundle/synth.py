@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import csv_records
+from .features import csv_records, utf8_text
 from .flows import FlowSegments
 from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
 from .pcap import write_pcap  # noqa: F401  (re-export)
@@ -510,7 +510,7 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
     Invalid JSON, a missing key and a value out of range are a ValueError
     naming the file and the key.
     """
-    text = Path(path).read_text()
+    text = utf8_text(path, ValueError)
     try:
         doc = json.loads(text)
         classes = [TrafficClassSpec(**entry) for entry in doc["classes"]]

@@ -383,6 +383,35 @@ def test_non_utf8_csv_rejected(fig2_capture, tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {bad}:3: byte 0xff is not UTF-8\n"
 
 
+@pytest.mark.parametrize("loader", ["spec", "config", "selection", "model"])
+def test_non_utf8_input_file_rejected(mimicking_csvs, tmp_path, capsys, loader):
+    _, agg_csv, _, attack_csv = mimicking_csvs
+    bad, never = tmp_path / "bad", str(tmp_path / "never")
+    # each file has the byte 0xff on its line 2
+    text, argv = {
+        "spec": (b'{"seed": 1,\n"duration": 5\xff}',
+                 ["synth", "--spec", str(bad), "--out", never]),
+        "config": (b"[flow]\nidle_timeout_s = 1\xff0\n",
+                   ["aggregate", "--in", never, "--config", str(bad), "--out", never]),
+        "selection": (b'{"format_version": 1,\n"selected": ["\xff"]}',
+                      ["train", "--in", str(agg_csv), "--selection", str(bad),
+                       "--model", never]),
+        "model": (b'{"format_version": 1,\n"\xff": 0}',
+                  ["zeroday", "detect", "--model", str(bad), "--in", str(attack_csv)]),
+    }[loader]
+    bad.write_bytes(text)
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}:2: byte 0xff is not UTF-8\n"
+    assert not (tmp_path / "never").exists()
+
+
+def test_missing_config_rejected(tmp_path, capsys):
+    missing, never = tmp_path / "missing.ini", str(tmp_path / "never")
+    assert run(["aggregate", "--in", never, "--config", str(missing), "--out", never]) == 1
+    assert capsys.readouterr().err == f"error: config file {missing} not found or unreadable\n"
+
+
 @pytest.mark.parametrize(
     "column, raw, problem",
     [

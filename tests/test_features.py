@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import statistics
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from flowbundle.features import (
+    _INT_FEATURES,
     ALL_FEATURE_NAMES,
     CSV_COLUMNS,
     FLOW_FEATURE_NAMES,
@@ -231,6 +233,54 @@ def test_csv_round_trip(tmp_path, rng):
     assert back.num_flows.tolist() == list(range(4, 14))
     assert back.src_ports_delta[0] == 1500.0
     assert back.src_ports_delta.tolist() == aggregated.src_ports_delta.tolist()
+
+
+def reference_write_features_csv(table, path):
+    """The column-wise csv.writer writer the row template replaced, verbatim."""
+
+    def _text(values, integer):
+        return list(map(("%d" if integer else "%.6f").__mod__, values.tolist()))
+
+    stats = table.stats.T
+    columns = [
+        table.initiator_ip.tolist(),
+        _text(table.initiator_port, True),
+        table.responder_ip.tolist(),
+        _text(table.responder_port, True),
+        table.protocol.tolist(),
+        _text(table.start_time, False),
+    ]
+    columns += [_text(stats[j], name in _INT_FEATURES) for j, name in enumerate(FLOW_FEATURE_NAMES)]
+    if table.aggregated:
+        columns += [_text(table.num_flows, True), _text(table.src_ports_delta, False)]
+    else:
+        columns += [[""] * len(table)] * 2
+    columns.append(table.label.tolist())
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(zip(*columns))
+
+
+# one label csv.writer quotes (it holds a delimiter, quote or line break)
+@pytest.mark.parametrize("quoted", [None, "a,b", 'say "hi"', "cr\rx", "lf\nx", "\r\n"])
+def test_csv_bytes_equal_csv_writer(tmp_path, rng, quoted):
+    n = 12
+    labels = ["benign", "slowloris"] * (n // 2)
+    if quoted is not None:
+        labels[5] = quoted
+    table = flow_table(flow_segments([random_flow(rng) for _ in range(n)]), labels)
+    aggregated = dataclasses.replace(
+        table, num_flows=np.arange(n), src_ports_delta=rng.uniform(0, 3000, n)
+    )
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    for rows in (table, aggregated, table.take(np.arange(0))):
+        write_features_csv(rows, got)
+        reference_write_features_csv(rows, want)
+        assert got.read_bytes() == want.read_bytes()
+        back = read_features_csv(got)
+        assert back.label.tolist() == rows.label.tolist()
+        assert back.initiator_ip.tolist() == rows.initiator_ip.tolist()
 
 
 def test_csv_huge_finite_values_accepted(tmp_path, rng):

@@ -7,8 +7,10 @@ an exit 1 prints one ``error:`` line naming the file and the mutated
 line; an exit 0 writes a file that reads back.
 
 Pcap: the fig. 2 capture gets one overwritten header field or is cut
-short, and goes through ``extract``.  The run must exit 0 with a flow
-CSV that reads back, or exit 1 or 2 with one ``error:`` or ``i/o
+short.  ``read_pcap`` must give the same packets and skip counts as
+the reference reader in test_ingest_reference.py, or raise the same
+error; then it goes through ``extract``.  The run must exit 0 with a
+flow CSV that reads back, or exit 1 or 2 with one ``error:`` or ``i/o
 error:`` line naming the file, never a traceback.
 
 Labels CSV: the fig. 2 manifest gets one mutation (a field changed,
@@ -30,7 +32,11 @@ from hypothesis import strategies as st
 
 from flowbundle.cli import main
 from flowbundle.features import CSV_COLUMNS, read_features_csv
+from flowbundle.pcap import PcapFormatError, read_pcap
 from flowbundle.synth import _LABEL_COLUMNS
+
+from packet_records import records_of
+from test_ingest_reference import reference_read_pcap
 
 _BUNDLE_CELLS = [CSV_COLUMNS.index("num_flows"), CSV_COLUMNS.index("src_ports_delta")]
 
@@ -168,6 +174,17 @@ def test_mutated_pcap_exits_cleanly(capture, data):
     base, original, records = capture
     path, out = base / "mutated.pcap", base / "flows.csv"
     path.write_bytes(data.draw(mutated_capture(original, records)))
+    try:
+        want = reference_read_pcap(path)
+    except PcapFormatError as exc:
+        with pytest.raises(PcapFormatError) as got:
+            read_pcap(path)
+        assert str(got.value) == str(exc)
+    else:
+        got = read_pcap(path)
+        assert records_of(got.packets) == want.packets
+        assert got.skipped_by_reason == want.skipped_by_reason
+        assert got.skipped == want.skipped
     out.unlink(missing_ok=True)
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):

@@ -1,12 +1,14 @@
 """Exact-equality oracle for the ingest hot loops.
 
-``read_pcap``, ``assemble_flows`` and ``extract_features`` parse at
-buffer offsets into a packet table, cut flows as row segments of that
-table and reduce its columns in batches of equal-length directions.  The
-straightforward object-based implementations they replaced are kept
-here verbatim as the reference (their record types in packet_records);
-packets, flows and all 34 statistics must compare equal with ``==``, not
-within a tolerance, so a shift in the last bit of any statistic fails.
+``read_pcap`` gathers the headers of all plain frames at once and parses
+the other frames one at a time, merging both in file order;
+``assemble_flows`` and ``extract_features`` cut flows as row segments of
+the packet table and reduce its columns in batches of equal-length
+directions.  The straightforward object-based implementations they
+replaced are kept here verbatim as the reference (their record types in
+packet_records); packets, flows and all 34 statistics must compare equal
+with ``==``, not within a tolerance, so a shift in the last bit of any
+statistic fails.
 """
 
 import socket
@@ -16,12 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flowbundle import features
+from flowbundle import features, pcap
 from flowbundle.features import _DIRECTION_STATS, extract_features
 from flowbundle.flows import assemble_flows
 from flowbundle.pcap import (
     LINKTYPE_ETHERNET,
     LINKTYPE_RAW_IP,
+    _DTYPES,
     _MAGICS,
     PcapFormatError,
     PcapRead,
@@ -272,6 +275,7 @@ def _assert_same_read(path):
     """The reference's read, after checking the table read equals it."""
     got, want = read_pcap(path), reference_read_pcap(path)
     assert records_of(got.packets) == want.packets
+    assert [c.dtype for c in vars(got.packets).values()] == list(map(np.dtype, _DTYPES))
     assert got.link_type == want.link_type
     assert got.skipped == want.skipped
     assert got.skipped_by_reason == want.skipped_by_reason
@@ -342,11 +346,10 @@ def _tcp(sport, dport, flag_bits):
 
 
 def _pcap_bytes(records, order="<", magic=0xA1B2C3D4, link=LINKTYPE_ETHERNET):
-    out = struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, link)
+    out = [struct.pack(order + "IHHiIII", magic, 2, 4, 0, 0, 65535, link)]
     for ts_sec, ts_frac, frame in records:
-        out += struct.pack(order + "IIII", ts_sec, ts_frac, len(frame), len(frame))
-        out += frame
-    return out
+        out += [struct.pack(order + "IIII", ts_sec, ts_frac, len(frame), len(frame)), frame]
+    return b"".join(out)
 
 
 def _odd_frames():
@@ -360,9 +363,12 @@ def _odd_frames():
         _frame(_ipv4(6, 52, _tcp(1, 2, 0x11), ihl=15)[:50]),       # IHL past the end
         _frame(_ipv4(6, 30, _tcp(1, 2, 0x10))),                    # total length short
         _frame(_ipv4(6, 40, _tcp(1, 2, 0x10)[:12])),               # TCP header cut
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10)[:19])),               # one byte short
+        _frame(_ipv4(6, 39, _tcp(1, 2, 0x10))),                    # TCP total short
         _frame(_ipv4(17, 28, udp)),
         _frame(_ipv4(17, 27, udp)),                                # UDP total short
         _frame(_ipv4(17, 28, udp[:6])),                            # UDP header cut
+        _frame(_ipv4(17, 28, udp[:7])),                            # one byte short
         _frame(_ipv4(17, 28, udp, frag=0x2000)),                   # MF
         _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), frag=0x0001)),       # offset
         _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), frag=0x4000)),       # DF only
@@ -431,6 +437,57 @@ class TestReferenceOracle:
         path.write_bytes(_pcap_bytes(records, link=LINKTYPE_RAW_IP))
         _assert_same_read(path)
 
+    @pytest.mark.parametrize("order", ["<", ">"])
+    def test_nanosecond_epoch_timestamps(self, tmp_path, order):
+        rng = np.random.default_rng(3)
+        frame = _frame(_ipv4(6, 40, _tcp(1234, 80, 0x10)))
+        stamps = [(int(sec), int(frac)) for sec, frac in zip(
+            rng.integers(1_000_000_000, 2**32, size=3000), rng.integers(0, 10**9, size=3000))]
+        # where rounding the stamp to float64 first changes the quotient
+        assert any(float(a) / 10**9 != a / 10**9 for a in (s * 10**9 + f for s, f in stamps))
+        path = tmp_path / "nano.pcap"
+        path.write_bytes(_pcap_bytes([(s, f, frame) for s, f in stamps], order=order,
+                                     magic=0xA1B23C4D))
+        capture = _assert_same_read(path)
+        assert [p.timestamp for p in capture.packets] == [
+            (s * 10**9 + f) / 10**9 for s, f in stamps
+        ]
+
+    @pytest.mark.parametrize(
+        "order, link", [("<", LINKTYPE_ETHERNET), (">", LINKTYPE_ETHERNET),
+                        ("<", LINKTYPE_RAW_IP)],
+    )
+    def test_odd_frames_between_plain_frames(self, tmp_path, order, link):
+        path = tmp_path / "synth.pcap"
+        write_pcap(generate(mimicking_scenario(1, scale="small")).packets, path)
+        data, records, offset = path.read_bytes(), [], 24
+        while offset < len(data):
+            ts_sec, ts_frac, incl_len, _ = struct.unpack_from("<IIII", data, offset)
+            records.append((ts_sec, ts_frac, data[offset + 16:offset + 16 + incl_len]))
+            offset += 16 + incl_len
+        odd = _odd_frames()
+        # each odd frame after a plain one, cycling, so both paths interleave
+        mixed = []
+        for i, (ts_sec, ts_frac, frame) in enumerate(records):
+            mixed += [(ts_sec, ts_frac, frame), (ts_sec, ts_frac, odd[i % len(odd)])]
+        if link == LINKTYPE_RAW_IP:
+            mixed = [(s, f, frame[14:]) for s, f, frame in mixed if len(frame) > 14]
+        path.write_bytes(_pcap_bytes(mixed, order=order, link=link))
+        capture = _assert_same_read(path)
+        assert capture.skipped and len(capture.packets) > len(records)
+
+    def test_frame_in_the_last_header_width(self, tmp_path):
+        # a VLAN frame whose bytes from offset 6 on read as an Ethernet
+        # IPv4/UDP header: fields read 6 bytes early, as from a window
+        # that ends at the end of the file, would make it a plain packet
+        lookalike = bytearray(42)
+        lookalike[6:12] = b"\x08\x00\x45\x00\x00\x1c"
+        lookalike[12:14] = b"\x81\x00"
+        lookalike[17] = 17
+        path = tmp_path / "tail.pcap"
+        path.write_bytes(_pcap_bytes([(0, 0, _odd_frames()[0]), (1, 0, bytes(lookalike))]))
+        assert _assert_same_read(path).skipped_by_reason == {"vlan": 1}
+
     @pytest.mark.parametrize("cut", [1, 10, 60, 65])
     def test_truncation_errors(self, tmp_path, cut):
         data = _pcap_bytes([(0, 0, f) for f in _odd_frames()[:3]])
@@ -441,6 +498,24 @@ class TestReferenceOracle:
         with pytest.raises(PcapFormatError) as want:
             reference_read_pcap(path)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("block", [1, 60, 1000])
+    def test_small_read_blocks(self, tmp_path, monkeypatch, block):
+        # records straddle the blocks, and some are longer than one block
+        monkeypatch.setattr(pcap, "_READ_BYTES", block)
+        plain = _frame(_ipv4(6, 40, _tcp(1234, 80, 0x10)))
+        frames = [frame for odd in _odd_frames() for frame in (plain, odd)]
+        data = _pcap_bytes([(i, i, frame) for i, frame in enumerate(frames)])
+        path = tmp_path / "blocks.pcap"
+        path.write_bytes(data)
+        assert len(_assert_same_read(path).packets) > len(_odd_frames())
+        for cut in (1, 10, 60, 65):
+            path.write_bytes(data[:-cut])
+            with pytest.raises(PcapFormatError) as got:
+                read_pcap(path)
+            with pytest.raises(PcapFormatError) as want:
+                reference_read_pcap(path)
+            assert str(got.value) == str(want.value)
 
     def test_random_directions(self):
         rng = np.random.default_rng(7)
