@@ -199,31 +199,87 @@ def label_classes(
     return y, class_names
 
 
+_EXACT = 2.0**52 / 1e6  # below this, |v|·1e6 rounds to an exact integer
+# decimal groups of three digits: zero-padded (rows 0-999), NUL-padded
+# (1000-1999, where 1000 is "0") and NUL (2000)
+_GROUPS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
+_GROUPS = np.concatenate([_GROUPS, np.where(np.arange(1000)[:, None] < [100, 10, 0], 0, _GROUPS),
+                          np.zeros((1, 3), np.uint8)])
+
+
+def _digits(q: np.ndarray) -> np.ndarray:
+    """Each q >= 0 in decimal, a column of a (width, n) uint8 block,
+    right-aligned and padded with NUL."""
+    groups = []
+    while not groups or q.any():  # NUL (2000) left of the leading digit
+        group = q % 1000 + 1000 * (q < 1000) + (1000 * (q == 0) if groups else 0)
+        groups.insert(0, _GROUPS.take(group, axis=0).T)
+        q = q // 1000
+    return np.concatenate(groups)
+
+
+def _field(values: np.ndarray, kind: str) -> np.ndarray | None:
+    """A column as ``kind % value`` prints each value, one value per column
+    of a (width, n) uint8 block padded with NUL; None when a number is not
+    finite or |v| >= _EXACT."""
+    if kind == "%s":
+        try:
+            text = values.astype("S")
+        except UnicodeEncodeError:  # not ASCII
+            text = np.array([value.encode() for value in values.tolist()], dtype="S")
+        return text.view(np.uint8).reshape(len(values), text.itemsize).T
+    if not np.all((values > -_EXACT) & (values < _EXACT)):
+        return None
+    if kind == "%d":
+        q = values.astype(np.int64)  # %d truncates toward zero, as int() does
+        negative, rows = q < 0, [_digits(np.abs(q))]
+    else:
+        scaled = np.abs(values) * 1e6
+        q = np.rint(scaled)
+        # q is the correctly rounded digit string unless scaled lies so near a
+        # half that its own rounding error could cross it: ask Python for those
+        near_half = ~(0.5 - np.abs(scaled - q) > scaled * 2.0**-52)
+        q = q.astype(np.int64)
+        q[near_half] = [int(("%.6f" % v).replace(".", ""))
+                        for v in np.abs(values[near_half]).tolist()]
+        negative = np.signbit(values)
+        point = np.full((1, len(q)), ord("."), np.uint8)
+        rows = [_digits(q // 10**6), point, _digits(q % 10**6 + 10**6)[-6:]]  # of 1dddddd
+    return np.concatenate([(negative * ord("-")).astype(np.uint8)[None], *rows])
+
+
 def write_features_csv(table: FlowTable, path: str | Path) -> None:
-    """Write flows in the documented column order, floats at 6 d.p., from one
-    ``%`` row template, or by csv.writer when a string field needs quoting."""
+    """Write flows in the documented column order, floats at 6 d.p.
+
+    Each field is a block of NUL-padded bytes (_field); the blocks, commas
+    and line ends stack into one block whose transpose, less its NULs, is
+    the text.  A table with a string csv.writer quotes or one holding NUL,
+    or with a number _field does not print, is written by csv.writer.
+    """
     empty = np.full(len(table), "", dtype=object)  # the bundle columns before aggregation
-    kinds, columns = zip(*(
-        (kind, column.tolist()) for kind, column in [
-            ("%s", table.initiator_ip), ("%d", table.initiator_port),
-            ("%s", table.responder_ip), ("%d", table.responder_port),
-            ("%s", table.protocol), ("%.6f", table.start_time),
-            *(("%d" if name in _INT_FEATURES else "%.6f", column)
-              for name, column in zip(FLOW_FEATURE_NAMES, table.stats.T)),
-            ("%d", table.num_flows) if table.aggregated else ("%s", empty),
-            ("%.6f", table.src_ports_delta) if table.aggregated else ("%s", empty),
-            ("%s", table.label),
-        ]
-    ))
-    strings = "".join(chain(*(c for kind, c in zip(kinds, columns) if kind == "%s")))
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        if any(char in strings for char in ',"\r\n'):
-            writer.writerows(zip(*(map(k.__mod__, c) for k, c in zip(kinds, columns))))
-        else:
-            template = ",".join(kinds) + "\r\n"
-            handle.write("".join(map(template.__mod__, zip(*columns))))
+    kinds, columns = zip(*[
+        ("%s", table.initiator_ip), ("%d", table.initiator_port),
+        ("%s", table.responder_ip), ("%d", table.responder_port),
+        ("%s", table.protocol), ("%.6f", table.start_time),
+        *(("%d" if name in _INT_FEATURES else "%.6f", column)
+          for name, column in zip(FLOW_FEATURE_NAMES, table.stats.T)),
+        ("%d", table.num_flows) if table.aggregated else ("%s", empty),
+        ("%.6f", table.src_ports_delta) if table.aggregated else ("%s", empty),
+        ("%s", table.label),
+    ])
+    strings = "".join(chain(*(c.tolist() for k, c in zip(kinds, columns) if k == "%s")))
+    blocks = [None] if any(char in strings for char in ',"\r\n\0') else [
+        _field(column, kind) for kind, column in zip(kinds, columns)]
+    if any(block is None for block in blocks):
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(CSV_COLUMNS)
+            writer.writerows(zip(*(map(k.__mod__, c.tolist()) for k, c in zip(kinds, columns))))
+        return
+    comma, end = (np.frombuffer(text, np.uint8)[:, None].repeat(len(table), axis=1)
+                  for text in (b",", b"\r\n"))
+    rows = np.concatenate([x for block in blocks for x in (block, comma)][:-1] + [end]).T.copy()
+    Path(path).write_bytes(",".join(CSV_COLUMNS).encode() + b"\r\n" + rows[rows != 0].tobytes())
 
 
 # start_time and the 34 statistics are consecutive columns
@@ -288,7 +344,7 @@ def _parse(records: list[list[str]]) -> FlowTable | None:
     ).reshape(_STATS_END - _STATS_START, n)
     ints = {i: np.array(list(map(int, columns[i])), dtype=np.int64) for i in (1, 3)}
     num_flows = delta = None
-    if all(columns[_NUM_FLOWS]) and all(columns[_DELTA]):
+    if n and all(columns[_NUM_FLOWS]) and all(columns[_DELTA]):  # no rows: unaggregated
         num_flows = np.array(list(map(int, columns[_NUM_FLOWS])), dtype=np.int64)
         delta = np.fromiter(map(float, columns[_DELTA]), dtype=float, count=n)
     elif any(columns[_NUM_FLOWS]) or any(columns[_DELTA]):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,62 +49,64 @@ def assemble_flows(
     second FIN, typically the final ACK).  Packets are taken in stable
     timestamp order, so file order breaks ties.
     """
-    if idle_timeout <= 0:
-        raise ValueError("idle_timeout must be positive")
-    if active_timeout is not None and active_timeout <= idle_timeout:
+    if not 0 < idle_timeout < math.inf:
+        raise ValueError("idle_timeout must be positive and finite")
+    if active_timeout is not None and not active_timeout > idle_timeout:
         raise ValueError("active_timeout must exceed idle_timeout (or be None)")
 
-    order = np.argsort(packets.timestamp, kind="stable")
-    times = packets.timestamp.tolist()
-    src_ips, dst_ips = packets.src_ip.tolist(), packets.dst_ip.tolist()
-    src_ports, dst_ports = packets.src_port.tolist(), packets.dst_port.tolist()
-    protocols, flag_bytes = packets.protocol.tolist(), packets.tcp_flags.tolist()
-    firsts: list[int] = []  # per flow, its first packet's row
-    # per packet in time order: its flow and its direction
-    flow_of: list[int] = []
-    forward: list[bool] = []
-    # open flows keyed by both endpoints in string order, so both directions
-    # share a key: [flow, initiator, start time, last packet time, FIN bits
-    # seen (1 forward, 2 backward)]; a flow that closes leaves the dict
-    active: dict[tuple, list] = {}
-    for row in order.tolist():
-        t = times[row]
-        src = (src_ips[row], src_ports[row])
-        dst = (dst_ips[row], dst_ports[row])
-        proto = protocols[row]
-        key = (src, dst, proto) if src <= dst else (dst, src, proto)
-        state = active.get(key)
-        if (
-            state is None
-            or t - state[3] > idle_timeout
-            or (active_timeout is not None and t - state[2] > active_timeout)
-        ):
-            state = active[key] = [len(firsts), src, t, t, 0]
-            firsts.append(row)
-        fwd = src == state[1]
-        flow_of.append(state[0])
-        forward.append(fwd)
-        state[3] = t
-        flags = flag_bytes[row]
-        if flags & _RST or state[4] == 3:
-            del active[key]
-        elif flags & _FIN:
-            state[4] |= 1 if fwd else 2
+    n = len(packets)
+    # each address as an integer; which integer does not matter
+    src, dst = packets.src_ip.tolist(), packets.dst_ip.tolist()
+    code = {address: i for i, address in enumerate(set(src).union(dst))}
+    src, dst = (np.fromiter(map(code.__getitem__, ips), np.int64, n) for ips in (src, dst))
+    sport, dport = packets.src_port, packets.dst_port
+    # both directions share a key: the lower (address, port) endpoint first
+    low = (src < dst) | ((src == dst) & (sport <= dport))
+    key = [np.where(low, src, dst), np.where(low, sport, dport),
+           np.where(low, dst, src), np.where(low, dport, sport), packets.protocol]
+    order = np.lexsort([packets.timestamp, *reversed(key)])  # stable: file order breaks ties
+    times, low, flags = packets.timestamp[order], low[order], packets.tcp_flags[order]
+    # a key change or an idle gap ends a segment
+    cut = np.diff(times, prepend=-math.inf) > idle_timeout
+    for column in key:
+        column = column[order]
+        cut[1:] |= column[1:] != column[:-1]
+    segments = [*np.flatnonzero(cut).tolist(), n]
 
-    flow_index = np.array(flow_of, dtype=np.int64)
-    by_flow = np.argsort(flow_index, kind="stable")
-    bounds = np.zeros(len(firsts) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(flow_index, minlength=len(firsts)), out=bounds[1:])
+    # each closing event's sorted positions, then n
+    rst, fin_low, fin_high = (np.append(np.flatnonzero(events), n).tolist() for events in
+                              (flags & _RST, (flags & _FIN > 0) & low, (flags & _FIN > 0) & ~low))
+    times = times.tolist()
+    firsts = []  # each flow's first sorted position
+    for s, stop in zip(segments, segments[1:]):
+        while s < stop:
+            firsts.append(s)
+            # the first RST, the packet after both endpoints' first FIN, the
+            # segment's end or, earlier, the active timeout ends the flow
+            end = min(stop, rst[bisect_left(rst, s)] + 1,
+                      max(fin_low[bisect_left(fin_low, s)], fin_high[bisect_left(fin_high, s)]) + 2)
+            start = times[s]
+            if active_timeout is not None and times[end - 1] - start > active_timeout:
+                end = bisect_right(times, active_timeout, s + 1, end, key=lambda t: t - start)
+            s = end
+
+    # flows in creation order: by the time, then the row, of their first packet
     firsts = np.array(firsts, dtype=np.int64)
+    sizes = np.diff(firsts, append=n)
+    by_creation = np.lexsort((order[firsts], packets.timestamp[order[firsts]]))
+    firsts, sizes = firsts[by_creation], sizes[by_creation]
+    bounds = np.append(0, np.cumsum(sizes))
+    position = np.repeat(firsts - bounds[:-1], sizes) + np.arange(n)
+    first_rows = order[firsts]
     return FlowSegments(
         packets=packets,
-        rows=order[by_flow],
+        rows=order[position],
         bounds=bounds,
-        forward=np.array(forward, dtype=bool)[by_flow],
-        initiator_ip=packets.src_ip[firsts],
-        initiator_port=packets.src_port[firsts],
-        responder_ip=packets.dst_ip[firsts],
-        responder_port=packets.dst_port[firsts],
-        protocol=packets.protocol[firsts],
-        start_time=packets.timestamp[firsts],
+        forward=low[position] == np.repeat(low[firsts], sizes),
+        initiator_ip=packets.src_ip[first_rows],
+        initiator_port=packets.src_port[first_rows],
+        responder_ip=packets.dst_ip[first_rows],
+        responder_port=packets.dst_port[first_rows],
+        protocol=packets.protocol[first_rows],
+        start_time=packets.timestamp[first_rows],
     )

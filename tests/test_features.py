@@ -283,6 +283,77 @@ def test_csv_bytes_equal_csv_writer(tmp_path, rng, quoted):
         assert back.initiator_ip.tolist() == rows.initiator_ip.tolist()
 
 
+def _half_way(rng, n):
+    """Decimals that end in 5 at the seventh place, so %.6f must round the
+    binary value just above or below the decimal half."""
+    whole = rng.choice([0, 1, 999, 10**6, 1_500_000_000], size=n) + rng.integers(0, 1000, n)
+    return [float(f"{sign}{w}.{f:06d}5") for sign, w, f in
+            zip(rng.choice(["", "-"], size=n), whole.tolist(), rng.integers(0, 10**6, n).tolist())]
+
+
+_BOUND = 2.0**52 / 1e6  # the largest magnitude the fixed-point writer prints, exclusive
+
+
+# (column, values, whether the fixed-point writer prints them rather than csv.writer)
+_EDGE_CASES = {
+    "half_way": ("fwd_iat_mean", _half_way(np.random.default_rng(3), 3000), True),
+    "binary_ties": ("src_ports_delta", [k / 128 for k in range(-401, 401, 2)], True),
+    "signed_zeros": ("start_time", [-0.0, 0.0, -1e-7, -4.9e-7, -5e-7, -5.1e-7, 1e-7, -1.5], True),
+    "below_bound": ("bwd_pkt_len_std", [math.nextafter(_BOUND, 0), -math.nextafter(_BOUND, 0)], True),
+    "at_bound": ("bwd_pkt_len_std", [_BOUND, 1.0], False),
+    "at_negative_bound": ("bwd_pkt_len_std", [-_BOUND, 1.0], False),
+    "above_bound": ("src_ports_delta", [math.nextafter(_BOUND, math.inf), 1.0], False),
+    "huge": ("fwd_iat_max", [1e308, 0.5], False),
+    "non_finite": ("fwd_iat_min", [math.inf, -math.inf, math.nan], False),
+    "epoch": ("start_time", (1.5e9 + np.random.default_rng(4).integers(0, 6 * 10**8, 2000) / 1e6).tolist()
+              + (1.5e9 + 600 * np.random.default_rng(5).random(2000)).tolist(), True),
+    "float_counts": ("bwd_pkt_count", [2.999999, -0.0, -2.5, -0.5, 3.0, 1e9, -1e9, 0.5], True),
+    "huge_count": ("fwd_byte_count", [1e308, 2.0], False),
+    "int64_ports": ("initiator_port", [0, 65535, -1, 10**9], True),
+    "int64_max": ("num_flows", [2**63 - 1, 1], False),
+    "int64_min": ("responder_port", [-(2**63), 1], False),
+    "empty_strings": ("label", ["", "benign", ""], True),
+    "empty_address": ("initiator_ip", ["", "10.0.0.1"], True),
+    "non_ascii": ("label", ["bénin", "攻撃", "x"], True),
+    "inner_nul": ("label", ["a\0b", "x"], False),
+    "trailing_nul": ("label", ["ab\0", "x"], False),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_CASES))
+def test_csv_bytes_equal_reference(tmp_path, rng, monkeypatch, case):
+    name, values, fixed_point = _EDGE_CASES[case]
+    base = flow_table(flow_segments([random_flow(rng, 8) for _ in range(5)]), ["benign"] * 5)
+    base = dataclasses.replace(base, num_flows=np.arange(5), src_ports_delta=rng.uniform(0, 3000, 5))
+    table = base.take(np.arange(len(values)) % 5)
+    if name in FLOW_FEATURE_NAMES:
+        table.stats[:, FLOW_FEATURE_NAMES.index(name)] = values
+    else:
+        column = np.array(values, dtype=getattr(table, name).dtype)
+        table = dataclasses.replace(table, **{name: column})
+    writers = []
+    csv_writer = csv.writer
+    monkeypatch.setattr(csv, "writer", lambda *args: writers.append(args) or csv_writer(*args))
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_features_csv(table, got)
+    assert bool(writers) != fixed_point
+    reference_write_features_csv(table, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_empty_table_reads_back_unaggregated(tmp_path, rng):
+    table = flow_table(flow_segments([random_flow(rng)]), ["benign"]).take(np.arange(0))
+    aggregated = dataclasses.replace(
+        table, num_flows=np.zeros(0, np.int64), src_ports_delta=np.zeros(0)
+    )
+    for rows in (table, aggregated):  # the header alone does not say
+        write_features_csv(rows, tmp_path / "empty.csv")
+        back = read_features_csv(tmp_path / "empty.csv")
+        assert len(back) == 0 and not back.aggregated
+        with pytest.raises(SchemaError, match="aggregation"):
+            feature_matrix(back, ["num_flows"])
+
+
 def test_csv_huge_finite_values_accepted(tmp_path, rng):
     # their sum overflows to inf, but every value is finite
     table = flow_table(flow_segments([random_flow(rng)]), ["benign"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,12 @@ def test_bad_timeouts_rejected():
         assemble([], idle_timeout=0)
     with pytest.raises(ValueError):
         assemble([], idle_timeout=120, active_timeout=100)
+    # NaN compares false with everything, so flows would never split
+    for idle in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="idle_timeout"):
+            assemble([], idle_timeout=idle, active_timeout=None)
+    with pytest.raises(ValueError, match="active_timeout"):
+        assemble([], idle_timeout=120, active_timeout=math.nan)
 
 
 def test_empty_input():

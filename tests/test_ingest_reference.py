@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbundle import features, pcap
 from flowbundle.features import _DIRECTION_STATS, extract_features
@@ -559,3 +561,38 @@ class TestReferenceOracle:
                                           flags=flag_sets[int(rng.integers(0, 5))]))
         _, flows = _assert_same_flows(packets, **timeouts)
         assert len(flows) > 50
+
+    @pytest.mark.parametrize("start, active, end, flows", [
+        (0.1, 0.2, 0.30000000000000004, 2),  # end - start > active, end <= start + active
+        (0.2, 0.7, 0.9, 1),                  # end - start <= active, end > start + active
+    ])
+    def test_active_timeout_from_flow_start(self, start, active, end, flows):
+        assert (end - start > active) != (end > start + active)
+        packets = [tcp_packet(t) for t in (start, (start + end) / 2, end)]
+        _, want = _assert_same_flows(packets, idle_timeout=0.75 * active, active_timeout=active)
+        assert len(want) == flows
+
+    @given(
+        packets=st.lists(st.tuples(
+            st.integers(0, 40),  # quarter seconds, so many timestamps are equal
+            # string order differs from numeric order; few endpoints, so
+            # keys repeat and src == dst is common
+            st.sampled_from(["10.0.0.9", "10.0.0.10"]),
+            st.sampled_from(["10.0.0.9", "10.0.0.10"]),
+            st.sampled_from([1, 2]),
+            st.sampled_from([1, 2]),
+            st.sampled_from([None, ("ACK",), ("ACK",), ("FIN",), ("FIN", "ACK"), ("RST",),
+                             ("FIN", "RST"), ("SYN",)]),  # None: UDP
+        ), max_size=80),
+        timeouts=st.sampled_from([{}, {"idle_timeout": 0.5, "active_timeout": 1.0},
+                                  {"idle_timeout": 1.0, "active_timeout": None},
+                                  {"idle_timeout": 0.25, "active_timeout": 0.75}]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_flow_assembly_property(self, packets, timeouts):
+        records = [
+            udp_packet(t / 4, src, dst, sport, dport) if flags is None
+            else tcp_packet(t / 4, src, dst, sport, dport, flags=flags)
+            for t, src, dst, sport, dport, flags in packets
+        ]
+        _assert_same_flows(records, **timeouts)
