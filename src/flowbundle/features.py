@@ -200,22 +200,18 @@ def label_classes(
 
 
 _EXACT = 2.0**52 / 1e6  # below this, |v|·1e6 rounds to an exact integer
-# decimal groups of three digits: zero-padded (rows 0-999), NUL-padded
-# (1000-1999, where 1000 is "0") and NUL (2000)
-_GROUPS = (np.arange(1000)[:, None] // [100, 10, 1] % 10 + ord("0")).astype(np.uint8)
-_GROUPS = np.concatenate([_GROUPS, np.where(np.arange(1000)[:, None] < [100, 10, 0], 0, _GROUPS),
-                          np.zeros((1, 3), np.uint8)])
 
 
 def _digits(q: np.ndarray) -> np.ndarray:
     """Each q >= 0 in decimal, a column of a (width, n) uint8 block,
     right-aligned and padded with NUL."""
-    groups = []
-    while not groups or q.any():  # NUL (2000) left of the leading digit
-        group = q % 1000 + 1000 * (q < 1000) + (1000 * (q == 0) if groups else 0)
-        groups.insert(0, _GROUPS.take(group, axis=0).T)
-        q = q // 1000
-    return np.concatenate(groups)
+    q, digit = np.divmod(q, 10)
+    rows = [digit + ord("0")]
+    while q.any():
+        lead = q != 0  # NUL left of the leading digit
+        q, digit = np.divmod(q, 10)
+        rows.append((digit + ord("0")) * lead)
+    return np.array(rows[::-1], np.uint8)
 
 
 def _field(values: np.ndarray, kind: str) -> np.ndarray | None:
@@ -223,10 +219,7 @@ def _field(values: np.ndarray, kind: str) -> np.ndarray | None:
     of a (width, n) uint8 block padded with NUL; None when a number is not
     finite or |v| >= _EXACT."""
     if kind == "%s":
-        try:
-            text = values.astype("S")
-        except UnicodeEncodeError:  # not ASCII
-            text = np.array([value.encode() for value in values.tolist()], dtype="S")
+        text = np.array([value.encode() for value in values.tolist()], dtype="S")
         return text.view(np.uint8).reshape(len(values), text.itemsize).T
     if not np.all((values > -_EXACT) & (values < _EXACT)):
         return None

@@ -236,7 +236,8 @@ def test_csv_round_trip(tmp_path, rng):
 
 
 def reference_write_features_csv(table, path):
-    """The column-wise csv.writer writer the row template replaced, verbatim."""
+    """The column-wise csv.writer writer the row template replaced, verbatim
+    in what it formats; it writes UTF-8, the encoding read_features_csv reads."""
 
     def _text(values, integer):
         return list(map(("%d" if integer else "%.6f").__mod__, values.tolist()))
@@ -256,7 +257,7 @@ def reference_write_features_csv(table, path):
     else:
         columns += [[""] * len(table)] * 2
     columns.append(table.label.tolist())
-    with open(path, "w", newline="") as handle:
+    with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         writer.writerows(zip(*columns))
@@ -315,6 +316,7 @@ _EDGE_CASES = {
     "empty_strings": ("label", ["", "benign", ""], True),
     "empty_address": ("initiator_ip", ["", "10.0.0.1"], True),
     "non_ascii": ("label", ["bénin", "攻撃", "x"], True),
+    "non_ascii_quoted": ("label", ["bénin", "a,b", "攻撃"], False),
     "inner_nul": ("label", ["a\0b", "x"], False),
     "trailing_nul": ("label", ["ab\0", "x"], False),
 }
