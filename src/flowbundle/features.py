@@ -215,11 +215,19 @@ def _digits(q: np.ndarray) -> np.ndarray:
 
 
 def _field(values: np.ndarray, kind: str) -> np.ndarray | None:
-    """A column as ``kind % value`` prints each value, one value per column
-    of a (width, n) uint8 block padded with NUL; None when a number is not
-    finite or |v| >= _EXACT."""
+    """A column as ``kind % value`` prints each value, a string csv.writer
+    quotes quoted, one value per column of a (width, n) uint8 block padded
+    with NUL; None when a string holds NUL or a number is not finite or
+    |v| >= _EXACT."""
     if kind == "%s":
-        text = np.array([value.encode() for value in values.tolist()], dtype="S")
+        strings = values.tolist()
+        joined = "".join(strings)
+        if "\0" in joined:
+            return None
+        if any(char in joined for char in ',"\r\n'):  # quoted as csv.writer quotes them
+            strings = ['"' + s.replace('"', '""') + '"' if any(c in s for c in ',"\r\n') else s
+                       for s in strings]
+        text = np.array([s.encode() for s in strings], dtype="S")
         return text.view(np.uint8).reshape(len(values), text.itemsize).T
     if not np.all((values > -_EXACT) & (values < _EXACT)):
         return None
@@ -241,16 +249,31 @@ def _field(values: np.ndarray, kind: str) -> np.ndarray | None:
     return np.concatenate([(negative * ord("-")).astype(np.uint8)[None], *rows])
 
 
-def write_features_csv(table: FlowTable, path: str | Path) -> None:
-    """Write flows in the documented column order, floats at 6 d.p.
+def write_csv(path: str | Path, header: list[str], columns: list[tuple[str, np.ndarray]]) -> None:
+    """Write UTF-8 CSV text: the header, then one row per value of the
+    ``(kind, column)`` pairs, each field ``kind % value``.
 
     Each field is a block of NUL-padded bytes (_field); the blocks, commas
     and line ends stack into one block whose transpose, less its NULs, is
-    the text.  A table with a string csv.writer quotes or one holding NUL,
-    or with a number _field does not print, is written by csv.writer.
+    the text.  A column _field does not print is written by csv.writer.
     """
+    blocks = [_field(column, kind) for kind, column in columns]
+    if any(block is None for block in blocks):
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(zip(*(map(k.__mod__, c.tolist()) for k, c in columns)))
+        return
+    comma, end = (np.frombuffer(text, np.uint8)[:, None].repeat(len(columns[0][1]), axis=1)
+                  for text in (b",", b"\r\n"))
+    rows = np.concatenate([x for block in blocks for x in (block, comma)][:-1] + [end]).T.copy()
+    Path(path).write_bytes(",".join(header).encode() + b"\r\n" + rows[rows != 0].tobytes())
+
+
+def write_features_csv(table: FlowTable, path: str | Path) -> None:
+    """Write flows in the documented column order, floats at 6 d.p."""
     empty = np.full(len(table), "", dtype=object)  # the bundle columns before aggregation
-    kinds, columns = zip(*[
+    write_csv(path, CSV_COLUMNS, [
         ("%s", table.initiator_ip), ("%d", table.initiator_port),
         ("%s", table.responder_ip), ("%d", table.responder_port),
         ("%s", table.protocol), ("%.6f", table.start_time),
@@ -260,19 +283,6 @@ def write_features_csv(table: FlowTable, path: str | Path) -> None:
         ("%.6f", table.src_ports_delta) if table.aggregated else ("%s", empty),
         ("%s", table.label),
     ])
-    strings = "".join(chain(*(c.tolist() for k, c in zip(kinds, columns) if k == "%s")))
-    blocks = [None] if any(char in strings for char in ',"\r\n\0') else [
-        _field(column, kind) for kind, column in zip(kinds, columns)]
-    if any(block is None for block in blocks):
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(CSV_COLUMNS)
-            writer.writerows(zip(*(map(k.__mod__, c.tolist()) for k, c in zip(kinds, columns))))
-        return
-    comma, end = (np.frombuffer(text, np.uint8)[:, None].repeat(len(table), axis=1)
-                  for text in (b",", b"\r\n"))
-    rows = np.concatenate([x for block in blocks for x in (block, comma)][:-1] + [end]).T.copy()
-    Path(path).write_bytes(",".join(CSV_COLUMNS).encode() + b"\r\n" + rows[rows != 0].tobytes())
 
 
 # start_time and the 34 statistics are consecutive columns

@@ -249,8 +249,9 @@ def read_pcap(path: str | Path) -> PcapRead:
     pairs, which = np.unique(pairs, return_inverse=True)
     addresses = [pair.to_bytes(8, "big") for pair in pairs.tolist()]
     columns = (
-        # Python's int division rounds correctly; float64's does not past 2**53
-        np.array([a / ticks for a in stamps.tolist()]),
+        # both divisions round correctly, numpy's while every stamp is an exact double
+        stamps / ticks if stamps.max(initial=0) < 2**53
+        else np.array([a / ticks for a in stamps.tolist()]),
         np.array([socket.inet_ntoa(a[:4]) for a in addresses], dtype=object)[which],
         np.array([socket.inet_ntoa(a[4:]) for a in addresses], dtype=object)[which],
         *rest,

@@ -12,11 +12,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
 
-from .features import csv_records, utf8_text
+from .features import CSV_COLUMNS, csv_records, utf8_text, write_csv
 from .flows import FlowSegments
 from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
 from .pcap import write_pcap  # noqa: F401  (re-export)
@@ -124,36 +126,52 @@ class ScenarioSpec:
         _check(0 < count <= 236, "classes", count, "1 to 236 traffic classes")
 
 
-@dataclass(frozen=True)
-class FlowLabel:
-    initiator_ip: str
-    initiator_port: int
-    responder_ip: str
-    responder_port: int
-    protocol: str
-    start_time: float
-    label: str
+def _flow_keys(rows, protocols: list[str]) -> list[tuple]:
+    """Each row's flow key: its 5-tuple, the protocol named by ``protocols``,
+    and its start in whole microseconds, rounded half to even as round() is."""
+    us = np.rint(rows.start_time * 1_000_000).astype(np.int64)
+    return list(zip(rows.initiator_ip.tolist(), rows.initiator_port.tolist(),
+                    rows.responder_ip.tolist(), rows.responder_port.tolist(), protocols,
+                    us.tolist()))
 
-    @property
-    def key(self) -> tuple:
-        return _flow_key_of(self.initiator_ip, self.initiator_port, self.responder_ip,
-                            self.responder_port, self.protocol, self.start_time)
+
+@dataclass(frozen=True, eq=False)
+class FlowLabels:
+    """The ground-truth label manifest as columns, one row per flow.
+
+    The addresses, protocol names and labels are object arrays, the ports
+    int64 and ``start_time`` float64 seconds.
+    """
+
+    initiator_ip: np.ndarray
+    initiator_port: np.ndarray
+    responder_ip: np.ndarray
+    responder_port: np.ndarray
+    protocol: np.ndarray
+    start_time: np.ndarray
+    label: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def take(self, rows) -> FlowLabels:
+        """The rows an index array, slice or boolean mask selects, in that order."""
+        return FlowLabels(*(getattr(self, name)[rows] for name in _LABEL_COLUMNS))
+
+    @cached_property
+    def lookup(self) -> dict[tuple, str]:
+        """Flow key -> label, the last row's where a key repeats; built once."""
+        return dict(zip(_flow_keys(self, self.protocol.tolist()), self.label.tolist()))
 
 
 @dataclass
 class GeneratedTraffic:
     packets: PacketTable
-    manifest: list[FlowLabel]
+    manifest: FlowLabels
 
 
 def _quantize(t: float) -> float:
     return round(t * 1_000_000) / 1_000_000
-
-
-def _flow_key_of(
-    ip: str, port: int, rip: str, rport: int, proto: str, start: float
-) -> tuple:
-    return (ip, port, rip, rport, proto, round(start * 1_000_000))
 
 
 def _draw_length(rng: np.random.Generator, cls: TrafficClassSpec) -> int:
@@ -173,7 +191,7 @@ _UDP_EXCHANGE = ((True, 0), (False, 0))
 
 def _add_flow(
     columns: tuple[list, ...],
-    manifest: list[FlowLabel],
+    manifest: tuple[list, ...],
     rng: np.random.Generator,
     cls: TrafficClassSpec,
     src_ip: str,
@@ -182,7 +200,8 @@ def _add_flow(
     dst_port: int,
     start: float,
 ) -> None:
-    """Append one flow's packets to the Packet-order columns, and its label."""
+    """Append one flow's packets to the Packet-order columns, its label row
+    to the manifest's."""
     protocol = TCP if cls.protocol == "TCP" else UDP
     if cls.flow_shape == "scan":
         steps = _SCAN_STEPS if protocol == TCP else _UDP_EXCHANGE
@@ -206,16 +225,17 @@ def _add_flow(
     packets = (times, *ends, [protocol] * len(steps), lengths, flag_bytes)
     for column, values in zip(columns, packets):
         column.extend(values)
-    manifest.append(
-        FlowLabel(src_ip, src_port, dst_ip, dst_port, cls.protocol, start, cls.label)
-    )
+    entry = (src_ip, src_port, dst_ip, dst_port, cls.protocol, start, cls.label)
+    for column, value in zip(manifest, entry):
+        column.append(value)
 
 
-def _traffic(columns: tuple[list, ...], manifest: list[FlowLabel]) -> GeneratedTraffic:
+def _traffic(columns: tuple[list, ...], manifest: tuple[list, ...]) -> GeneratedTraffic:
     """The generated packets, stably sorted by timestamp, and the manifest."""
     packets = PacketTable.from_lists(*columns)
     return GeneratedTraffic(
-        packets.take(np.argsort(packets.timestamp, kind="stable")), manifest
+        packets.take(np.argsort(packets.timestamp, kind="stable")),
+        FlowLabels(*(np.array(c, dtype=d) for c, d in zip(manifest, _LABEL_DTYPES))),
     )
 
 
@@ -236,7 +256,7 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
     rng = np.random.default_rng(spec.seed)
     servers = [f"192.168.10.{10 + i}" for i in range(spec.n_servers)]
     columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
-    manifest: list[FlowLabel] = []
+    manifest: tuple[list, ...] = tuple([] for _ in _LABEL_COLUMNS)
 
     for class_index, cls in enumerate(spec.classes):
         for source_index in range(cls.n_sources):
@@ -269,23 +289,15 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
     return _traffic(columns, manifest)
 
 
-def match_labels(flows: FlowSegments, manifest: list[FlowLabel]) -> list[str]:
+def match_labels(flows: FlowSegments, manifest: FlowLabels) -> list[str]:
     """Label each assembled flow from the manifest; unmatched flows raise."""
-    lookup = {e.key: e.label for e in manifest}
-    labels = []
-    for ip, port, rip, rport, proto, start in zip(
-        flows.initiator_ip.tolist(), flows.initiator_port.tolist(),
-        flows.responder_ip.tolist(), flows.responder_port.tolist(),
-        flows.protocol.tolist(), flows.start_time.tolist(),
-    ):
-        key = _flow_key_of(ip, port, rip, rport, PROTOCOL_NAMES[proto], start)
-        label = lookup.get(key)
-        if label is None:
-            raise LabelError(
-                f"assembled flow {key} has no manifest entry; "
-                "scenario and capture are out of sync"
-            )
-        labels.append(label)
+    keys = _flow_keys(flows, [PROTOCOL_NAMES[p] for p in flows.protocol.tolist()])
+    labels = list(map(manifest.lookup.get, keys))
+    if None in labels:
+        raise LabelError(
+            f"assembled flow {keys[labels.index(None)]} has no manifest entry; "
+            "scenario and capture are out of sync"
+        )
     return labels
 
 
@@ -302,124 +314,48 @@ def _scaled_sources(n: int, scale: str) -> int:
 def mimicking_scenario(seed: int, scale: str = "desk") -> ScenarioSpec:
     """Benign plus a slow-DoS-like class that mimics benign flow statistics.
 
-    Desk scale targets roughly 2,000 benign and 550 attack flows.
+    Desk scale targets roughly 2,000 benign and 550 attack flows.  Both
+    classes keep the default packet sizes, timing and exchanges, benign's.
     """
-    shared = dict(pkt_len_mean=520.0, pkt_len_std=160.0, iat_mean=0.4)
-    return ScenarioSpec(
-        seed=seed,
-        duration=600.0,
-        classes=[
-            TrafficClassSpec(
-                label="benign",
-                n_sources=_scaled_sources(125, scale),
-                flows_per_source=(8, 24),
-                data_exchanges=(1, 5),
-                **shared,
-            ),
-            TrafficClassSpec(
-                label="slowloris",
-                n_sources=_scaled_sources(10, scale),
-                flows_per_source=(48, 64),
-                data_exchanges=(1, 5),
-                port_pattern="sequential",
-                port_step=3,
-                single_target=True,
-                **shared,
-            ),
-        ],
-    )
+    return ScenarioSpec(seed=seed, duration=600.0, classes=[
+        TrafficClassSpec("benign", _scaled_sources(125, scale), (8, 24)),
+        TrafficClassSpec("slowloris", _scaled_sources(10, scale), (48, 64),
+                         port_pattern="sequential", port_step=3, single_target=True),
+    ])
 
 
 def full_scenario(seed: int, scale: str = "desk") -> ScenarioSpec:
     """Benign plus four attack classes for the multi-class experiments.
 
     Portscan and the flood are flow-distinguishable; the two slow-DoS
-    classes reuse the benign distributions and differ only in bundling.
+    classes keep the default (benign) distributions and differ only in
+    bundling.
     """
-    benign_like = dict(pkt_len_mean=520.0, pkt_len_std=160.0, iat_mean=0.4)
-    return ScenarioSpec(
-        seed=seed,
-        duration=600.0,
-        classes=[
-            TrafficClassSpec(
-                label="benign",
-                n_sources=_scaled_sources(40, scale),
-                flows_per_source=(10, 20),
-                data_exchanges=(1, 5),
-                **benign_like,
-            ),
-            TrafficClassSpec(
-                label="portscan",
-                n_sources=_scaled_sources(2, scale),
-                flows_per_source=(100, 120),
-                flow_shape="scan",
-                pkt_len_mean=60.0,
-                pkt_len_std=4.0,
-                iat_mean=0.05,
-                port_pattern="sequential",
-                port_step=1,
-                single_target=True,
-            ),
-            TrafficClassSpec(
-                label="hulk",
-                n_sources=_scaled_sources(4, scale),
-                flows_per_source=(45, 60),
-                data_exchanges=(8, 16),
-                pkt_len_mean=900.0,
-                pkt_len_std=120.0,
-                iat_mean=0.02,
-                port_pattern="ephemeral",
-                single_target=True,
-            ),
-            TrafficClassSpec(
-                label="slowloris",
-                n_sources=_scaled_sources(5, scale),
-                flows_per_source=(30, 40),
-                data_exchanges=(1, 5),
-                port_pattern="sequential",
-                port_step=2,
-                single_target=True,
-                **benign_like,
-            ),
-            TrafficClassSpec(
-                label="slowhttptest",
-                n_sources=_scaled_sources(5, scale),
-                flows_per_source=(28, 36),
-                data_exchanges=(1, 5),
-                port_pattern="sequential",
-                port_step=4,
-                single_target=True,
-                **benign_like,
-            ),
-        ],
-    )
+    return ScenarioSpec(seed=seed, duration=600.0, classes=[
+        TrafficClassSpec("benign", _scaled_sources(40, scale), (10, 20)),
+        TrafficClassSpec("portscan", _scaled_sources(2, scale), (100, 120), flow_shape="scan",
+                         pkt_len_mean=60.0, pkt_len_std=4.0, iat_mean=0.05,
+                         port_pattern="sequential", port_step=1, single_target=True),
+        TrafficClassSpec("hulk", _scaled_sources(4, scale), (45, 60), data_exchanges=(8, 16),
+                         pkt_len_mean=900.0, pkt_len_std=120.0, iat_mean=0.02,
+                         single_target=True),
+        TrafficClassSpec("slowloris", _scaled_sources(5, scale), (30, 40),
+                         port_pattern="sequential", port_step=2, single_target=True),
+        TrafficClassSpec("slowhttptest", _scaled_sources(5, scale), (28, 36),
+                         port_pattern="sequential", port_step=4, single_target=True),
+    ])
 
 
 def fig2_traffic(seed: int = 0) -> GeneratedTraffic:
     """Replay of the four-host bundling timeline: A starts 4 flows, B 2, D 1, C 1."""
     rng = np.random.default_rng(seed)
     hosts = {name: f"10.0.0.{i + 1}" for i, name in enumerate("ABCD")}
-    pattern = [
-        ("A", "B"),
-        ("A", "B"),
-        ("A", "C"),
-        ("A", "D"),
-        ("B", "C"),
-        ("B", "C"),
-        ("D", "B"),
-        ("C", "A"),
-    ]
-    cls = TrafficClassSpec(
-        label="benign",
-        n_sources=1,
-        flows_per_source=(1, 1),
-        data_exchanges=(1, 1),
-        iat_mean=0.2,
-    )
+    pattern = ["AB", "AB", "AC", "AD", "BC", "BC", "DB", "CA"]  # (source, destination)
+    cls = TrafficClassSpec("benign", 1, (1, 1), data_exchanges=(1, 1), iat_mean=0.2)
     lo, hi = EPHEMERAL_RANGE
     sports = [int(p) for p in rng.choice(np.arange(lo, hi), len(pattern), False)]
     columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
-    manifest: list[FlowLabel] = []
+    manifest: tuple[list, ...] = tuple([] for _ in _LABEL_COLUMNS)
     for i, (src, dst) in enumerate(pattern):
         start = _quantize(_BASE_EPOCH + 0.5 * i)
         _add_flow(columns, manifest, rng, cls, hosts[src], sports[i], hosts[dst], 80,
@@ -445,62 +381,99 @@ def build_scenario(name: str, seed: int, scale: str = "desk") -> GeneratedTraffi
 # ---------------------------------------------------------------------------
 # manifest and spec files
 
-_LABEL_COLUMNS = [
-    "initiator_ip",
-    "initiator_port",
-    "responder_ip",
-    "responder_port",
-    "protocol",
-    "start_time",
-    "label",
-]
+_LABEL_COLUMNS = CSV_COLUMNS[:6] + ["label"]  # a flow CSV's identity columns, its label
+_LABEL_DTYPES = (object, np.int64, object, np.int64, object, float, object)
 
 
-def write_labels_csv(manifest: list[FlowLabel], path: str | Path) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_LABEL_COLUMNS)
-        writer.writerows(
-            (e.initiator_ip, e.initiator_port, e.responder_ip, e.responder_port,
-             e.protocol, f"{e.start_time:.6f}", e.label)
-            for e in manifest
-        )
+def write_labels_csv(manifest: FlowLabels, path: str | Path) -> None:
+    kinds = ("%s", "%d", "%s", "%d", "%s", "%.6f", "%s")
+    write_csv(path, _LABEL_COLUMNS,
+              [(kind, getattr(manifest, name)) for kind, name in zip(kinds, _LABEL_COLUMNS)])
 
 
-def read_labels_csv(path: str | Path) -> list[FlowLabel]:
-    """A labels CSV's entries; a bad field, or two labels for one flow, raise
-    LabelError naming the file and line."""
-    records = csv_records(path, LabelError)
-    header = records[0] if records else None
-    if header != _LABEL_COLUMNS:
-        raise LabelError(f"{path}: unexpected label manifest header {header}")
-    manifest, seen = [], {}  # flow key -> (its label, the line giving it)
-    for line_no, record in enumerate(records[1:], start=2):
+def _check_label_rows(path: str | Path, records: list[list[str]]) -> None:
+    """Raise LabelError naming the first defective row, row by row."""
+    seen = {}  # flow key -> (its label, the line giving it)
+    for line_no, record in enumerate(records, start=2):
         if len(record) != len(_LABEL_COLUMNS):
             raise LabelError(
                 f"{path}:{line_no}: expected {len(_LABEL_COLUMNS)} fields, got {len(record)}"
             )
+        ip, port, rip, rport, protocol, start, label = record
         try:
-            entry = FlowLabel(record[0], int(record[1]), record[2], int(record[3]),
-                              record[4], float(record[5]), record[6])
+            port, rport, start = int(port), int(rport), float(start)
         except ValueError as exc:
             raise LabelError(f"{path}:{line_no}: {exc}") from None
         for i, ok, want in (
-            (1, 0 <= entry.initiator_port < 65536, "a port from 0 to 65535"),
-            (3, 0 <= entry.responder_port < 65536, "a port from 0 to 65535"),
-            (5, 0 <= entry.start_time < 2**32, "a pcap time from 0 to 2**32 s"),
+            (1, 0 <= port < 65536, "a port from 0 to 65535"),
+            (3, 0 <= rport < 65536, "a port from 0 to 65535"),
+            (5, 0 <= start < 2**32, "a pcap time from 0 to 2**32 s"),
         ):
             if not ok:
                 raise LabelError(
                     f"{path}:{line_no}: column {_LABEL_COLUMNS[i]}: {record[i]!r} is not {want}"
                 )
-        label, first = seen.setdefault(entry.key, (entry.label, line_no))
-        if label != entry.label:
+        key = (ip, port, rip, rport, protocol, round(start * 1_000_000))
+        first_label, first = seen.setdefault(key, (label, line_no))
+        if first_label != label:
             raise LabelError(
-                f"{path}:{line_no}: flow {entry.key} is labelled {entry.label!r} here "
-                f"but {label!r} on line {first}"
+                f"{path}:{line_no}: flow {key} is labelled {label!r} here "
+                f"but {first_label!r} on line {first}"
             )
-        manifest.append(entry)
+
+
+def _label_columns(path: str | Path) -> list[list[str]] | None:
+    """A labels CSV's seven columns when csv.reader would split each line
+    after the header at its commas: no quote, NUL or line end but CRLF, every
+    line shorter than csv.field_size_limit() and of seven fields; else None."""
+    head, _, body = utf8_text(path, LabelError).partition("\r\n")
+    lines = body.split("\r\n")
+    if (lines.pop() or head != ",".join(_LABEL_COLUMNS) or '"' in body or "\0" in body
+            or not body.count("\r") == body.count("\n") == len(lines)
+            or max(map(len, lines), default=0) >= csv.field_size_limit()
+            or not set(map(methodcaller("count", ","), lines)) <= {6}):
+        return None
+    fields = ",".join(lines).split(",") if lines else []
+    return [fields[j::7] for j in range(7)]
+
+
+def _parse_labels(columns: list) -> FlowLabels | None:
+    """The manifest of the seven columns, or None when a field is out of
+    range or a flow has two labels; a field that does not parse raises
+    ValueError or OverflowError."""
+    ip, port, rip, rport, protocol, start, label = columns
+    port, rport = (np.fromiter(map(int, c), np.int64, len(label)) for c in (port, rport))
+    start = np.fromiter(map(float, start), float, len(label))
+    ip, rip, protocol, label = (np.array(c, dtype=object) for c in (ip, rip, protocol, label))
+    manifest = FlowLabels(ip, port, rip, rport, protocol, start, label)
+    ranges = ((port, 65536), (rport, 65536), (start, 2**32))
+    if not np.all([(column >= 0) & (column < top) for column, top in ranges]):
+        return None
+    lookup = manifest.lookup
+    if len(lookup) < len(manifest):  # a flow repeats: each of its rows needs its last label
+        if list(map(lookup.get, _flow_keys(manifest, protocol.tolist()))) != label.tolist():
+            return None
+    return manifest
+
+
+def read_labels_csv(path: str | Path) -> FlowLabels:
+    """A labels CSV's manifest, converted column by column; a bad field, or
+    two labels for one flow, raise LabelError naming the file and line."""
+    columns = _label_columns(path)
+    if columns is None:
+        records = csv_records(path, LabelError)
+        header, records = (records[0] if records else None), records[1:]
+        if header != _LABEL_COLUMNS:
+            raise LabelError(f"{path}: unexpected label manifest header {header}")
+        if set(map(len, records)) <= {7}:  # else zip would drop the surplus fields
+            columns = list(zip(*records)) or [()] * 7
+    try:
+        manifest = None if columns is None else _parse_labels(columns)
+    except (ValueError, OverflowError):
+        manifest = None
+    if manifest is None:
+        _check_label_rows(path, csv_records(path, LabelError)[1:])
+        raise AssertionError(f"{path}: a defect the row check does not name")
     return manifest
 
 

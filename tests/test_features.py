@@ -6,6 +6,7 @@ import statistics
 import numpy as np
 import pytest
 
+from flowbundle import features, synth
 from flowbundle.features import (
     _INT_FEATURES,
     ALL_FEATURE_NAMES,
@@ -316,7 +317,9 @@ _EDGE_CASES = {
     "empty_strings": ("label", ["", "benign", ""], True),
     "empty_address": ("initiator_ip", ["", "10.0.0.1"], True),
     "non_ascii": ("label", ["bénin", "攻撃", "x"], True),
-    "non_ascii_quoted": ("label", ["bénin", "a,b", "攻撃"], False),
+    "non_ascii_quoted": ("label", ["bénin", "a,b", "攻撃"], True),
+    "quoted_address": ("initiator_ip", ["10.0.0.1", 'a"b', "c\rd"], True),
+    "line_breaks": ("label", ["lf\nx", "\r\n", '"'], True),
     "inner_nul": ("label", ["a\0b", "x"], False),
     "trailing_nul": ("label", ["ab\0", "x"], False),
 }
@@ -401,3 +404,27 @@ def test_label_classes_benign_first(rng):
     y, names = label_classes(flow_table(flows, labels))
     assert names == ["benign", "alpha", "zeta"]
     assert y.tolist() == [2, 0, 1]
+
+
+def test_plain_tables_take_the_column_paths(tmp_path, rng, monkeypatch):
+    """A plain flow table and manifest never fall back to a per-row path."""
+    def per_row(*args, **kwargs):
+        raise AssertionError("a per-row CSV path ran")
+
+    monkeypatch.setattr(csv, "writer", per_row)
+    monkeypatch.setattr(features, "_check_rows", per_row)
+    monkeypatch.setattr(synth, "_check_label_rows", per_row)
+    monkeypatch.setattr(synth, "csv_records", per_row)  # a labels CSV needs no csv.reader
+    table = flow_table(flow_segments([random_flow(rng) for _ in range(6)]), ["benign", "a,b"] * 3)
+    aggregated = dataclasses.replace(
+        table, num_flows=np.arange(6), src_ports_delta=rng.uniform(0, 3000, 6)
+    )
+    for rows in (table, aggregated):
+        write_features_csv(rows, tmp_path / "flows.csv")
+        back = read_features_csv(tmp_path / "flows.csv")
+        assert back.label.tolist() == rows.label.tolist() and back.aggregated == rows.aggregated
+    manifest = synth.build_scenario("fig2", seed=0).manifest
+    synth.write_labels_csv(manifest, tmp_path / "labels.csv")
+    back = synth.read_labels_csv(tmp_path / "labels.csv")
+    assert back.label.tolist() == manifest.label.tolist()
+    assert back.start_time.tolist() == manifest.start_time.tolist()

@@ -77,6 +77,23 @@ class TestReadPcap:
         result = read_pcap(nano)
         assert result.packets.timestamp[0] == 3.5
 
+    @pytest.mark.parametrize("magic, ticks, stamps", [
+        # 0 and the largest microsecond stamp
+        (0xA1B2C3D4, 10**6, [0, (2**32 - 1) * 10**6 + 999_999]),
+        # the largest stamp that is an exact double; then, past it, one that
+        # float64 division would round differently, and the largest
+        (0xA1B23C4D, 10**9, [0, 2**53 - 1]),
+        (0xA1B23C4D, 10**9, [2**53 - 1, 3_280_387_012_273_878_287,
+                             (2**32 - 1) * 10**9 + 999_999_999]),
+    ])
+    def test_timestamps_round_as_exact_division(self, tmp_path, magic, ticks, stamps):
+        frame = _ipv4_tcp_frame("1.2.3.4", "5.6.7.8", 1, 2)
+        records = [(*divmod(stamp, ticks), frame) for stamp in stamps]
+        path = tmp_path / "stamps.pcap"
+        path.write_bytes(_pcap_bytes(records, magic=magic))
+        # Python's int division is correctly rounded
+        assert read_pcap(path).packets.timestamp.tolist() == [s / ticks for s in stamps]
+
     def test_raw_ip_link_type(self, tmp_path):
         frame = _ipv4_tcp_frame("1.2.3.4", "5.6.7.8", 1, 2)[14:]
         path = tmp_path / "raw.pcap"

@@ -1,12 +1,21 @@
+import csv
+import dataclasses
+import io
 import json
+import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbundle import aggregation, features, flows
 from flowbundle.pcap import UDP, read_pcap
 from flowbundle.synth import (
+    _LABEL_COLUMNS,
+    FlowLabels,
     LabelError,
     ScenarioSpec,
     TrafficClassSpec,
@@ -21,6 +30,7 @@ from flowbundle.synth import (
     write_pcap,
 )
 
+import labels_reference as reference
 from conftest import TIMEOUTS
 
 
@@ -37,7 +47,7 @@ def test_single_benign_flow_manifest():
     )
     traffic = generate(spec)
     assert len(traffic.manifest) == 1
-    assert traffic.manifest[0].label == "benign"
+    assert traffic.manifest.label.tolist() == ["benign"]
 
 
 def test_seed_determinism_byte_identical(tmp_path):
@@ -59,14 +69,14 @@ def test_manifest_completeness():
     assert len(assembled) == len(traffic.manifest)
     labels = match_labels(assembled, traffic.manifest)
     assert len(labels) == len(assembled)
-    assert set(labels) == {e.label for e in traffic.manifest}
+    assert set(labels) == set(traffic.manifest.label)
 
 
 def test_unmatched_flow_raises():
     traffic = build_scenario("fig2", seed=0)
     assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     with pytest.raises(LabelError):
-        match_labels(assembled, traffic.manifest[:-1])
+        match_labels(assembled, traffic.manifest.take(slice(None, -1)))
 
 
 def test_fig2_bundles():
@@ -116,7 +126,10 @@ def test_labels_csv_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels_csv(traffic.manifest, path)
     back = read_labels_csv(path)
-    assert back == traffic.manifest
+    for name in _LABEL_COLUMNS:
+        want = getattr(traffic.manifest, name)
+        assert getattr(back, name).dtype == want.dtype
+        assert getattr(back, name).tolist() == want.tolist(), name
 
 
 def test_labels_csv_bad_header(tmp_path):
@@ -146,8 +159,7 @@ def test_scenario_spec_json_loading(tmp_path):
     path.write_text(json.dumps(doc))
     spec = load_scenario_spec(path)
     traffic = generate(spec)
-    labels = {e.label for e in traffic.manifest}
-    assert labels == {"benign", "probe"}
+    assert set(traffic.manifest.label) == {"benign", "probe"}
 
 
 def test_scenario_spec_json_invalid(tmp_path):
@@ -203,3 +215,113 @@ def test_desk_scale_flow_counts():
 def test_checked_in_10x_spec_is_valid():
     spec = load_scenario_spec(Path(__file__).parents[1] / "perfbench" / "scenario_10x.json")
     assert [c.n_sources for c in spec.classes] == [1250, 100]
+
+
+def _labels_csv_bytes(rows, line_end="\r\n") -> bytes:
+    """A labels CSV of ``rows``, each start time in full (repr) precision."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=line_end)
+    writer.writerow(_LABEL_COLUMNS)
+    writer.writerows((*row[:5], repr(row[5]), row[6]) for row in rows)
+    return out.getvalue().encode()
+
+
+_TEXT = st.text(st.characters(codec="utf-8", exclude_characters="\0"), max_size=6)
+_PORTS = st.sampled_from([0, 65535]) | st.integers(0, 65535)
+_STARTS = st.one_of(
+    st.sampled_from([0.0, 1_600_000_000.0, 4294967295.999999, math.nextafter(2.0**32, 0)]),
+    st.integers(0, 2**32 * 10**6 - 1).map(lambda us: (us + 0.5) / 1e6),  # half-microseconds
+    st.floats(0, 2**32, exclude_max=True),
+)
+_ROWS = st.tuples(
+    st.sampled_from(["10.0.0.1", "192.168.10.10"]) | _TEXT, _PORTS,
+    st.sampled_from(["10.0.0.2", "192.168.10.11"]) | _TEXT, _PORTS,
+    st.sampled_from(["TCP", "UDP"]), _STARTS,
+    st.sampled_from(["benign", "slowloris", "a,b", 'say "hi"']) | _TEXT,
+)
+
+
+@st.composite
+def manifest_rows(draw):
+    """Random manifest rows; some flows repeat, mostly with the same label."""
+    rows = draw(st.lists(_ROWS, max_size=12))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        label = draw(st.sampled_from([row[6]] * 3 + ["other"]))
+        rows.insert(draw(st.integers(0, len(rows))), (*row[:6], label))
+    return rows
+
+
+def _same_outcome(reference_call, call):
+    """``call()`` returns what ``reference_call()`` does, or raises the same
+    LabelError; the result, or None where both raise."""
+    try:
+        want = reference_call()
+    except LabelError as exc:
+        with pytest.raises(LabelError) as got:
+            call()
+        assert str(got.value) == str(exc)
+        return None
+    return want, call()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_labels_match_row_wise_reference(tmp_path_factory, data):
+    rows = data.draw(manifest_rows())
+    path = tmp_path_factory.mktemp("labels") / "labels.csv"
+    path.write_bytes(_labels_csv_bytes(rows, data.draw(st.sampled_from(["\r\n", "\n"]))))
+    outcome = _same_outcome(lambda: reference.read_labels_csv(path), lambda: read_labels_csv(path))
+    if outcome is None:
+        return
+    want, got = outcome
+    assert isinstance(got, FlowLabels)
+    columns = [getattr(got, name).tolist() for name in _LABEL_COLUMNS]
+    assert list(zip(*columns)) == [dataclasses.astuple(entry) for entry in want]
+    # the manifest's own flows, in any order, and maybe some it does not hold
+    flow_rows = [dataclasses.astuple(entry) for entry in want]
+    flow_rows += data.draw(st.lists(_ROWS, max_size=2))
+    flow_rows = data.draw(st.permutations(flow_rows))
+    ip, port, rip, rport, protocol, start, _ = zip(*flow_rows) if flow_rows else [()] * 7
+    flows = SimpleNamespace(
+        initiator_ip=np.array(ip, dtype=object), initiator_port=np.array(port, dtype=np.int64),
+        responder_ip=np.array(rip, dtype=object), responder_port=np.array(rport, dtype=np.int64),
+        protocol=np.array([{"TCP": 6, "UDP": 17}[p] for p in protocol], dtype=np.uint8),
+        start_time=np.array(start, dtype=float),
+    )
+    matched = _same_outcome(lambda: reference.match_labels(flows, want),
+                            lambda: match_labels(flows, got))
+    if matched is not None:
+        assert matched[1] == matched[0]
+    # and the manifest writes the bytes the csv.writer writer wrote
+    write_labels_csv(got, path)
+    reference.write_labels_csv(want, path.with_name("want.csv"))
+    assert path.read_bytes() == path.with_name("want.csv").read_bytes()
+
+
+def test_labels_csv_is_utf8(tmp_path):
+    manifest = build_scenario("fig2", seed=0).manifest
+    labels = np.array(["bénin", "攻撃", "a,b", 'say "hi"'] * 2, dtype=object)
+    manifest = dataclasses.replace(manifest, label=labels)
+    path = tmp_path / "labels.csv"
+    write_labels_csv(manifest, path)
+    assert "攻撃" in path.read_bytes().decode("utf-8")
+    assert read_labels_csv(path).label.tolist() == labels.tolist()
+    # a start time the fixed-point writer does not print goes through csv.writer
+    huge = dataclasses.replace(manifest, start_time=np.full(len(manifest), 1e300))
+    write_labels_csv(huge, path)
+    assert "攻撃" in path.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("defect", [
+    lambda row: row[:4] + b"\n" + row[4:],  # a line end inside the first address
+    lambda row: row[:4] + b"\r" + row[4:],
+    lambda row: row + b"x" * csv.field_size_limit(),  # a label longer than csv.reader reads
+], ids=["lf", "cr", "long_field"])
+def test_labels_csv_defects_csv_reader_finds(tmp_path, defect):
+    path = tmp_path / "labels.csv"
+    write_labels_csv(build_scenario("fig2", seed=0).manifest, path)
+    head, row, rest = path.read_bytes().split(b"\r\n", 2)
+    path.write_bytes(b"\r\n".join([head, defect(row), rest]))
+    outcome = _same_outcome(lambda: reference.read_labels_csv(path), lambda: read_labels_csv(path))
+    assert outcome is None  # both raise, naming line 2
