@@ -8,12 +8,10 @@ small-step sequential source ports separate it at the bundle level.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import methodcaller
 from pathlib import Path
 
 import numpy as np
@@ -314,44 +312,120 @@ def _scaled_sources(n: int, scale: str) -> int:
 def mimicking_scenario(seed: int, scale: str = "desk") -> ScenarioSpec:
     """Benign plus a slow-DoS-like class that mimics benign flow statistics.
 
-    Desk scale targets roughly 2,000 benign and 550 attack flows.  Both
-    classes keep the default packet sizes, timing and exchanges, benign's.
+    Desk scale targets roughly 2,000 benign and 550 attack flows.
     """
-    return ScenarioSpec(seed=seed, duration=600.0, classes=[
-        TrafficClassSpec("benign", _scaled_sources(125, scale), (8, 24)),
-        TrafficClassSpec("slowloris", _scaled_sources(10, scale), (48, 64),
-                         port_pattern="sequential", port_step=3, single_target=True),
-    ])
+    shared = dict(pkt_len_mean=520.0, pkt_len_std=160.0, iat_mean=0.4)
+    return ScenarioSpec(
+        seed=seed,
+        duration=600.0,
+        classes=[
+            TrafficClassSpec(
+                label="benign",
+                n_sources=_scaled_sources(125, scale),
+                flows_per_source=(8, 24),
+                data_exchanges=(1, 5),
+                **shared,
+            ),
+            TrafficClassSpec(
+                label="slowloris",
+                n_sources=_scaled_sources(10, scale),
+                flows_per_source=(48, 64),
+                data_exchanges=(1, 5),
+                port_pattern="sequential",
+                port_step=3,
+                single_target=True,
+                **shared,
+            ),
+        ],
+    )
 
 
 def full_scenario(seed: int, scale: str = "desk") -> ScenarioSpec:
     """Benign plus four attack classes for the multi-class experiments.
 
     Portscan and the flood are flow-distinguishable; the two slow-DoS
-    classes keep the default (benign) distributions and differ only in
-    bundling.
+    classes reuse the benign distributions and differ only in bundling.
     """
-    return ScenarioSpec(seed=seed, duration=600.0, classes=[
-        TrafficClassSpec("benign", _scaled_sources(40, scale), (10, 20)),
-        TrafficClassSpec("portscan", _scaled_sources(2, scale), (100, 120), flow_shape="scan",
-                         pkt_len_mean=60.0, pkt_len_std=4.0, iat_mean=0.05,
-                         port_pattern="sequential", port_step=1, single_target=True),
-        TrafficClassSpec("hulk", _scaled_sources(4, scale), (45, 60), data_exchanges=(8, 16),
-                         pkt_len_mean=900.0, pkt_len_std=120.0, iat_mean=0.02,
-                         single_target=True),
-        TrafficClassSpec("slowloris", _scaled_sources(5, scale), (30, 40),
-                         port_pattern="sequential", port_step=2, single_target=True),
-        TrafficClassSpec("slowhttptest", _scaled_sources(5, scale), (28, 36),
-                         port_pattern="sequential", port_step=4, single_target=True),
-    ])
+    benign_like = dict(pkt_len_mean=520.0, pkt_len_std=160.0, iat_mean=0.4)
+    return ScenarioSpec(
+        seed=seed,
+        duration=600.0,
+        classes=[
+            TrafficClassSpec(
+                label="benign",
+                n_sources=_scaled_sources(40, scale),
+                flows_per_source=(10, 20),
+                data_exchanges=(1, 5),
+                **benign_like,
+            ),
+            TrafficClassSpec(
+                label="portscan",
+                n_sources=_scaled_sources(2, scale),
+                flows_per_source=(100, 120),
+                flow_shape="scan",
+                pkt_len_mean=60.0,
+                pkt_len_std=4.0,
+                iat_mean=0.05,
+                port_pattern="sequential",
+                port_step=1,
+                single_target=True,
+            ),
+            TrafficClassSpec(
+                label="hulk",
+                n_sources=_scaled_sources(4, scale),
+                flows_per_source=(45, 60),
+                data_exchanges=(8, 16),
+                pkt_len_mean=900.0,
+                pkt_len_std=120.0,
+                iat_mean=0.02,
+                port_pattern="ephemeral",
+                single_target=True,
+            ),
+            TrafficClassSpec(
+                label="slowloris",
+                n_sources=_scaled_sources(5, scale),
+                flows_per_source=(30, 40),
+                data_exchanges=(1, 5),
+                port_pattern="sequential",
+                port_step=2,
+                single_target=True,
+                **benign_like,
+            ),
+            TrafficClassSpec(
+                label="slowhttptest",
+                n_sources=_scaled_sources(5, scale),
+                flows_per_source=(28, 36),
+                data_exchanges=(1, 5),
+                port_pattern="sequential",
+                port_step=4,
+                single_target=True,
+                **benign_like,
+            ),
+        ],
+    )
 
 
 def fig2_traffic(seed: int = 0) -> GeneratedTraffic:
     """Replay of the four-host bundling timeline: A starts 4 flows, B 2, D 1, C 1."""
     rng = np.random.default_rng(seed)
     hosts = {name: f"10.0.0.{i + 1}" for i, name in enumerate("ABCD")}
-    pattern = ["AB", "AB", "AC", "AD", "BC", "BC", "DB", "CA"]  # (source, destination)
-    cls = TrafficClassSpec("benign", 1, (1, 1), data_exchanges=(1, 1), iat_mean=0.2)
+    pattern = [
+        ("A", "B"),
+        ("A", "B"),
+        ("A", "C"),
+        ("A", "D"),
+        ("B", "C"),
+        ("B", "C"),
+        ("D", "B"),
+        ("C", "A"),
+    ]
+    cls = TrafficClassSpec(
+        label="benign",
+        n_sources=1,
+        flows_per_source=(1, 1),
+        data_exchanges=(1, 1),
+        iat_mean=0.2,
+    )
     lo, hi = EPHEMERAL_RANGE
     sports = [int(p) for p in rng.choice(np.arange(lo, hi), len(pattern), False)]
     columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
@@ -422,26 +496,13 @@ def _check_label_rows(path: str | Path, records: list[list[str]]) -> None:
             )
 
 
-def _label_columns(path: str | Path) -> list[list[str]] | None:
-    """A labels CSV's seven columns when csv.reader would split each line
-    after the header at its commas: no quote, NUL or line end but CRLF, every
-    line shorter than csv.field_size_limit() and of seven fields; else None."""
-    head, _, body = utf8_text(path, LabelError).partition("\r\n")
-    lines = body.split("\r\n")
-    if (lines.pop() or head != ",".join(_LABEL_COLUMNS) or '"' in body or "\0" in body
-            or not body.count("\r") == body.count("\n") == len(lines)
-            or max(map(len, lines), default=0) >= csv.field_size_limit()
-            or not set(map(methodcaller("count", ","), lines)) <= {6}):
+def _parse_labels(records: list[list[str]]) -> FlowLabels | None:
+    """The manifest of the records, converted column by column, or None when
+    a row is not seven fields, a field is out of range or a flow has two
+    labels; a field that does not parse raises ValueError or OverflowError."""
+    if not set(map(len, records)) <= {len(_LABEL_COLUMNS)}:
         return None
-    fields = ",".join(lines).split(",") if lines else []
-    return [fields[j::7] for j in range(7)]
-
-
-def _parse_labels(columns: list) -> FlowLabels | None:
-    """The manifest of the seven columns, or None when a field is out of
-    range or a flow has two labels; a field that does not parse raises
-    ValueError or OverflowError."""
-    ip, port, rip, rport, protocol, start, label = columns
+    ip, port, rip, rport, protocol, start, label = list(zip(*records)) or [()] * 7
     port, rport = (np.fromiter(map(int, c), np.int64, len(label)) for c in (port, rport))
     start = np.fromiter(map(float, start), float, len(label))
     ip, rip, protocol, label = (np.array(c, dtype=object) for c in (ip, rip, protocol, label))
@@ -459,20 +520,16 @@ def _parse_labels(columns: list) -> FlowLabels | None:
 def read_labels_csv(path: str | Path) -> FlowLabels:
     """A labels CSV's manifest, converted column by column; a bad field, or
     two labels for one flow, raise LabelError naming the file and line."""
-    columns = _label_columns(path)
-    if columns is None:
-        records = csv_records(path, LabelError)
-        header, records = (records[0] if records else None), records[1:]
-        if header != _LABEL_COLUMNS:
-            raise LabelError(f"{path}: unexpected label manifest header {header}")
-        if set(map(len, records)) <= {7}:  # else zip would drop the surplus fields
-            columns = list(zip(*records)) or [()] * 7
+    records = csv_records(path, LabelError)
+    header, records = (records[0] if records else None), records[1:]
+    if header != _LABEL_COLUMNS:
+        raise LabelError(f"{path}: unexpected label manifest header {header}")
     try:
-        manifest = None if columns is None else _parse_labels(columns)
+        manifest = _parse_labels(records)
     except (ValueError, OverflowError):
         manifest = None
     if manifest is None:
-        _check_label_rows(path, csv_records(path, LabelError)[1:])
+        _check_label_rows(path, records)
         raise AssertionError(f"{path}: a defect the row check does not name")
     return manifest
 

@@ -414,7 +414,6 @@ def test_plain_tables_take_the_column_paths(tmp_path, rng, monkeypatch):
     monkeypatch.setattr(csv, "writer", per_row)
     monkeypatch.setattr(features, "_check_rows", per_row)
     monkeypatch.setattr(synth, "_check_label_rows", per_row)
-    monkeypatch.setattr(synth, "csv_records", per_row)  # a labels CSV needs no csv.reader
     table = flow_table(flow_segments([random_flow(rng) for _ in range(6)]), ["benign", "a,b"] * 3)
     aggregated = dataclasses.replace(
         table, num_flows=np.arange(6), src_ports_delta=rng.uniform(0, 3000, 6)
