@@ -161,7 +161,7 @@ def kfold_evaluate(
             hidden_activation="tanh",
             seed=seed + f,
         )
-        trained, _ = train(model, X[train_mask], y[train_mask], fold_cfg)
+        trained, _ = train(model, X[train_mask], y[train_mask], fold_cfg, record_loss=False)
         y_pred = predict_classes(trained, X[test_idx])
         counts = ConfusionCounts.from_predictions(y[test_idx], y_pred, class_names)
         for name in class_names:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,22 +76,40 @@ class TrainingConfig:
 
 @dataclass
 class MlpModel:
+    """All parameters live in one flat float64 vector, `params`: `layers[i]`
+    is layer i's (fan_in + 1, fan_out) view of it, bias last, and
+    `weights[i]` and `biases[i]` view its parts, so writes reach `params`."""
+
     layer_sizes: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     hidden_activation: str = "relu"
     output_activation: str = "softmax"
     scaler: MinMaxScaler | None = None
+    params: np.ndarray = field(init=False, repr=False)
+    layers: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.params = np.concatenate(
+            [np.vstack([w, b]).ravel() for w, b in zip(self.weights, self.biases)],
+            dtype=float,
+        )
+        self.layers = self.layer_views(self.params)
+        self.weights = [layer[:-1] for layer in self.layers]
+        self.biases = [layer[-1] for layer in self.layers]
+
+    def layer_views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each layer's (fan_in + 1, fan_out) view of a vector laid out like params."""
+        views, start = [], 0
+        for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
+            stop = start + (fan_in + 1) * fan_out
+            views.append(flat[start:stop].reshape(fan_in + 1, fan_out))
+            start = stop
+        return views
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            layer_sizes=list(self.layer_sizes),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
-            scaler=self.scaler,
-        )
+        # __post_init__ packs the weights and biases into new memory
+        return replace(self, layer_sizes=list(self.layer_sizes))
 
 
 def init_model(
@@ -168,17 +186,28 @@ def _output(z: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _forward(model: MlpModel, a: np.ndarray) -> list[np.ndarray]:
-    """Every layer's activation for the (features, rows) input a, feature-major."""
+    """Every layer's activation for the (features, rows) input a, feature-major.
+
+    A hidden activation has one more row, of ones, so the next layer's
+    matmul with its packed (fan_in + 1, fan_out) parameters adds the bias.
+    """
     activations = [a]
-    last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = w.T @ activations[-1]
-        z += b[:, None]
-        activations.append(
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        z = np.empty((layer.shape[1] + (i < last), a.shape[1]))
+        units = z[: layer.shape[1]]
+        if i == 0:  # the input has no ones row
+            np.matmul(layer[:-1].T, a, out=units)
+            units += layer[-1][:, None]
+        else:
+            np.matmul(layer.T, a, out=units)
+        if i < last:
+            _hidden(units, model.hidden_activation)
+            z[-1] = 1.0
+        else:
             _output(z, model.output_activation)
-            if i == last
-            else _hidden(z, model.hidden_activation)
-        )
+        activations.append(z)
+        a = z
     return activations
 
 
@@ -197,12 +226,14 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 
 def loss_and_gradients(
-    model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """Loss plus analytic dE/dw, dE/db for every layer.
+    model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str, record_loss: bool = True
+) -> tuple[float | None, np.ndarray]:
+    """Loss plus the analytic gradient of every parameter, laid out like
+    model.params (`model.layer_views` slices it per layer).
 
     Supported pairings: softmax + cross_entropy, identity/sigmoid + mse.
     Cross-entropy targets are one-hot rows; mse targets are raw outputs.
+    Without record_loss the cross-entropy loss is not computed (None).
     """
     out_kind = model.output_activation
     if loss == "cross_entropy" and out_kind != "softmax":
@@ -216,42 +247,34 @@ def loss_and_gradients(
     output = activations.pop()
     targets = targets.T
 
+    value = None
     if loss == "cross_entropy":
-        log_p = np.maximum(output, 1e-12)  # a softmax output never exceeds 1
-        np.log(log_p, out=log_p)
-        log_p *= targets
-        value = float(-log_p.sum() / n)
+        if record_loss:
+            log_p = np.maximum(output, 1e-12)  # a softmax output never exceeds 1
+            np.log(log_p, out=log_p)
+            log_p *= targets
+            value = float(-log_p.sum() / n)
         delta = np.subtract(output, targets, out=output)
-        delta /= n
+        scale = n
     else:
         delta = output - targets
         value = float((delta**2).mean())
-        delta *= 2.0
-        delta /= delta.size
+        scale = delta.size / 2.0
         if out_kind == "sigmoid":
             delta *= output
             delta *= np.subtract(1.0, output, out=output)
 
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    grads_b: list[np.ndarray] = [np.empty(0)] * len(model.weights)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        grads_w[layer] = activations[layer] @ delta.T
-        grads_b[layer] = delta.sum(axis=1)
-        if layer > 0:
-            delta = model.weights[layer] @ delta
-            delta *= _hidden_grad(activations[layer], model.hidden_activation)
-    return value, grads_w, grads_b
-
-
-def _descend(
-    model: MlpModel, grads_w: list[np.ndarray], grads_b: list[np.ndarray], lr: float
-) -> None:
-    """One gradient-descent update, in place; scales the gradients too."""
-    for w, b, gw, gb in zip(model.weights, model.biases, grads_w, grads_b):
-        gw *= lr
-        w -= gw
-        gb *= lr
-        b -= gb
+    grad = np.empty_like(model.params)
+    grads = model.layer_views(grad)
+    for layer in range(len(grads) - 1, 0, -1):
+        a = activations[layer]
+        np.matmul(a, delta.T, out=grads[layer])  # its last row is the bias's
+        delta = model.weights[layer] @ delta
+        delta *= _hidden_grad(a[:-1], model.hidden_activation)
+    np.matmul(activations[0], delta.T, out=grads[0][:-1])
+    delta.sum(axis=1, out=grads[0][-1])
+    grad /= scale
+    return value, grad
 
 
 def _prepare_targets(model: MlpModel, targets: np.ndarray, loss: str) -> np.ndarray:
@@ -284,8 +307,10 @@ def train(
     X: np.ndarray,
     targets: np.ndarray,
     cfg: TrainingConfig,
+    record_loss: bool = True,
 ) -> tuple[MlpModel, list[float]]:
-    """Gradient-descent training; returns a new model plus the loss history.
+    """Gradient-descent training; returns a new model plus the loss history,
+    which is empty without record_loss.
 
     Full-batch by default; deterministic for a fixed config seed.  When
     cfg.input_scaling is set a min-max scaler is fitted on X and stored
@@ -311,25 +336,28 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    classes = trained.layer_sizes[-1]
     history: list[float] = []
     for epoch in range(cfg.epochs):
-        if batch >= n:
-            epoch_loss, gw, gb = loss_and_gradients(trained, X, T, cfg.loss)
-            _descend(trained, gw, gb, cfg.learning_rate)
-        else:
-            order = rng.permutation(n)
-            losses = []
-            for start in range(0, n, batch):
-                idx = order[start : start + batch]
-                value, gw, gb = loss_and_gradients(
-                    trained, X.T[:, idx].T, T.T[:, idx].T, cfg.loss
-                )
-                _descend(trained, gw, gb, cfg.learning_rate)
-                losses.append(value)
-            epoch_loss = float(np.mean(losses))
+        batches = [(X, T)]
+        if batch < n:
+            batches = (
+                (X.T[:, idx].T, T.T[:, idx].T)
+                for idx in np.split(rng.permutation(n), range(batch, n, batch))
+            )
+        losses = []
+        for X_batch, T_batch in batches:
+            value, grad = loss_and_gradients(trained, X_batch, T_batch, cfg.loss, record_loss)
+            # unrecorded, the output bias gradient stands in: it sums softmax
+            # - one-hot, so it is non-finite exactly when the cross-entropy is
+            losses.append(sum(grad[-classes:].tolist()) if value is None else value)
+            grad *= cfg.learning_rate
+            trained.params -= grad
+        epoch_loss = losses[0] if len(losses) == 1 else float(np.mean(losses))
         if not math.isfinite(epoch_loss):
             raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-        history.append(epoch_loss)
+        if record_loss:
+            history.append(epoch_loss)
     return trained, history
 
 

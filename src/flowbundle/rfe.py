@@ -49,7 +49,7 @@ def _importances(
         seed=seed,
     )
     round_cfg = replace(cfg.inner_training, loss="cross_entropy", seed=seed)
-    trained, _ = train(model, X, y, round_cfg)
+    trained, _ = train(model, X, y, round_cfg, record_loss=False)
     return np.abs(trained.weights[0]).sum(axis=1)
 
 

@@ -29,21 +29,27 @@ def finite_difference_grads(model, X, T, loss, eps=1e-5):
         for i in range(flat.size):
             old = flat[i]
             flat[i] = old + eps
-            up, _, _ = loss_and_gradients(model, X, T, loss)
+            up, _ = loss_and_gradients(model, X, T, loss)
             flat[i] = old - eps
-            down, _, _ = loss_and_gradients(model, X, T, loss)
+            down, _ = loss_and_gradients(model, X, T, loss)
             flat[i] = old
             grads_w[layer].reshape(-1)[i] = (up - down) / (2 * eps)
     for layer, b in enumerate(model.biases):
         for i in range(b.size):
             old = b[i]
             b[i] = old + eps
-            up, _, _ = loss_and_gradients(model, X, T, loss)
+            up, _ = loss_and_gradients(model, X, T, loss)
             b[i] = old - eps
-            down, _, _ = loss_and_gradients(model, X, T, loss)
+            down, _ = loss_and_gradients(model, X, T, loss)
             b[i] = old
             grads_b[layer].reshape(-1)[i] = (up - down) / (2 * eps)
     return grads_w, grads_b
+
+
+def split_grad(model, grad):
+    """Each layer's weight and bias gradients, sliced from the flat gradient."""
+    layers = model.layer_views(grad)
+    return [g[:-1] for g in layers], [g[-1] for g in layers]
 
 
 def max_relative_error(analytic, numeric):
@@ -117,7 +123,7 @@ class TestGradients:
         model = init_model([4, 3, 2], hidden_activation=hidden_activation, seed=7)
         X = rng.normal(size=(6, 4))
         T = np.eye(2)[rng.integers(0, 2, size=6)]
-        _, gw, gb = loss_and_gradients(model, X, T, "cross_entropy")
+        gw, gb = split_grad(model, loss_and_gradients(model, X, T, "cross_entropy")[1])
         fw, fb = finite_difference_grads(model, X, T, "cross_entropy")
         assert max_relative_error(gw + gb, fw + fb) < 1e-4
 
@@ -129,7 +135,7 @@ class TestGradients:
         )
         X = rng.normal(size=(5, 3))
         T = rng.uniform(0.2, 0.8, size=(5, 3))
-        _, gw, gb = loss_and_gradients(model, X, T, "mse")
+        gw, gb = split_grad(model, loss_and_gradients(model, X, T, "mse")[1])
         fw, fb = finite_difference_grads(model, X, T, "mse")
         assert max_relative_error(gw + gb, fw + fb) < 1e-4
 
@@ -245,7 +251,8 @@ def _assert_matches_reference(model, X, T, loss):
     for X_in, T_in in ((X, T), (np.asfortranarray(X), np.asfortranarray(T))):
         before = (X_in.copy(), T_in.copy(), [w.copy() for w in model.weights],
                   [b.copy() for b in model.biases])
-        value, gw, gb = loss_and_gradients(model, X_in, T_in, loss)
+        value, grad = loss_and_gradients(model, X_in, T_in, loss)
+        gw, gb = split_grad(model, grad)
         after = (X_in, T_in, model.weights, model.biases)
         _assert_close(value, ref_value)
         for got, want in zip(gw + gb, ref_gw + ref_gb):
@@ -277,6 +284,13 @@ class TestReferenceOracle:
         model = _study_like_model(sizes, "relu", output, seed=4)
         X = rng.uniform(size=(403, sizes[0]))
         _assert_matches_reference(model, X, X.copy(), "mse")
+
+    def test_costliest_study_shape(self, rng):
+        # the widest network replicate trains, on its largest fold
+        model = _study_like_model([36, 8, 5], "tanh", "softmax", seed=5)
+        X = rng.uniform(size=(1322, 36))
+        T = np.eye(5)[np.arange(1322) % 5]
+        _assert_matches_reference(model, X, T, "cross_entropy")
 
     def test_training_matches_reference_updates(self, rng):
         model = _study_like_model([20, 3, 2], "tanh", "softmax", seed=1)
@@ -321,7 +335,7 @@ class TestTrain:
         cfg = TrainingConfig(learning_rate=0.1, epochs=1, seed=0,
                              input_scaling=False)
         T = np.eye(2)[y]
-        _, gw, gb = loss_and_gradients(model, X, T, "cross_entropy")
+        gw, gb = split_grad(model, loss_and_gradients(model, X, T, "cross_entropy")[1])
         trained, _ = train(model, X, y, cfg)
         for layer in range(len(model.weights)):
             expected = model.weights[layer] - 0.1 * gw[layer]
@@ -403,6 +417,93 @@ class TestTrain:
         train(model, X, y, TrainingConfig(learning_rate=0.1, epochs=3, seed=0))
         for w0, w1 in zip(before, model.weights):
             assert np.array_equal(w0, w1)
+
+
+class TestLossOnlyWhenRead:
+    """Without record_loss the cross-entropy is skipped; nothing else changes."""
+
+    @pytest.mark.parametrize("batch_size", [None, 16])
+    @pytest.mark.parametrize("loss", ["cross_entropy", "mse"])
+    def test_skipping_the_loss_is_bit_neutral(self, rng, batch_size, loss):
+        X = rng.normal(size=(60, 5))
+        if loss == "mse":
+            sizes, output, targets = [5, 3, 5], "sigmoid", rng.uniform(size=(60, 5))
+        else:
+            sizes, output, targets = [5, 4, 3], "softmax", np.arange(60) % 3
+        cfg = TrainingConfig(learning_rate=0.3, epochs=20, batch_size=batch_size,
+                             loss=loss, seed=2)
+        fits = [
+            train(init_model(sizes, hidden_activation="tanh",
+                             output_activation=output, seed=2),
+                  X, targets, cfg, record_loss=record)
+            for record in (True, False)
+        ]
+        (recorded, history), (skipped, no_history) = fits
+        assert len(history) == cfg.epochs
+        assert no_history == []
+        for got, want in zip(skipped.weights + skipped.biases,
+                             recorded.weights + recorded.biases):
+            assert np.array_equal(got, want)
+
+    def test_step_without_the_loss(self, rng):
+        model = init_model([6, 3, 4], hidden_activation="tanh", seed=3)
+        X = rng.normal(size=(30, 6))
+        T = np.eye(4)[np.arange(30) % 4]
+        value, grad = loss_and_gradients(model, X, T, "cross_entropy")
+        skipped, same_grad = loss_and_gradients(model, X, T, "cross_entropy",
+                                                record_loss=False)
+        assert value is not None and skipped is None
+        assert np.array_equal(grad, same_grad)
+
+    # relu grows without bound, so its softmax input overflows to inf - inf
+    @pytest.mark.parametrize(
+        "hidden, learning_rate, epochs", [("relu", 1e300, (1, 0)), ("tanh", 1e308, (3, 1))]
+    )
+    def test_softmax_divergence_names_the_same_epoch(self, hidden, learning_rate,
+                                                     epochs):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(40, 4))
+        y = np.arange(40) % 3
+        for batch_size, epoch in zip((None, 16), epochs):
+            cfg = TrainingConfig(learning_rate=learning_rate, epochs=50,
+                                 batch_size=batch_size, seed=0)
+            for record in (True, False):
+                model = init_model([4, 3, 3], hidden_activation=hidden, seed=0)
+                with pytest.raises(TrainingDivergedError,
+                                   match=f"non-finite loss at epoch {epoch}$"):
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        train(model, X, y, cfg, record_loss=record)
+
+
+class TestPackedParameters:
+    def test_weights_and_biases_view_params(self):
+        model = init_model([4, 3, 2], seed=0)
+        for i, layer in enumerate(model.layers):
+            model.weights[i][1, 0] = 7.0 + i
+            model.biases[i][0] = -7.0 - i
+            assert layer[1, 0] == 7.0 + i and layer[-1, 0] == -7.0 - i
+            assert np.shares_memory(layer, model.params)
+        model.params[:] = 0.5
+        for w, b in zip(model.weights, model.biases):
+            assert np.all(w == 0.5) and np.all(b == 0.5)
+        assert model.params.size == (4 + 1) * 3 + (3 + 1) * 2
+
+    def test_copy_shares_no_memory(self):
+        model = init_model([4, 3, 2], seed=0)
+        twin = model.copy()
+        assert not np.shares_memory(twin.params, model.params)
+        assert np.array_equal(twin.params, model.params)
+        twin.weights[0][0, 0] += 1.0
+        assert twin.weights[0][0, 0] != model.weights[0][0, 0]
+
+    def test_save_load_save_is_byte_identical(self, rng, tmp_path):
+        X, y = make_blobs(rng, n=30)
+        trained, _ = train(init_model([2, 3, 2], seed=6), X, y,
+                           TrainingConfig(learning_rate=0.1, epochs=30, seed=6))
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        save_model(ModelArtifact(model=trained, class_names=["x", "y"]), first)
+        save_model(load_model(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestMemoryOrder:
