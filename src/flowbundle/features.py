@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .flows import FlowSegments
-from .pcap import PROTOCOL_NAMES, TCP_FLAG_BITS
+from .pcap import PROTOCOL_NAMES, TCP_FLAG_BITS, dotted
 
 _DIRECTION_STATS = (
     "pkt_count",
@@ -154,9 +154,9 @@ def extract_features(flows: FlowSegments) -> np.ndarray:
 def flow_table(flows: FlowSegments, labels: list[str]) -> FlowTable:
     """One row per flow: its identity, its label and its 34 statistics."""
     return FlowTable(
-        initiator_ip=flows.initiator_ip,
+        initiator_ip=dotted(flows.initiator_ip),
         initiator_port=flows.initiator_port,
-        responder_ip=flows.responder_ip,
+        responder_ip=dotted(flows.responder_ip),
         responder_port=flows.responder_port,
         protocol=np.array(
             [PROTOCOL_NAMES[p] for p in flows.protocol.tolist()], dtype=object

@@ -20,7 +20,8 @@ class FlowSegments:
     Flow i's packets are ``packets`` rows ``rows[bounds[i]:bounds[i + 1]]``,
     in time order; ``forward`` marks, per entry of ``rows``, the packets
     that travel initiator -> responder.  The initiator is the source of the
-    flow's first packet.  The identity columns hold one value per flow.
+    flow's first packet.  The identity columns hold one value per flow, in
+    the packet table's dtypes.
     """
 
     packets: PacketTable
@@ -55,15 +56,12 @@ def assemble_flows(
         raise ValueError("active_timeout must exceed idle_timeout (or be None)")
 
     n = len(packets)
-    # each address as an integer; which integer does not matter
-    src, dst = packets.src_ip.tolist(), packets.dst_ip.tolist()
-    code = {address: i for i, address in enumerate(set(src).union(dst))}
-    src, dst = (np.fromiter(map(code.__getitem__, ips), np.int64, n) for ips in (src, dst))
-    sport, dport = packets.src_port, packets.dst_port
-    # both directions share a key: the lower (address, port) endpoint first
-    low = (src < dst) | ((src == dst) & (sport <= dport))
-    key = [np.where(low, src, dst), np.where(low, sport, dport),
-           np.where(low, dst, src), np.where(low, dport, sport), packets.protocol]
+    # each endpoint as one integer, ordered as its (address, port) pair: ports are 16-bit
+    src, dst = ((ip.astype(np.int64) << 16) + port for ip, port in
+                ((packets.src_ip, packets.src_port), (packets.dst_ip, packets.dst_port)))
+    # both directions share a key: the lower endpoint, then the upper and the protocol
+    low = src <= dst
+    key = [np.minimum(src, dst), (np.maximum(src, dst) << 8) + packets.protocol]
     order = np.lexsort([packets.timestamp, *reversed(key)])  # stable: file order breaks ties
     times, low, flags = packets.timestamp[order], low[order], packets.tcp_flags[order]
     # a key change or an idle gap ends a segment

@@ -45,17 +45,17 @@ Packet = namedtuple(
     "Packet",
     "timestamp src_ip dst_ip src_port dst_port protocol ip_total_length tcp_flags",
 )
-_DTYPES = (float, object, object, np.int64, np.int64, np.uint8, np.int64, np.uint8)
+_DTYPES = (float, np.uint32, np.uint32, np.int64, np.int64, np.uint8, np.int64, np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
 class PacketTable:
     """Packets as columns, one row per packet.
 
-    ``timestamp`` is float64 seconds, the addresses object arrays of
-    dotted strings, ports and ``ip_total_length`` int64, ``protocol`` 6
-    (TCP) or 17 (UDP) and ``tcp_flags`` the TCP flag byte without ECE and
-    CWR, 0 for UDP.
+    ``timestamp`` is float64 seconds, the addresses uint32 (the 4 address
+    bytes read big-endian), ports (0-65535) and ``ip_total_length`` int64,
+    ``protocol`` 6 (TCP) or 17 (UDP) and ``tcp_flags`` the TCP flag byte
+    without ECE and CWR, 0 for UDP.
     """
 
     timestamp: np.ndarray
@@ -84,6 +84,14 @@ class PacketTable:
         return PacketTable(*(column[rows] for column in vars(self).values()))
 
 
+def dotted(addresses: np.ndarray) -> np.ndarray:
+    """Each uint32 address as its dotted-quad string, an object array;
+    ``inet_ntoa`` runs once per distinct address."""
+    distinct, which = np.unique(addresses, return_inverse=True)
+    names = [socket.inet_ntoa(a.to_bytes(4, "big")) for a in distinct.tolist()]
+    return np.array(names, dtype=object)[which]
+
+
 @dataclass
 class PcapRead:
     """Result of reading a capture: accepted packets plus skip accounting."""
@@ -95,24 +103,18 @@ class PcapRead:
 
 
 # version/IHL, total length, flags+fragment offset, protocol, both addresses
-_IPV4_HEADER = struct.Struct("!BxHxxHxBxx8s")
+_IPV4_HEADER = struct.Struct("!BxHxxHxBxxII")
 _PORTS = struct.Struct("!HH")
 
 
 def _parse_ipv4(
-    data: bytes, ip: int, end: int, timestamp: float, names: dict, columns: tuple
+    data: bytes, ip: int, end: int, timestamp: float, columns: tuple
 ) -> str | None:
     """Append the IPv4 packet in ``data[ip:end]`` to the column lists, or
-    return the reason it is skipped.
-
-    ``names`` maps the 8 raw address bytes to their dotted strings for
-    the duration of one read.
-    """
+    return the reason it is skipped."""
     if end - ip < 20:
         return "malformed"
-    version_ihl, total_length, frag, proto, addresses = _IPV4_HEADER.unpack_from(
-        data, ip
-    )
+    version_ihl, total_length, frag, proto, src, dst = _IPV4_HEADER.unpack_from(data, ip)
     if version_ihl >> 4 != 4:
         return "non_ipv4"
     ihl = (version_ihl & 0x0F) * 4
@@ -134,17 +136,11 @@ def _parse_ipv4(
         if end - transport < 8 or total_length < ihl + 8:
             return "malformed"
         flags = 0
-    ips = names.get(addresses)
-    if ips is None:
-        ips = names[addresses] = (
-            socket.inet_ntoa(addresses[:4]),
-            socket.inet_ntoa(addresses[4:]),
-        )
     src_port, dst_port = _PORTS.unpack_from(data, transport)
     times, srcs, dsts, sports, dports, protocols, lengths, flag_bytes = columns
     times.append(timestamp)
-    srcs.append(ips[0])
-    dsts.append(ips[1])
+    srcs.append(src)
+    dsts.append(dst)
     sports.append(src_port)
     dports.append(dst_port)
     protocols.append(proto)
@@ -186,7 +182,6 @@ def read_pcap(path: str | Path) -> PcapRead:
         slow_columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
         slow_rows: list[int] = []
         skipped: dict[str, int] = {}
-        names: dict[bytes, tuple[str, str]] = {}
         position, frames, want, data = 24, 0, _READ_BYTES, bytearray()
         file_size = Path(path).stat().st_size
         while True:
@@ -225,14 +220,15 @@ def read_pcap(path: str | Path) -> PcapRead:
             plain &= field(ip - 2, 2) == 0x0800 if eth else True  # Ethernet carries IPv4
             fast = np.flatnonzero(plain)
             parts.append((frames + fast, sec[fast].astype(np.int64) * ticks + frac[fast],
-                          *(field(ip + at, n)[fast] for at, n in ((12, 8), (20, 2), (22, 2))),
+                          *(field(ip + at, n)[fast]
+                            for at, n in ((12, 4), (16, 4), (20, 2), (22, 2))),
                           protocol[fast], total_length[fast], np.where(tcp[fast], flags[fast], 0)))
             for i in np.flatnonzero(~plain).tolist():
                 start, end = frame_starts[i], frame_starts[i] + int(incl_len[i])
                 ethertype = data[start + 12] << 8 | data[start + 13] if end - start >= 14 else None
                 if not eth or ethertype == 0x0800:
                     timestamp = (int(sec[i]) * ticks + int(frac[i])) / ticks
-                    reason = _parse_ipv4(data, start + eth, end, timestamp, names, slow_columns)
+                    reason = _parse_ipv4(data, start + eth, end, timestamp, slow_columns)
                 else:
                     reason = {None: "malformed", 0x8100: "vlan"}.get(ethertype, "non_ipv4")
                 if reason is None:
@@ -245,17 +241,10 @@ def read_pcap(path: str | Path) -> PcapRead:
             handle.seek(position)
             want = 2 * want if offset == 0 else _READ_BYTES  # until one record fits
 
-    index, stamps, pairs, *rest = (np.concatenate(column) for column in zip(*parts))
-    pairs, which = np.unique(pairs, return_inverse=True)
-    addresses = [pair.to_bytes(8, "big") for pair in pairs.tolist()]
-    columns = (
-        # both divisions round correctly, numpy's while every stamp is an exact double
-        stamps / ticks if stamps.max(initial=0) < 2**53
-        else np.array([a / ticks for a in stamps.tolist()]),
-        np.array([socket.inet_ntoa(a[:4]) for a in addresses], dtype=object)[which],
-        np.array([socket.inet_ntoa(a[4:]) for a in addresses], dtype=object)[which],
-        *rest,
-    )
+    index, stamps, *rest = (np.concatenate(column) for column in zip(*parts))
+    # both divisions round correctly, numpy's while every stamp is an exact double
+    columns = (stamps / ticks if stamps.max(initial=0) < 2**53
+               else np.array([a / ticks for a in stamps.tolist()]), *rest)
     if slow_rows:  # both row sets are in file order: merge them by frame index
         by_frame = np.argsort(np.concatenate([index, slow_rows]))
         columns = tuple(np.concatenate([column, np.array(extra, column.dtype)])[by_frame]
@@ -267,10 +256,10 @@ def read_pcap(path: str | Path) -> PcapRead:
 # packets packed per buffer and write, which bounds the writer's memory
 _CHUNK = 2048
 _RECORD_HEADER = struct.Struct("<IIII")
-# Ethernet and IPv4 headers and the ports; then the rest of the TCP header
-# from its data offset, or the UDP length.  Fields left out stay the zeros
-# the output buffer starts with.
-_HEADERS = struct.Struct("!6s6sHHHHHBBH4s4sHH")
+# Ethernet and IPv4 headers and the ports, each MAC 0x0200 and the address;
+# then the rest of the TCP header from its data offset, or the UDP length.
+# Fields left out stay the zeros the output buffer starts with.
+_HEADERS = struct.Struct("!HIHIHHHHHBBHIIHH")
 _TCP_REST = struct.Struct("!BBHH")
 _UDP_LENGTH = struct.Struct("!H")
 # the constant words of each checksum: IPv4 version/IHL, DF and TTL; TCP
@@ -290,15 +279,7 @@ def _checksum(total: int) -> int:
     return ~total & 0xFFFF
 
 
-def _address(cache: dict, ip: str) -> tuple[bytes, bytes, int]:
-    """Cache an address's raw bytes, locally administered MAC and word sum."""
-    raw = socket.inet_aton(ip)
-    words = ((raw[0] + raw[2]) << 8) + raw[1] + raw[3]
-    entry = cache[ip] = (raw, b"\x02\x00" + raw, words)
-    return entry
-
-
-def _frames(packets: PacketTable, first: int, addresses: dict) -> bytearray:
+def _frames(packets: PacketTable, first: int) -> bytearray:
     """The pcap records of ``packets``, the first of which is packet ``first``."""
     out = bytearray(30 * len(packets) + int(packets.ip_total_length.sum()))
     record_header = _RECORD_HEADER.pack_into
@@ -306,23 +287,23 @@ def _frames(packets: PacketTable, first: int, addresses: dict) -> bytearray:
     tcp_rest = _TCP_REST.pack_into
     udp_length = _UDP_LENGTH.pack_into
     offset = 0
-    columns = (column.tolist() for column in vars(packets).values())
+    # both addresses' 16-bit words summed, a term of both checksums
+    words = sum((ip >> 16) + (ip & 0xFFFF) for ip in (packets.src_ip, packets.dst_ip))
+    columns = (column.tolist() for column in (*vars(packets).values(), words))
     for i, row in enumerate(zip(*columns), first):
-        timestamp, src_ip, dst_ip, sport, dport, proto, length, flags = row
-        src, src_mac, src_sum = addresses.get(src_ip) or _address(addresses, src_ip)
-        dst, dst_mac, dst_sum = addresses.get(dst_ip) or _address(addresses, dst_ip)
+        timestamp, src, dst, sport, dport, proto, length, flags, address_sum = row
         ip_id = i & 0xFFFF
         us = round(timestamp * 1_000_000)
         frame = length + 14
         record_header(out, offset, us // 1_000_000, us % 1_000_000, frame, frame)
-        ip_sum = _checksum(_IP_SUM + proto + length + ip_id + src_sum + dst_sum)
+        ip_sum = _checksum(_IP_SUM + proto + length + ip_id + address_sum)
         headers(
-            out, offset + 16, dst_mac, src_mac, 0x0800, 0x4500, length, ip_id,
+            out, offset + 16, 0x0200, dst, 0x0200, src, 0x0800, 0x4500, length, ip_id,
             0x4000, 64, proto, ip_sum, src, dst, sport, dport,
         )
         if proto == TCP:
             tcp_sum = _checksum(
-                _TCP_SUM + length - 20 + src_sum + dst_sum + sport + dport + flags
+                _TCP_SUM + length - 20 + address_sum + sport + dport + flags
             )
             tcp_rest(out, offset + 62, 0x50, flags, 65535, tcp_sum)
         else:
@@ -351,9 +332,8 @@ def write_pcap(packets: PacketTable, path: str | Path) -> None:
             "32-bit seconds field"
         )
     header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)
-    addresses: dict[str, tuple[bytes, bytes, int]] = {}
     with open(path, "wb") as handle:
         handle.write(header)
         for first in range(0, len(packets), _CHUNK):
             chunk = packets.take(slice(first, first + _CHUNK))
-            handle.write(_frames(chunk, first, addresses))
+            handle.write(_frames(chunk, first))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -18,7 +19,7 @@ import numpy as np
 
 from .features import CSV_COLUMNS, csv_records, utf8_text, write_csv
 from .flows import FlowSegments
-from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
+from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable, dotted
 from .pcap import write_pcap  # noqa: F401  (re-export)
 
 EPHEMERAL_RANGE = (32768, 61000)
@@ -124,13 +125,40 @@ class ScenarioSpec:
         _check(0 < count <= 236, "classes", count, "1 to 236 traffic classes")
 
 
-def _flow_keys(rows, protocols: list[str]) -> list[tuple]:
-    """Each row's flow key: its 5-tuple, the protocol named by ``protocols``,
-    and its start in whole microseconds, rounded half to even as round() is."""
-    us = np.rint(rows.start_time * 1_000_000).astype(np.int64)
-    return list(zip(rows.initiator_ip.tolist(), rows.initiator_port.tolist(),
-                    rows.responder_ip.tolist(), rows.responder_port.tolist(), protocols,
-                    us.tolist()))
+def _address_of(spelling: str) -> int | None:
+    """The address a canonical dotted quad spells, else None."""
+    try:
+        raw = socket.inet_aton(spelling)
+    except (OSError, ValueError):
+        return None
+    return int.from_bytes(raw, "big") if socket.inet_ntoa(raw) == spelling else None
+
+
+def _codes(spellings: np.ndarray, code_of) -> np.ndarray:
+    """Each spelling's ``code_of``, or where that is None a code of its own, 2**32 up."""
+    codes: dict[str, int] = {}
+    for spelling in set(spellings.tolist()):
+        code = code_of(spelling)
+        codes[spelling] = 2**32 + len(codes) if code is None else code
+    return np.fromiter(map(codes.__getitem__, spellings.tolist()), np.int64, len(spellings))
+
+
+def _last_rows(keys: list[np.ndarray], queries: list[np.ndarray]) -> np.ndarray:
+    """For each row of ``queries``, the last row of ``keys`` with the same
+    values in every column, or -1; both are lists of integer columns."""
+    n = len(keys[0])
+    columns = [np.concatenate(pair) for pair in zip(keys, queries)]
+    order = np.lexsort(columns[::-1])  # stable: a key's ``keys`` rows first, in order
+    position = np.arange(len(order))
+    new = position == 0  # where a run of equal keys starts
+    for column in columns:
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    run_start = np.maximum.accumulate(np.where(new, position, 0))
+    latest = np.maximum.accumulate(np.where(order < n, position, -1))  # last ``keys`` row
+    rows = np.empty_like(order)
+    rows[order] = np.where(latest >= run_start, order[latest], -1)
+    return rows[n:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +185,15 @@ class FlowLabels:
         return FlowLabels(*(getattr(self, name)[rows] for name in _LABEL_COLUMNS))
 
     @cached_property
-    def lookup(self) -> dict[tuple, str]:
-        """Flow key -> label, the last row's where a key repeats; built once."""
-        return dict(zip(_flow_keys(self, self.protocol.tolist()), self.label.tolist()))
+    def keys(self) -> list[np.ndarray]:
+        """The flow key as integer columns, built once: a canonical spelling
+        codes as the address or protocol number a flow holds, and the start
+        is in whole microseconds, rounded half to even as round() is."""
+        protocol_numbers = {name: number for number, name in PROTOCOL_NAMES.items()}
+        return [_codes(self.initiator_ip, _address_of), self.initiator_port,
+                _codes(self.responder_ip, _address_of), self.responder_port,
+                _codes(self.protocol, protocol_numbers.get),
+                np.rint(self.start_time * 1_000_000).astype(np.int64)]
 
 
 @dataclass
@@ -187,17 +221,9 @@ _TCP_CLOSE = ((True, _FIN | _ACK), (False, _FIN | _ACK), (True, _ACK))
 _UDP_EXCHANGE = ((True, 0), (False, 0))
 
 
-def _add_flow(
-    columns: tuple[list, ...],
-    manifest: tuple[list, ...],
-    rng: np.random.Generator,
-    cls: TrafficClassSpec,
-    src_ip: str,
-    src_port: int,
-    dst_ip: str,
-    dst_port: int,
-    start: float,
-) -> None:
+def _add_flow(columns: tuple[list, ...], manifest: tuple[list, ...], rng: np.random.Generator,
+              cls: TrafficClassSpec, src_ip: int, src_port: int, dst_ip: int, dst_port: int,
+              start: float) -> None:
     """Append one flow's packets to the Packet-order columns, its label row
     to the manifest's."""
     protocol = TCP if cls.protocol == "TCP" else UDP
@@ -229,11 +255,13 @@ def _add_flow(
 
 
 def _traffic(columns: tuple[list, ...], manifest: tuple[list, ...]) -> GeneratedTraffic:
-    """The generated packets, stably sorted by timestamp, and the manifest."""
+    """The generated packets, stably sorted by timestamp, and the manifest
+    with its addresses spelled."""
     packets = PacketTable.from_lists(*columns)
+    ip, port, rip, *rest = (np.array(c, dtype=d) for c, d in zip(manifest, _LABEL_DTYPES))
     return GeneratedTraffic(
         packets.take(np.argsort(packets.timestamp, kind="stable")),
-        FlowLabels(*(np.array(c, dtype=d) for c, d in zip(manifest, _LABEL_DTYPES))),
+        FlowLabels(dotted(ip), port, dotted(rip), *rest),
     )
 
 
@@ -252,16 +280,15 @@ def _source_ports(
 def generate(spec: ScenarioSpec) -> GeneratedTraffic:
     """Emit all scenario packets (timestamp-sorted) plus the label manifest."""
     rng = np.random.default_rng(spec.seed)
-    servers = [f"192.168.10.{10 + i}" for i in range(spec.n_servers)]
+    servers = [0xC0A80A0A + i for i in range(spec.n_servers)]  # 192.168.10.(10 + i)
     columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
     manifest: tuple[list, ...] = tuple([] for _ in _LABEL_COLUMNS)
 
     for class_index, cls in enumerate(spec.classes):
         for source_index in range(cls.n_sources):
-            src_ip = (
-                f"10.{20 + class_index}.{source_index // 250}."
-                f"{source_index % 250 + 1}"
-            )
+            # 10.(20 + class).(source // 250).(source % 250 + 1)
+            src_ip = (10 << 24 | (20 + class_index) << 16 | source_index // 250 << 8
+                      | source_index % 250 + 1)
             n_flows = int(
                 rng.integers(cls.flows_per_source[0], cls.flows_per_source[1] + 1)
             )
@@ -288,15 +315,18 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
 
 
 def match_labels(flows: FlowSegments, manifest: FlowLabels) -> list[str]:
-    """Label each assembled flow from the manifest; unmatched flows raise."""
-    keys = _flow_keys(flows, [PROTOCOL_NAMES[p] for p in flows.protocol.tolist()])
-    labels = list(map(manifest.lookup.get, keys))
-    if None in labels:
-        raise LabelError(
-            f"assembled flow {keys[labels.index(None)]} has no manifest entry; "
-            "scenario and capture are out of sync"
-        )
-    return labels
+    """Label each assembled flow from the manifest, the last row's where a
+    key repeats; unmatched flows raise."""
+    keys = [flows.initiator_ip, flows.initiator_port, flows.responder_ip, flows.responder_port,
+            flows.protocol, np.rint(flows.start_time * 1_000_000).astype(np.int64)]
+    rows = _last_rows(manifest.keys, keys)
+    missing = np.flatnonzero(rows < 0)
+    if len(missing):
+        ip, port, rip, rport, protocol, us = (int(column[missing[0]]) for column in keys)
+        ip, rip = dotted(np.array([ip, rip], np.uint32)).tolist()
+        raise LabelError(f"assembled flow {(ip, port, rip, rport, PROTOCOL_NAMES[protocol], us)}"
+                         " has no manifest entry; scenario and capture are out of sync")
+    return manifest.label[rows].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +438,7 @@ def full_scenario(seed: int, scale: str = "desk") -> ScenarioSpec:
 def fig2_traffic(seed: int = 0) -> GeneratedTraffic:
     """Replay of the four-host bundling timeline: A starts 4 flows, B 2, D 1, C 1."""
     rng = np.random.default_rng(seed)
-    hosts = {name: f"10.0.0.{i + 1}" for i, name in enumerate("ABCD")}
+    hosts = {name: 0x0A000001 + i for i, name in enumerate("ABCD")}  # 10.0.0.(1 + i)
     pattern = [
         ("A", "B"),
         ("A", "B"),
@@ -456,7 +486,8 @@ def build_scenario(name: str, seed: int, scale: str = "desk") -> GeneratedTraffi
 # manifest and spec files
 
 _LABEL_COLUMNS = CSV_COLUMNS[:6] + ["label"]  # a flow CSV's identity columns, its label
-_LABEL_DTYPES = (object, np.int64, object, np.int64, object, float, object)
+# the generator's manifest columns, addresses as in the packet table
+_LABEL_DTYPES = (np.uint32, np.int64, np.uint32, np.int64, object, float, object)
 
 
 def write_labels_csv(manifest: FlowLabels, path: str | Path) -> None:
@@ -510,10 +541,8 @@ def _parse_labels(records: list[list[str]]) -> FlowLabels | None:
     ranges = ((port, 65536), (rport, 65536), (start, 2**32))
     if not np.all([(column >= 0) & (column < top) for column, top in ranges]):
         return None
-    lookup = manifest.lookup
-    if len(lookup) < len(manifest):  # a flow repeats: each of its rows needs its last label
-        if list(map(lookup.get, _flow_keys(manifest, protocol.tolist()))) != label.tolist():
-            return None
+    if np.any(label[_last_rows(manifest.keys, manifest.keys)] != label):
+        return None  # a flow repeats with another label
     return manifest
 
 

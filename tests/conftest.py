@@ -1,3 +1,5 @@
+import socket
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,16 @@ from flowbundle.pcap import TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
 _CFG = PipelineConfig()
 # assemble_flows' timeouts as the pipeline defaults them
 TIMEOUTS = dict(idle_timeout=_CFG.idle_timeout_s, active_timeout=_CFG.active_timeout_s)
+
+
+def address(dotted):
+    """The uint32 value of a dotted-quad address, as the packet table holds it."""
+    return int.from_bytes(socket.inet_aton(dotted), "big")
+
+
+def dotted_quad(value):
+    """The dotted-quad string of a packet table address."""
+    return socket.inet_ntoa(int(value).to_bytes(4, "big"))
 
 
 def tcp_packet(
@@ -21,8 +33,8 @@ def tcp_packet(
 ):
     return Packet(
         timestamp=ts,
-        src_ip=src,
-        dst_ip=dst,
+        src_ip=address(src),
+        dst_ip=address(dst),
         src_port=sport,
         dst_port=dport,
         protocol=TCP,
@@ -34,8 +46,8 @@ def tcp_packet(
 def udp_packet(ts, src="10.0.0.1", dst="10.0.0.2", sport=40000, dport=53, length=64):
     return Packet(
         timestamp=ts,
-        src_ip=src,
-        dst_ip=dst,
+        src_ip=address(src),
+        dst_ip=address(dst),
         src_port=sport,
         dst_port=dport,
         protocol=UDP,
@@ -68,9 +80,9 @@ def flow_segments(flows):
         bounds=np.cumsum([0] + sizes),
         forward=np.array([d for fwd, bwd in flows
                           for d in [True] * len(fwd) + [False] * len(bwd)], dtype=bool),
-        initiator_ip=np.array([p.src_ip for p in firsts], dtype=object),
+        initiator_ip=np.array([p.src_ip for p in firsts], dtype=np.uint32),
         initiator_port=np.array([p.src_port for p in firsts], dtype=np.int64),
-        responder_ip=np.array([p.dst_ip for p in firsts], dtype=object),
+        responder_ip=np.array([p.dst_ip for p in firsts], dtype=np.uint32),
         responder_port=np.array([p.dst_port for p in firsts], dtype=np.int64),
         protocol=np.array([p.protocol for p in firsts], dtype=np.uint8),
         start_time=np.array([p.timestamp for p in firsts], dtype=float),

@@ -1,15 +1,17 @@
 """The row-wise label manifest code the columnar ``synth.FlowLabels`` replaced,
 kept as the reference for tests/test_synth.py.
 
-``FlowLabel``, ``read_labels_csv`` and ``match_labels`` are copied verbatim
-from that code; ``write_labels_csv`` is too, except that it opens its file
-as UTF-8, the encoding ``read_labels_csv`` reads (the original used the
-locale's).
+``FlowLabel`` and ``read_labels_csv`` are copied verbatim from that code;
+``match_labels`` is too, except that it spells the flows' uint32 addresses
+as dotted quads with ``socket.inet_ntoa`` (the original's flows held the
+strings), and ``write_labels_csv`` opens its file as UTF-8, the encoding
+``read_labels_csv`` reads (the original used the locale's).
 """
 
 from __future__ import annotations
 
 import csv
+import socket
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,9 +47,11 @@ def match_labels(flows: FlowSegments, manifest: list[FlowLabel]) -> list[str]:
     """Label each assembled flow from the manifest; unmatched flows raise."""
     lookup = {e.key: e.label for e in manifest}
     labels = []
+    ips, rips = ([socket.inet_ntoa(a.to_bytes(4, "big")) for a in column.tolist()]
+                 for column in (flows.initiator_ip, flows.responder_ip))
     for ip, port, rip, rport, proto, start in zip(
-        flows.initiator_ip.tolist(), flows.initiator_port.tolist(),
-        flows.responder_ip.tolist(), flows.responder_port.tolist(),
+        ips, flows.initiator_port.tolist(),
+        rips, flows.responder_port.tolist(),
         flows.protocol.tolist(), flows.start_time.tolist(),
     ):
         key = _flow_key_of(ip, port, rip, rport, PROTOCOL_NAMES[proto], start)

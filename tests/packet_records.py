@@ -5,7 +5,8 @@ test_ingest_reference.py and test_pcap_reference.py.
 PacketRecord, Protocol, FlowKey and BiFlow are copied verbatim from the
 code the packet table replaced.  The converters map a PacketTable to and
 from records and FlowSegments to BiFlows, so the references' outputs and
-the table code's outputs compare with ``==``.
+the table code's outputs compare with ``==``; they spell the table's
+uint32 addresses as the records' dotted strings with ``socket``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from flowbundle.flows import FlowSegments
 from flowbundle.pcap import Packet, PacketTable
 
-from conftest import direction_rows, packet_table
+from conftest import address, direction_rows, dotted_quad, packet_table
 
 # ---------------------------------------------------------------------------
 # verbatim copies
@@ -155,7 +156,7 @@ def udp_packet(ts, src="10.0.0.1", dst="10.0.0.2", sport=40000, dport=53, length
 def table_of(records: list[PacketRecord]) -> PacketTable:
     """The packet table of records, in the same order."""
     return packet_table([
-        Packet(r.timestamp, r.src_ip, r.dst_ip, r.src_port, r.dst_port,
+        Packet(r.timestamp, address(r.src_ip), address(r.dst_ip), r.src_port, r.dst_port,
                r.protocol.value, r.ip_total_length,
                sum(_TCP_FLAG_BITS[name] for name in r.tcp_flags))
         for r in records
@@ -166,7 +167,7 @@ def records_of(packets: PacketTable) -> list[PacketRecord]:
     """One validated record per table row, in the same order."""
     return [
         PacketRecord(
-            p.timestamp, p.src_ip, p.dst_ip, p.src_port, p.dst_port,
+            p.timestamp, dotted_quad(p.src_ip), dotted_quad(p.dst_ip), p.src_port, p.dst_port,
             Protocol(p.protocol), p.ip_total_length,
             frozenset(name for name, bit in _TCP_FLAG_BITS.items() if p.tcp_flags & bit),
         )
@@ -183,8 +184,8 @@ def biflows_of(flows: FlowSegments) -> list[BiFlow]:
         first = records_of(flows.packets.take(flows.rows[flows.bounds[index]:][:1]))[0]
         out.append(BiFlow(
             key=FlowKey.from_packet(first),
-            initiator=(flows.initiator_ip[index], int(flows.initiator_port[index])),
-            responder=(flows.responder_ip[index], int(flows.responder_port[index])),
+            initiator=(dotted_quad(flows.initiator_ip[index]), int(flows.initiator_port[index])),
+            responder=(dotted_quad(flows.responder_ip[index]), int(flows.responder_port[index])),
             fwd_packets=fwd,
             bwd_packets=bwd,
             start_time=float(flows.start_time[index]),

@@ -366,6 +366,47 @@ def test_conflicting_labels_rejected(fig2_capture, tmp_path, capsys):
     assert err.endswith(" is labelled 'attack' here but 'benign' on line 2\n"), err
 
 
+@pytest.mark.parametrize("column", [0, 2])
+@pytest.mark.parametrize("spelling", ["10.0.0.01", " 10.0.0.1", "010.0.0.1", "10.0.0.1 "])
+def test_labels_match_addresses_by_exact_spelling(fig2_capture, tmp_path, capsys, column,
+                                                  spelling):
+    # a labels row names a flow's address only in the flow CSV's own spelling
+    pcap, labels = fig2_capture
+    lines = labels.read_text().splitlines(keepends=True)
+    fields = lines[1].rstrip("\r\n").split(",")
+    flow = (fields[0], int(fields[1]), fields[2], int(fields[3]), fields[4],
+            round(float(fields[5]) * 1_000_000))
+    canonical = fields[column]
+    bad = tmp_path / "labels.csv"
+    for spelled, code in ((spelling.replace("10.0.0.1", canonical), 1), (canonical, 0)):
+        fields[column] = spelled
+        bad.write_text("".join([lines[0], ",".join(fields) + "\r\n", *lines[2:]]))
+        assert run(["extract", "--pcap", str(pcap), "--labels", str(bad),
+                    "--out", str(tmp_path / "x.csv")]) == code
+        assert capsys.readouterr().err == ("" if code == 0 else (
+            f"error: {bad}: assembled flow {flow} has no manifest entry; "
+            "scenario and capture are out of sync\n"))
+
+
+def test_respelled_flow_is_another_flow(fig2_capture, tmp_path, capsys):
+    # a second label under another spelling of the flow's address is no
+    # conflict; under the same spelling it is, named by file and line
+    pcap, labels = fig2_capture
+    lines = labels.read_text().splitlines(keepends=True)
+    respelled = lines[1].replace("10.0.0.1,", "10.0.0.01,", 1).replace(",benign", ",attack")
+    bad = tmp_path / "labels.csv"
+    bad.write_text("".join(lines) + respelled)
+    out = tmp_path / "x.csv"
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(bad), "--out", str(out)]) == 0
+    assert read_features_csv(out).label.tolist() == ["benign"] * 8
+    capsys.readouterr()
+    bad.write_text("".join(lines) + respelled + lines[1].replace(",benign", ",attack"))
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:{len(lines) + 2}: flow ('10.0.0.1', "), err
+    assert err.endswith(" is labelled 'attack' here but 'benign' on line 2\n"), err
+
+
 @pytest.mark.parametrize("command", ["extract", "aggregate"])
 def test_non_utf8_csv_rejected(fig2_capture, tmp_path, capsys, command):
     pcap, labels = fig2_capture

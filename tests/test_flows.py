@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from flowbundle.flows import assemble_flows
 from flowbundle.synth import build_scenario
 
-from conftest import TIMEOUTS, flow_packets, packet_table, tcp_packet, udp_packet
+from conftest import TIMEOUTS, address, flow_packets, packet_table, tcp_packet, udp_packet
 
 
 def assemble(packets, **timeouts):
@@ -29,7 +30,7 @@ def test_single_bidirectional_flow():
     fwd, bwd = flow_packets(flows, 0)
     assert len(fwd) == 1
     assert len(bwd) == 1
-    assert (flows.initiator_ip[0], flows.initiator_port[0]) == ("10.0.0.1", 1234)
+    assert (flows.initiator_ip[0], flows.initiator_port[0]) == (address("10.0.0.1"), 1234)
     assert flows.start_time[0] == 0.0
     assert flows.packets.timestamp[flows.rows[-1]] == 1.0
 
@@ -153,10 +154,35 @@ def test_unsorted_input_is_sorted_first():
     assert flow_packets(flows, 0)[0][0].tcp_flags == 0x02
 
 
+def test_assembly_ignores_which_integer_an_address_is(rng):
+    # an order-reversing bijection of the addresses swaps which endpoint
+    # of most keys is the lower, and changes no flow
+    hosts = [f"10.0.{i}.{j}" for i in (0, 1, 255) for j in (1, 2, 200)]
+    packets = []
+    t = 0.0
+    for _ in range(400):
+        t += float(rng.exponential(0.5))
+        src, dst = (hosts[int(i)] for i in rng.integers(0, len(hosts), 2))
+        flags = [("ACK",), ("SYN",), ("FIN", "ACK"), ("RST",)][int(rng.integers(0, 4))]
+        packets.append(tcp_packet(t, src=src, dst=dst, sport=int(rng.integers(1024, 1027)),
+                                  dport=int(rng.integers(1024, 1027)), flags=flags))
+    table = packet_table(packets)
+    flipped = dataclasses.replace(table, src_ip=np.uint32(2**32 - 1) - table.src_ip,
+                                  dst_ip=np.uint32(2**32 - 1) - table.dst_ip)
+    flows, back = (assemble_flows(t, **TIMEOUTS) for t in (table, flipped))
+    assert len(flows) > 50 and np.diff(flows.bounds).max() > 2
+    for name in ("rows", "bounds", "forward", "initiator_port", "responder_port",
+                 "protocol", "start_time"):
+        assert np.array_equal(getattr(back, name), getattr(flows, name)), name
+    for name in ("initiator_ip", "responder_ip"):
+        assert np.array_equal(2**32 - 1 - getattr(back, name).astype(np.int64),
+                              getattr(flows, name)), name
+
+
 def test_fig2_host_a_yields_four_flows():
     traffic = build_scenario("fig2", seed=0)
     flows = assemble_flows(traffic.packets, **TIMEOUTS)
-    assert (flows.initiator_ip == "10.0.0.1").sum() == 4
+    assert (flows.initiator_ip == address("10.0.0.1")).sum() == 4
     assert len(flows) == 8
 
 

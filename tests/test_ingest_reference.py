@@ -35,7 +35,7 @@ from flowbundle.pcap import (
 )
 from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
 
-from conftest import TIMEOUTS, flow_segments
+from conftest import TIMEOUTS, address, flow_segments
 from packet_records import (
     _TCP_FLAG_BITS,
     BiFlow,
@@ -518,6 +518,32 @@ class TestReferenceOracle:
             with pytest.raises(PcapFormatError) as want:
                 reference_read_pcap(path)
             assert str(got.value) == str(want.value)
+
+    def test_options_and_plain_frames_agree(self, tmp_path):
+        # frames with IPv4 options (IHL 6) go through _parse_ipv4, plain ones
+        # through the bulk read: both give one host pair the same addresses
+        a, b = "192.168.10.10", "10.20.0.255"  # one above 2**31, one below
+        out, back = dict(src=a, dst=b), dict(src=b, dst=a)
+        frames = [
+            _frame(_ipv4(6, 40, _tcp(40000, 80, 0x02), **out)),
+            _frame(_ipv4(6, 44, _tcp(80, 40000, 0x12), ihl=6, **back)),
+            _frame(_ipv4(6, 44, _tcp(40000, 80, 0x10), ihl=6, **out)),
+            _frame(_ipv4(6, 40, _tcp(80, 40000, 0x18), **back)),
+        ]
+        path = tmp_path / "options.pcap"
+        path.write_bytes(_pcap_bytes([(1, i, frame) for i, frame in enumerate(frames)]))
+        assert len(_assert_same_read(path).packets) == 4
+        packets = read_pcap(path).packets
+        a, b = address(a), address(b)
+        assert packets.src_ip.tolist() == [a, b, a, b]
+        assert packets.dst_ip.tolist() == [b, a, b, a]
+        flows = assemble_flows(packets, **TIMEOUTS)
+        assert np.diff(flows.bounds).tolist() == [4]
+        assert (flows.initiator_ip.tolist(), flows.responder_ip.tolist()) == ([a], [b])
+        tables = (packets, packets.take([3, 0]), generate(mimicking_scenario(0, "small")).packets)
+        for table in tables:
+            assert (table.src_ip.dtype, table.dst_ip.dtype) == (np.uint32, np.uint32)
+        assert (flows.initiator_ip.dtype, flows.responder_ip.dtype) == (np.uint32, np.uint32)
 
     def test_random_directions(self):
         rng = np.random.default_rng(7)

@@ -22,6 +22,7 @@ from flowbundle import synth
 from flowbundle.pcap import LINKTYPE_ETHERNET, Packet, PacketTable, write_pcap
 from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
 
+from conftest import address
 from packet_records import (
     _TCP_FLAG_BITS,
     TCP_FLAG_NAMES,
@@ -304,7 +305,8 @@ class TestGeneratorOracle:
             args = ("10.0.0.1", 40000 + flow, "192.168.10.10", 80,
                     synth._BASE_EPOCH + flow)
             columns = tuple([] for _ in Packet._fields)
-            synth._add_flow(columns, [], got_rng, cls, *args)
+            src, sport, dst, *rest = args
+            synth._add_flow(columns, [], got_rng, cls, address(src), sport, address(dst), *rest)
             got = records_of(PacketTable.from_lists(*columns))
             want = reference_build_flow(want_rng, cls, *args)
             assert got == want
