@@ -153,6 +153,13 @@ def _parse_ipv4(
 _READ_BYTES = 1 << 22
 
 
+def _field(buffer, at: int, dtype: str) -> np.ndarray:
+    """Element i is the ``dtype`` value at byte ``at + i`` of ``buffer``:
+    indexed by record offsets, it gathers or scatters one field of each."""
+    n = np.dtype(dtype).itemsize
+    return np.ndarray((len(buffer) - at - n + 1,), dtype, buffer, at, strides=(1,))
+
+
 def read_pcap(path: str | Path) -> PcapRead:
     """Parse a classic pcap file into a PacketTable, in file order.
 
@@ -208,8 +215,7 @@ def read_pcap(path: str | Path) -> PcapRead:
 
             def field(at: int, n: int = 1, byte_order: str = ">") -> np.ndarray:
                 # the ``n``-byte unsigned integer ``at`` bytes into each record
-                view = np.ndarray((len(data) - at - n + 1,), f"V{n}", data, at, strides=(1,))
-                return view[records].view(f"{byte_order}u{n}")
+                return _field(data, at, f"{byte_order}u{n}")[records]
 
             sec, frac, incl_len = (field(at, 4, order) for at in (0, 4, 8))
             protocol, total_length, flags = field(ip + 9), field(ip + 2, 2), field(ip + 33) & 0x3F
@@ -255,61 +261,52 @@ def read_pcap(path: str | Path) -> PcapRead:
 
 # packets packed per buffer and write, which bounds the writer's memory
 _CHUNK = 2048
-_RECORD_HEADER = struct.Struct("<IIII")
-# Ethernet and IPv4 headers and the ports, each MAC 0x0200 and the address;
-# then the rest of the TCP header from its data offset, or the UDP length.
-# Fields left out stay the zeros the output buffer starts with.
-_HEADERS = struct.Struct("!HIHIHHHHHBBHIIHH")
-_TCP_REST = struct.Struct("!BBHH")
-_UDP_LENGTH = struct.Struct("!H")
 # the constant words of each checksum: IPv4 version/IHL, DF and TTL; TCP
 # protocol in the pseudo-header, data offset and window
 _IP_SUM = 0x4500 + 0x4000 + 0x4000
 _TCP_SUM = 6 + 0x5000 + 0xFFFF
 
 
-def _checksum(total: int) -> int:
-    """One's complement of a sum of 16-bit words, end-around folded.
+def _checksum(total: np.ndarray) -> np.ndarray:
+    """One's complement of sums of 16-bit words below 2**32, end-around folded.
 
     Zero bytes add nothing to the sum, so the all-zero payload and the
     pad byte of an odd-length segment are left out of ``total``.
     """
-    while total > 0xFFFF:
+    for _ in range(2):
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
 
 
 def _frames(packets: PacketTable, first: int) -> bytearray:
-    """The pcap records of ``packets``, the first of which is packet ``first``."""
-    out = bytearray(30 * len(packets) + int(packets.ip_total_length.sum()))
-    record_header = _RECORD_HEADER.pack_into
-    headers = _HEADERS.pack_into
-    tcp_rest = _TCP_REST.pack_into
-    udp_length = _UDP_LENGTH.pack_into
-    offset = 0
+    """The pcap records of ``packets``, the first of which is packet ``first``:
+    each field scattered at its offset in every record, the rest left zero."""
+    src, dst, sport, dport, proto, length, flags = (
+        column.astype(np.int64) for column in list(vars(packets).values())[1:])
+    ends = np.cumsum(30 + length)
+    out = bytearray(int(ends[-1]))
+    records = ends - (30 + length)
+    sec, us = np.divmod(np.rint(packets.timestamp * 1_000_000).astype(np.int64), 1_000_000)
+    ip_id = (first + np.arange(len(packets))) & 0xFFFF
     # both addresses' 16-bit words summed, a term of both checksums
-    words = sum((ip >> 16) + (ip & 0xFFFF) for ip in (packets.src_ip, packets.dst_ip))
-    columns = (column.tolist() for column in (*vars(packets).values(), words))
-    for i, row in enumerate(zip(*columns), first):
-        timestamp, src, dst, sport, dport, proto, length, flags, address_sum = row
-        ip_id = i & 0xFFFF
-        us = round(timestamp * 1_000_000)
-        frame = length + 14
-        record_header(out, offset, us // 1_000_000, us % 1_000_000, frame, frame)
-        ip_sum = _checksum(_IP_SUM + proto + length + ip_id + address_sum)
-        headers(
-            out, offset + 16, 0x0200, dst, 0x0200, src, 0x0800, 0x4500, length, ip_id,
-            0x4000, 64, proto, ip_sum, src, dst, sport, dport,
-        )
-        if proto == TCP:
-            tcp_sum = _checksum(
-                _TCP_SUM + length - 20 + address_sum + sport + dport + flags
-            )
-            tcp_rest(out, offset + 62, 0x50, flags, 65535, tcp_sum)
-        else:
-            # zero UDP checksum means "not computed" and is legal for IPv4
-            udp_length(out, offset + 54, length - 20)
-        offset += 30 + length
+    words = (src >> 16) + (src & 0xFFFF) + (dst >> 16) + (dst & 0xFFFF)
+    for at, dtype, values in (
+        (0, "<u4", sec), (4, "<u4", us),  # record header
+        (8, "<u4", length + 14), (12, "<u4", length + 14),
+        (16, ">u2", 0x0200), (18, ">u4", dst), (22, ">u2", 0x0200), (24, ">u4", src),  # MACs
+        (28, ">u4", 0x0800_4500),  # IPv4 EtherType, version/IHL
+        (32, ">u2", length), (34, ">u2", ip_id),
+        (36, ">u4", 0x4000_4000 + proto),  # DF, TTL 64, protocol
+        (40, ">u2", _checksum(_IP_SUM + proto + length + ip_id + words)),
+        (42, ">u4", src), (46, ">u4", dst), (50, ">u2", sport), (52, ">u2", dport),
+    ):
+        _field(out, at, dtype)[records] = values
+    tcp = proto == TCP
+    tcp_sum = _checksum(_TCP_SUM + length - 20 + words + sport + dport + flags)
+    _field(out, 62, ">u2")[records[tcp]] = 0x5000 | flags[tcp]  # data offset, flags
+    _field(out, 64, ">u4")[records[tcp]] = 0xFFFF_0000 | tcp_sum[tcp]  # window, checksum
+    # a zero UDP checksum means "not computed" and is legal for IPv4
+    _field(out, 54, ">u2")[records[~tcp]] = length[~tcp] - 20
     return out
 
 
@@ -324,13 +321,25 @@ def write_pcap(packets: PacketTable, path: str | Path) -> None:
     Frames are packed and written ``_CHUNK`` packets at a time.
     """
     times = packets.timestamp
-    if np.any(times[1:] < times[:-1]):
+    if not np.all(times[1:] >= times[:-1]):  # a NaN is out of order too
         raise ValueError("packets must be sorted by timestamp before writing")
-    if len(times) and round(float(times[-1]) * 1_000_000) >= 1_000_000 << 32:
-        raise ValueError(
-            f"{path}: timestamp {float(times[-1])} is past the pcap's "
-            "32-bit seconds field"
-        )
+    span = times[[0, -1]].tolist() if len(times) else [0.0, 0.0]
+    if not 0 <= round(span[0] * 1_000_000) <= round(span[1] * 1_000_000) < 1_000_000 << 32:
+        raise ValueError(f"{path}: timestamps {span[0]} to {span[1]} s are not all within "
+                         "the pcap's 32-bit seconds field")
+    # numpy's casts would wrap silently what the fixed-width fields cannot hold
+    protocol, length = packets.protocol, packets.ip_total_length
+    for name, bad, want in (
+        ("protocol", (protocol != TCP) & (protocol != UDP), "6 or 17"),
+        ("src_port", (packets.src_port < 0) | (packets.src_port > 65535), "0 to 65535"),
+        ("dst_port", (packets.dst_port < 0) | (packets.dst_port > 65535), "0 to 65535"),
+        ("ip_total_length", (length < np.where(protocol == TCP, 40, 28)) | (length > 65535),
+         "40 (TCP) or 28 (UDP) to 65535"),
+    ):
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            value = getattr(packets, name)[i]
+            raise ValueError(f"{path}: packet {i}: {name} {value} is not {want}")
     header = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, LINKTYPE_ETHERNET)
     with open(path, "wb") as handle:
         handle.write(header)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .features import CSV_COLUMNS, csv_records, utf8_text, write_csv
 from .flows import FlowSegments
-from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable, dotted
+from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, PacketTable, dotted
 from .pcap import write_pcap  # noqa: F401  (re-export)
 
 EPHEMERAL_RANGE = (32768, 61000)
@@ -143,17 +143,23 @@ def _codes(spellings: np.ndarray, code_of) -> np.ndarray:
     return np.fromiter(map(codes.__getitem__, spellings.tolist()), np.int64, len(spellings))
 
 
+def _runs(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of integer ``columns`` stably sorted by their values, and
+    where in that order a run of equal rows starts."""
+    order = np.lexsort(columns[::-1])
+    new = np.arange(len(order)) == 0
+    for column in columns:
+        column = column[order]
+        new[1:] |= column[1:] != column[:-1]
+    return order, new
+
+
 def _last_rows(keys: list[np.ndarray], queries: list[np.ndarray]) -> np.ndarray:
     """For each row of ``queries``, the last row of ``keys`` with the same
     values in every column, or -1; both are lists of integer columns."""
     n = len(keys[0])
-    columns = [np.concatenate(pair) for pair in zip(keys, queries)]
-    order = np.lexsort(columns[::-1])  # stable: a key's ``keys`` rows first, in order
-    position = np.arange(len(order))
-    new = position == 0  # where a run of equal keys starts
-    for column in columns:
-        column = column[order]
-        new[1:] |= column[1:] != column[:-1]
+    order, new = _runs([np.concatenate(pair) for pair in zip(keys, queries)])
+    position = np.arange(len(order))  # a key's ``keys`` rows sort first, in order
     run_start = np.maximum.accumulate(np.where(new, position, 0))
     latest = np.maximum.accumulate(np.where(order < n, position, -1))  # last ``keys`` row
     rows = np.empty_like(order)
@@ -202,66 +208,67 @@ class GeneratedTraffic:
     manifest: FlowLabels
 
 
-def _quantize(t: float) -> float:
-    return round(t * 1_000_000) / 1_000_000
-
-
-def _draw_length(rng: np.random.Generator, cls: TrafficClassSpec) -> int:
-    return min(max(round(rng.normal(cls.pkt_len_mean, cls.pkt_len_std)), 60), 1500)
+def _quantized(seconds) -> np.ndarray:
+    """Seconds rounded to whole microseconds, half to even as round() is."""
+    return np.rint(np.asarray(seconds) * 1_000_000) / 1_000_000
 
 
 _SYN, _ACK, _FIN, _RST, _PSH = (
     TCP_FLAG_BITS[name] for name in ("SYN", "ACK", "FIN", "RST", "PSH")
 )
-# (initiator -> responder?, TCP flag byte) of each packet of a flow's shape
-_SCAN_STEPS = ((True, _SYN), (False, _RST | _ACK))
-_TCP_OPEN = ((True, _SYN), (False, _SYN | _ACK), (True, _ACK))
-_TCP_EXCHANGE = ((True, _PSH | _ACK), (False, _ACK))
-_TCP_CLOSE = ((True, _FIN | _ACK), (False, _FIN | _ACK), (True, _ACK))
-_UDP_EXCHANGE = ((True, 0), (False, 0))
+_FORWARD = 0x100  # a step's initiator -> responder bit, above its TCP flag byte
+# the steps of each part of a flow's shape, one per packet
+_SCAN_STEPS = (_FORWARD | _SYN, _RST | _ACK)
+_TCP_OPEN = (_FORWARD | _SYN, _SYN | _ACK, _FORWARD | _ACK)
+_TCP_EXCHANGE = (_FORWARD | _PSH | _ACK, _ACK)
+_TCP_CLOSE = (_FORWARD | _FIN | _ACK, _FIN | _ACK, _FORWARD | _ACK)
+_UDP_EXCHANGE = (_FORWARD, 0)
 
 
-def _add_flow(columns: tuple[list, ...], manifest: tuple[list, ...], rng: np.random.Generator,
-              cls: TrafficClassSpec, src_ip: int, src_port: int, dst_ip: int, dst_port: int,
-              start: float) -> None:
-    """Append one flow's packets to the Packet-order columns, its label row
-    to the manifest's."""
-    protocol = TCP if cls.protocol == "TCP" else UDP
+def _add_flow(drawn: tuple[list, ...], rng: np.random.Generator, cls: TrafficClassSpec,
+              src_ip: int, src_port: int, dst_ip: int, dst_port: int, start: float) -> None:
+    """Draw one flow: append its label row and packet count, eight values,
+    and each packet's step, raw time and raw length, the only per-packet
+    work; in this order the draws fix the capture's bytes."""
+    flows, steps, times, lengths = drawn
     if cls.flow_shape == "scan":
-        steps = _SCAN_STEPS if protocol == TCP else _UDP_EXCHANGE
+        shape = _SCAN_STEPS if cls.protocol == "TCP" else _UDP_EXCHANGE
     else:
         n = int(rng.integers(cls.data_exchanges[0], cls.data_exchanges[1] + 1))
-        if protocol == TCP:
-            steps = _TCP_OPEN + _TCP_EXCHANGE * n + _TCP_CLOSE
-        else:
-            steps = _UDP_EXCHANGE * (n + 1)
-    forwards, flag_bytes = zip(*steps)
-    times, lengths = [], []
-    t = start
-    for i in range(len(steps)):
-        if i > 0:
+        shape = (_TCP_OPEN + _TCP_EXCHANGE * n + _TCP_CLOSE if cls.protocol == "TCP"
+                 else _UDP_EXCHANGE * (n + 1))
+    # extended, not appended: a tuple kept per flow would set off the cyclic GC
+    flows.extend((src_ip, src_port, dst_ip, dst_port, cls.protocol, start, cls.label, len(shape)))
+    steps.extend(shape)
+    t, mean, std = start, cls.pkt_len_mean, cls.pkt_len_std
+    for i in range(len(shape)):
+        if i:
             t += rng.exponential(cls.iat_mean)
-        times.append(_quantize(t))
-        lengths.append(_draw_length(rng, cls))
-    forward_ends = (src_ip, dst_ip, src_port, dst_port)
-    backward_ends = (dst_ip, src_ip, dst_port, src_port)
-    ends = zip(*(forward_ends if forward else backward_ends for forward in forwards))
-    packets = (times, *ends, [protocol] * len(steps), lengths, flag_bytes)
-    for column, values in zip(columns, packets):
-        column.extend(values)
-    entry = (src_ip, src_port, dst_ip, dst_port, cls.protocol, start, cls.label)
-    for column, value in zip(manifest, entry):
-        column.append(value)
+        times.append(t)
+        lengths.append(rng.normal(mean, std))
 
 
-def _traffic(columns: tuple[list, ...], manifest: tuple[list, ...]) -> GeneratedTraffic:
-    """The generated packets, stably sorted by timestamp, and the manifest
-    with its addresses spelled."""
-    packets = PacketTable.from_lists(*columns)
-    ip, port, rip, *rest = (np.array(c, dtype=d) for c, d in zip(manifest, _LABEL_DTYPES))
+def _traffic(drawn: tuple[list, ...]) -> GeneratedTraffic:
+    """The drawn packets as columns, stably sorted by timestamp, and the
+    manifest with its addresses spelled."""
+    flows, steps, times, lengths = drawn
+    *manifest, counts = (flows[i::8] for i in range(8))
+    ip, port, rip, rport, protocol, start, label = (
+        np.array(c, dtype=d) for c, d in zip(manifest, _LABEL_DTYPES))
+    step = np.array(steps)
+    forward = step >= _FORWARD
+
+    def ends(initiator, responder):  # each packet's sender's or receiver's end
+        return np.where(forward, *(np.repeat(end, counts) for end in (initiator, responder)))
+
+    packets = PacketTable.from_lists(
+        _quantized(times), ends(ip, rip), ends(rip, ip), ends(port, rport), ends(rport, port),
+        np.repeat(np.where(protocol == "TCP", TCP, UDP), counts),
+        np.clip(np.rint(lengths), 60, 1500), step & 0xFF,
+    )
     return GeneratedTraffic(
         packets.take(np.argsort(packets.timestamp, kind="stable")),
-        FlowLabels(dotted(ip), port, dotted(rip), *rest),
+        FlowLabels(dotted(ip), port, dotted(rip), rport, protocol, start, label),
     )
 
 
@@ -270,7 +277,7 @@ def _source_ports(
 ) -> list[int]:
     if cls.port_pattern == "ephemeral":
         lo, hi = EPHEMERAL_RANGE
-        return [int(p) for p in rng.choice(np.arange(lo, hi), n_flows, replace=False)]
+        return (lo + rng.choice(hi - lo, n_flows, replace=False)).tolist()
     if cls.port_pattern == "sequential":
         base = int(rng.integers(*_SEQUENTIAL_BASES))
         return [base + i * cls.port_step for i in range(n_flows)]
@@ -281,9 +288,7 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
     """Emit all scenario packets (timestamp-sorted) plus the label manifest."""
     rng = np.random.default_rng(spec.seed)
     servers = [0xC0A80A0A + i for i in range(spec.n_servers)]  # 192.168.10.(10 + i)
-    columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
-    manifest: tuple[list, ...] = tuple([] for _ in _LABEL_COLUMNS)
-
+    drawn: tuple[list, ...] = ([], [], [], [])  # see _add_flow
     for class_index, cls in enumerate(spec.classes):
         for source_index in range(cls.n_sources):
             # 10.(20 + class).(source // 250).(source % 250 + 1)
@@ -294,6 +299,7 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
             )
             sports = _source_ports(rng, cls, n_flows)
             starts = np.sort(rng.uniform(0.0, spec.duration, n_flows))
+            starts = _quantized(_BASE_EPOCH + starts).tolist()
             pinned = servers[int(rng.integers(0, len(servers)))]
             for flow_index in range(n_flows):
                 if cls.flow_shape == "scan":
@@ -306,12 +312,9 @@ def generate(spec: ScenarioSpec) -> GeneratedTraffic:
                         else servers[int(rng.integers(0, len(servers)))]
                     )
                     dst_port = 80
-                start = _quantize(_BASE_EPOCH + float(starts[flow_index]))
-                _add_flow(
-                    columns, manifest, rng, cls, src_ip, sports[flow_index], dst_ip,
-                    dst_port, start,
-                )
-    return _traffic(columns, manifest)
+                _add_flow(drawn, rng, cls, src_ip, sports[flow_index], dst_ip, dst_port,
+                          starts[flow_index])
+    return _traffic(drawn)
 
 
 def match_labels(flows: FlowSegments, manifest: FlowLabels) -> list[str]:
@@ -456,15 +459,12 @@ def fig2_traffic(seed: int = 0) -> GeneratedTraffic:
         data_exchanges=(1, 1),
         iat_mean=0.2,
     )
-    lo, hi = EPHEMERAL_RANGE
-    sports = [int(p) for p in rng.choice(np.arange(lo, hi), len(pattern), False)]
-    columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
-    manifest: tuple[list, ...] = tuple([] for _ in _LABEL_COLUMNS)
-    for i, (src, dst) in enumerate(pattern):
-        start = _quantize(_BASE_EPOCH + 0.5 * i)
-        _add_flow(columns, manifest, rng, cls, hosts[src], sports[i], hosts[dst], 80,
-                  start)
-    return _traffic(columns, manifest)
+    sports = _source_ports(rng, cls, len(pattern))
+    starts = _quantized(_BASE_EPOCH + 0.5 * np.arange(len(pattern))).tolist()
+    drawn: tuple[list, ...] = ([], [], [], [])
+    for (src, dst), sport, start in zip(pattern, sports, starts):
+        _add_flow(drawn, rng, cls, hosts[src], sport, hosts[dst], 80, start)
+    return _traffic(drawn)
 
 
 SCENARIOS = ("mimicking", "full", "fig2")
@@ -541,7 +541,9 @@ def _parse_labels(records: list[list[str]]) -> FlowLabels | None:
     ranges = ((port, 65536), (rport, 65536), (start, 2**32))
     if not np.all([(column >= 0) & (column < top) for column, top in ranges]):
         return None
-    if np.any(label[_last_rows(manifest.keys, manifest.keys)] != label):
+    order, new = _runs(manifest.keys)
+    repeats = np.flatnonzero(~new)  # in key order, a row with the key of the row before
+    if np.any(label[order[repeats]] != label[order[repeats - 1]]):
         return None  # a flow repeats with another label
     return manifest
 

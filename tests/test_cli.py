@@ -569,6 +569,35 @@ def test_flow_csv_golden_bytes(tmp_path):
     assert digests == _GOLDEN_SHA256
 
 
+# sha256 of the capture and the labels of the benchmark's capture input: the
+# 10x scenario at seed 1 with each class's sources cut to a twentieth, as the
+# per-packet generator loop and the per-packet record writer produced them
+_CAPTURE_SHARD_SHA256 = {
+    "capture.pcap": "0ed5243c9afabd96fa4c143f43a5270a53fb150cce63d58513dc75563e89f1d1",
+    "labels.csv": "82507b83e7e5f26bf676c3e4a248824dd29e04839a5fcae84b0517a0feb3a83f",
+}
+
+
+def test_capture_shard_golden_bytes(tmp_path):
+    import hashlib
+    from pathlib import Path
+
+    scenario = Path(__file__).resolve().parents[1] / "perfbench" / "scenario_10x.json"
+    doc = json.loads(scenario.read_text())
+    doc["seed"] = 1
+    for cls in doc["classes"]:
+        cls["n_sources"] //= 20
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    assert run(["synth", "--spec", str(spec), "--out", str(tmp_path / "capture.pcap"),
+                "--labels", str(tmp_path / "labels.csv")]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in _CAPTURE_SHARD_SHA256
+    }
+    assert digests == _CAPTURE_SHARD_SHA256
+
+
 @pytest.mark.parametrize(
     "text, problem",
     [

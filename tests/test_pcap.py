@@ -178,6 +178,25 @@ class TestWritePcap:
         with pytest.raises(ValueError, match="sorted"):
             write_pcap(packets, tmp_path / "x.pcap")
 
+    @pytest.mark.parametrize("packet, column", [
+        (tcp_packet(1.0, sport=65536), "src_port"),
+        (udp_packet(1.0, dport=-1), "dst_port"),
+        (tcp_packet(1.0, length=39), "ip_total_length"),
+        (udp_packet(1.0, length=27), "ip_total_length"),
+        (udp_packet(1.0, length=65536), "ip_total_length"),
+        (tcp_packet(1.0)._replace(protocol=1), "protocol"),
+    ], ids=["port-high", "port-low", "tcp-short", "udp-short", "too-long", "protocol"])
+    def test_unencodable_field_rejected(self, tmp_path, packet, column):
+        """A value its fixed-width field cannot hold, or a TCP or UDP packet
+        too short for its headers, is refused, not wrapped or overlapped."""
+        packets = packet_table([tcp_packet(0.5), packet, tcp_packet(2.0)])
+        with pytest.raises(ValueError, match=f"packet 1: {column} "):
+            write_pcap(packets, tmp_path / "x.pcap")
+
+    def test_timestamp_before_epoch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="32-bit seconds field"):
+            write_pcap(packet_table([tcp_packet(-1.0)]), tmp_path / "x.pcap")
+
     def test_scenario_round_trip_no_skips(self, tmp_path):
         traffic = build_scenario("mimicking", seed=3, scale="small")
         path = tmp_path / "scenario.pcap"

@@ -1,13 +1,14 @@
 """Exact-equality oracle for the capture write path.
 
-``write_pcap`` fills a preallocated buffer per chunk of packets at
-offsets from the packet table's columns and computes the IPv4 and TCP
-checksums from header word sums, leaving the all-zero payload out; ``synth._add_flow`` extends
-per-column lists with its flag bytes and protocol hoisted out of the
-per-packet loop.  The straightforward object-based implementations they
-replaced are kept here verbatim as the reference (their record types in
-packet_records), and the written bytes (and the generated packets) must
-compare equal with ``==``.
+``write_pcap`` scatters each header field into a chunk's buffer at a fixed
+offset from every record's start, record offsets from a cumulative sum of
+the frame lengths, and computes the IPv4 and TCP checksums from header word
+sums with a vectorised end-around fold, leaving the all-zero payload out.
+``synth._add_flow`` makes only a flow's scalar RNG draws per packet, and
+``synth._traffic`` builds every packet column from them with numpy.  The
+straightforward object-based implementations they replaced are kept here
+verbatim as the reference (their record types in packet_records), and the
+written bytes (and the generated packets) must compare equal with ``==``.
 """
 
 import socket
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from flowbundle import synth
-from flowbundle.pcap import LINKTYPE_ETHERNET, Packet, PacketTable, write_pcap
+from flowbundle.pcap import LINKTYPE_ETHERNET, write_pcap
 from flowbundle.synth import TrafficClassSpec, generate, mimicking_scenario
 
 from conftest import address
@@ -157,7 +158,7 @@ def reference_build_flow(
     for i, (forward, flags) in enumerate(steps):
         if i > 0:
             t += rng.exponential(cls.iat_mean)
-        ts = synth._quantize(t)
+        ts = round(t * 1_000_000) / 1_000_000
         length = _draw_length(rng, cls)
         if cls.protocol == "UDP":
             length = max(length, 28)
@@ -290,7 +291,8 @@ class TestWriterOracle:
 
 
 class TestGeneratorOracle:
-    """The hoisted `_add_flow` draws and emits what the reference does."""
+    """One flow drawn by `_add_flow` and built by `_traffic` is the packets
+    the reference draws, and leaves the RNG where the reference does."""
 
     @pytest.mark.parametrize("shape, protocol", [
         ("exchange", "TCP"), ("exchange", "UDP"), ("scan", "TCP"), ("scan", "UDP"),
@@ -304,10 +306,10 @@ class TestGeneratorOracle:
         for flow in range(40):
             args = ("10.0.0.1", 40000 + flow, "192.168.10.10", 80,
                     synth._BASE_EPOCH + flow)
-            columns = tuple([] for _ in Packet._fields)
+            drawn = ([], [], [], [])
             src, sport, dst, *rest = args
-            synth._add_flow(columns, [], got_rng, cls, address(src), sport, address(dst), *rest)
-            got = records_of(PacketTable.from_lists(*columns))
+            synth._add_flow(drawn, got_rng, cls, address(src), sport, address(dst), *rest)
+            got = records_of(synth._traffic(drawn).packets)
             want = reference_build_flow(want_rng, cls, *args)
             assert got == want
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
