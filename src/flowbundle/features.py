@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, fields
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -290,84 +288,8 @@ _STATS_START = CSV_COLUMNS.index("start_time")
 _STATS_END = _STATS_START + 1 + len(FLOW_FEATURE_NAMES)
 _NUM_FLOWS, _DELTA = _STATS_END, _STATS_END + 1
 _INT_COLUMNS = (1, 3, _NUM_FLOWS)  # the ports and num_flows, stored as int64
-# every numeric column of a flow CSV row, in column order
-_NUMERIC_COLUMNS = [
-    i
-    for i, name in enumerate(CSV_COLUMNS)
-    if name not in ("initiator_ip", "responder_ip", "protocol", "label")
-]
-
-
-def _check_rows(path: str | Path, records: list[list[str]]) -> None:
-    """Raise SchemaError naming the first defective field, row by row."""
-    for line_no, record in enumerate(records, start=2):
-        if len(record) != len(CSV_COLUMNS):
-            raise SchemaError(
-                f"{path}:{line_no}: expected {len(CSV_COLUMNS)} fields, "
-                f"got {len(record)}"
-            )
-        for i in _NUMERIC_COLUMNS:
-            raw = record[i]
-            if not raw and i in (_NUM_FLOWS, _DELTA):
-                continue  # how the bundle columns are filled is checked below
-            where = f"{path}:{line_no}: column {CSV_COLUMNS[i]}"
-            try:
-                value = int(raw) if i in _INT_COLUMNS else float(raw)
-            except ValueError:
-                raise SchemaError(f"{where}: {raw!r} is not a number") from None
-            if i in _INT_COLUMNS and not -(2**63) <= value < 2**63:
-                raise SchemaError(f"{where}: {raw!r} does not fit in 64 bits")
-            if i not in _INT_COLUMNS and not math.isfinite(value):
-                raise SchemaError(f"{where}: non-finite value {raw!r}")
-        filled = bool(record[_NUM_FLOWS])
-        if bool(record[_DELTA]) != filled:
-            empty, other = (_DELTA, _NUM_FLOWS) if filled else (_NUM_FLOWS, _DELTA)
-            raise SchemaError(
-                f"{path}:{line_no}: column {CSV_COLUMNS[empty]}: empty while "
-                f"{CSV_COLUMNS[other]} is filled"
-            )
-        if filled != bool(records[0][_NUM_FLOWS]):
-            state, first = ("filled", "empty") if filled else ("empty", "filled")
-            raise SchemaError(
-                f"{path}:{line_no}: column num_flows: {state} here but {first} "
-                "on line 2; the bundle columns must be all empty or all filled"
-            )
-
-
-def _parse(records: list[list[str]]) -> FlowTable | None:
-    """The records as a table, or None when a number is not finite or the
-    bundle columns are filled on some rows only; a field that does not
-    parse raises ValueError or OverflowError."""
-    columns = list(zip(*records)) or [()] * len(CSV_COLUMNS)
-    n = len(records)
-    numbers = np.fromiter(
-        map(float, chain.from_iterable(columns[_STATS_START:_STATS_END])),
-        dtype=float,
-        count=(_STATS_END - _STATS_START) * n,
-    ).reshape(_STATS_END - _STATS_START, n)
-    ints = {i: np.array(list(map(int, columns[i])), dtype=np.int64) for i in (1, 3)}
-    num_flows = delta = None
-    if n and all(columns[_NUM_FLOWS]) and all(columns[_DELTA]):  # no rows: unaggregated
-        num_flows = np.array(list(map(int, columns[_NUM_FLOWS])), dtype=np.int64)
-        delta = np.fromiter(map(float, columns[_DELTA]), dtype=float, count=n)
-    elif any(columns[_NUM_FLOWS]) or any(columns[_DELTA]):
-        return None
-    if not np.isfinite(numbers).all() or (
-        delta is not None and not np.isfinite(delta).all()
-    ):
-        return None
-    return FlowTable(
-        initiator_ip=np.array(columns[0], dtype=object),
-        initiator_port=ints[1],
-        responder_ip=np.array(columns[2], dtype=object),
-        responder_port=ints[3],
-        protocol=np.array(columns[4], dtype=object),
-        start_time=numbers[0],
-        label=np.array(columns[-1], dtype=object),
-        stats=numbers[1:].T,
-        num_flows=num_flows,
-        src_ports_delta=delta,
-    )
+# every numeric column of a flow CSV row, in column order: the ports, then the rest
+_NUMERIC_COLUMNS = [1, 3, *range(_STATS_START, _DELTA + 1)]
 
 
 def utf8_text(path: str | Path, error: type[ValueError]) -> str:
@@ -376,7 +298,8 @@ def utf8_text(path: str | Path, error: type[ValueError]) -> str:
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # a lone CR ends a line too, as csv.reader counts lines
+        line = len((data[:exc.start] + b".").splitlines())
         raise error(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
 
 
@@ -388,6 +311,63 @@ def csv_records(path: str | Path, error: type[ValueError]) -> list[list[str]]:
         return list(reader)
     except csv.Error as exc:
         raise error(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def record_line(path: str | Path, record: int) -> int:
+    """The line record ``record`` (0 the header) of a CSV file starts on,
+    as csv.reader counts lines."""
+    reader = csv.reader(io.StringIO(utf8_text(path, ValueError), newline=""))
+    for _ in range(record):
+        next(reader)
+    return reader.line_num + 1
+
+
+def columns_of(records: list[list[str]], width: int) -> tuple[list, list]:
+    """The columns of the records before the first not ``width`` fields
+    long, and the checks marking that one."""
+    if set(map(len, records)) <= {width}:
+        return list(zip(*records)) or [()] * width, []
+    n = next(i for i, record in enumerate(records) if len(record) != width)
+    wrong = (np.arange(n + 1) == n, None, f"expected {width} fields, got {len(records[n])}")
+    return list(zip(*records[:n])) or [()] * width, [wrong]
+
+
+def parse_fields(column: tuple, convert) -> tuple[np.ndarray, np.ndarray]:
+    """Each field converted alone, 0 where ``convert`` raises ValueError,
+    and a mask of those fields; ints stay Python ints, maybe past int64."""
+    values, bad = [convert("0")] * len(column), np.zeros(len(column), bool)
+    for i, field in enumerate(column):
+        try:
+            values[i] = convert(field)
+        except ValueError:
+            bad[i] = True
+    return np.array(values, dtype=float if convert is float else object), bad
+
+
+def parse_column(column: tuple, convert) -> tuple[np.ndarray, np.ndarray | None]:
+    """A column by one bulk ``convert`` (int or float) into int64 or float,
+    and None; if that raises, what parse_fields gives."""
+    dtype = np.int64 if convert is int else float
+    try:
+        return np.fromiter(map(convert, column), dtype, len(column)), None
+    except (ValueError, OverflowError):
+        return parse_fields(column, convert)
+
+
+def raise_first_defect(path: str | Path, error: type[ValueError], header: list,
+                       records: list, checks: list):
+    """Raise ``error`` at the first record a check marks, with the first
+    marking check's message.  Checks, in a record's rule order, are a mask
+    or None, a column (named; its field formats the message) or None, and
+    a message."""
+    marked = [(int(mask.argmax()), k) for k, (mask, _, _) in enumerate(checks)
+              if mask is not None and mask.any()]
+    if marked:
+        row, k = min(marked)  # the first record, then the first check marking it
+        _, column, message = checks[k]
+        if column is not None:
+            message = f"column {header[column]}: " + message.format(records[row][column])
+        raise error(f"{path}:{record_line(path, row + 1)}: {message}")
 
 
 def read_features_csv(path: str | Path) -> FlowTable:
@@ -407,13 +387,43 @@ def read_features_csv(path: str | Path) -> FlowTable:
             f"{path}: header mismatch; expected {len(CSV_COLUMNS)} documented "
             f"columns starting {CSV_COLUMNS[:3]}, got {header[:3]}"
         )
-    table = None
-    if all(len(record) == len(CSV_COLUMNS) for record in records):
-        try:
-            table = _parse(records)
-        except (ValueError, OverflowError):
-            pass
-    if table is None:
-        _check_rows(path, records)
-        raise AssertionError(f"{path}: a defect the row check does not name")
+    columns, checks = columns_of(records, len(CSV_COLUMNS))
+    bundle = columns[_NUM_FLOWS], columns[_DELTA]
+    aggregated = any(map(any, bundle))  # no rows: unaggregated
+    values = {}
+    for i in _NUMERIC_COLUMNS if aggregated else _NUMERIC_COLUMNS[:-2]:
+        if i in _INT_COLUMNS:
+            values[i], syntax = parse_column(columns[i], int)
+            bad = (values[i] < -(2**63)) | (values[i] >= 2**63)
+            problem = "{!r} does not fit in 64 bits"
+        else:
+            values[i], syntax = parse_column(columns[i], float)
+            bad, problem = ~np.isfinite(values[i]), "non-finite value {!r}"
+        if i in (_NUM_FLOWS, _DELTA) and syntax is not None:
+            syntax &= np.array(columns[i], dtype=object) != ""  # empty: checked below
+        checks += [(syntax, i, "{!r} is not a number"), (bad, i, problem)]
+    if aggregated and not all(map(all, bundle)):  # some fields empty, some filled
+        empty = [np.array(column, dtype=object) == "" for column in bundle]
+        here, first = ("filled", "empty") if empty[0][0] else ("empty", "filled")
+        checks += [
+            (empty[1] & ~empty[0], _DELTA, "empty while num_flows is filled"),
+            (empty[0] & ~empty[1], _NUM_FLOWS, "empty while src_ports_delta is filled"),
+            (empty[0] != empty[0][0], _NUM_FLOWS, f"{here} here but {first} on line 2; "
+             "the bundle columns must be all empty or all filled"),
+        ]
+    raise_first_defect(path, SchemaError, header, records, checks)
+    numbers = np.array([values[i] for i in range(_STATS_START, _STATS_END)])
+    table = FlowTable(
+        initiator_ip=np.array(columns[0], dtype=object),
+        initiator_port=values[1],
+        responder_ip=np.array(columns[2], dtype=object),
+        responder_port=values[3],
+        protocol=np.array(columns[4], dtype=object),
+        start_time=numbers[0],
+        label=np.array(columns[-1], dtype=object),
+        stats=numbers[1:].T,
+        num_flows=values.get(_NUM_FLOWS),
+        src_ports_delta=values.get(_DELTA),
+    )
+    del columns  # before the records, so fields free in file order: faster
     return table

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import CSV_COLUMNS, csv_records, utf8_text, write_csv
+from .features import (CSV_COLUMNS, columns_of, csv_records, parse_column, raise_first_defect,
+                       record_line, utf8_text, write_csv)
 from .flows import FlowSegments
 from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, PacketTable, dotted
 from .pcap import write_pcap  # noqa: F401  (re-export)
@@ -496,58 +497,6 @@ def write_labels_csv(manifest: FlowLabels, path: str | Path) -> None:
               [(kind, getattr(manifest, name)) for kind, name in zip(kinds, _LABEL_COLUMNS)])
 
 
-def _check_label_rows(path: str | Path, records: list[list[str]]) -> None:
-    """Raise LabelError naming the first defective row, row by row."""
-    seen = {}  # flow key -> (its label, the line giving it)
-    for line_no, record in enumerate(records, start=2):
-        if len(record) != len(_LABEL_COLUMNS):
-            raise LabelError(
-                f"{path}:{line_no}: expected {len(_LABEL_COLUMNS)} fields, got {len(record)}"
-            )
-        ip, port, rip, rport, protocol, start, label = record
-        try:
-            port, rport, start = int(port), int(rport), float(start)
-        except ValueError as exc:
-            raise LabelError(f"{path}:{line_no}: {exc}") from None
-        for i, ok, want in (
-            (1, 0 <= port < 65536, "a port from 0 to 65535"),
-            (3, 0 <= rport < 65536, "a port from 0 to 65535"),
-            (5, 0 <= start < 2**32, "a pcap time from 0 to 2**32 s"),
-        ):
-            if not ok:
-                raise LabelError(
-                    f"{path}:{line_no}: column {_LABEL_COLUMNS[i]}: {record[i]!r} is not {want}"
-                )
-        key = (ip, port, rip, rport, protocol, round(start * 1_000_000))
-        first_label, first = seen.setdefault(key, (label, line_no))
-        if first_label != label:
-            raise LabelError(
-                f"{path}:{line_no}: flow {key} is labelled {label!r} here "
-                f"but {first_label!r} on line {first}"
-            )
-
-
-def _parse_labels(records: list[list[str]]) -> FlowLabels | None:
-    """The manifest of the records, converted column by column, or None when
-    a row is not seven fields, a field is out of range or a flow has two
-    labels; a field that does not parse raises ValueError or OverflowError."""
-    if not set(map(len, records)) <= {len(_LABEL_COLUMNS)}:
-        return None
-    ip, port, rip, rport, protocol, start, label = list(zip(*records)) or [()] * 7
-    port, rport = (np.fromiter(map(int, c), np.int64, len(label)) for c in (port, rport))
-    start = np.fromiter(map(float, start), float, len(label))
-    ip, rip, protocol, label = (np.array(c, dtype=object) for c in (ip, rip, protocol, label))
-    manifest = FlowLabels(ip, port, rip, rport, protocol, start, label)
-    ranges = ((port, 65536), (rport, 65536), (start, 2**32))
-    if not np.all([(column >= 0) & (column < top) for column, top in ranges]):
-        return None
-    order, new = _runs(manifest.keys)
-    repeats = np.flatnonzero(~new)  # in key order, a row with the key of the row before
-    if np.any(label[order[repeats]] != label[order[repeats - 1]]):
-        return None  # a flow repeats with another label
-    return manifest
-
-
 def read_labels_csv(path: str | Path) -> FlowLabels:
     """A labels CSV's manifest, converted column by column; a bad field, or
     two labels for one flow, raise LabelError naming the file and line."""
@@ -555,13 +504,32 @@ def read_labels_csv(path: str | Path) -> FlowLabels:
     header, records = (records[0] if records else None), records[1:]
     if header != _LABEL_COLUMNS:
         raise LabelError(f"{path}: unexpected label manifest header {header}")
-    try:
-        manifest = _parse_labels(records)
-    except (ValueError, OverflowError):
-        manifest = None
-    if manifest is None:
-        _check_label_rows(path, records)
-        raise AssertionError(f"{path}: a defect the row check does not name")
+    columns, checks = columns_of(records, len(_LABEL_COLUMNS))
+    numbers, ranges = {}, []
+    for i, convert, top, want in ((1, int, 65536, "a port from 0 to 65535"),
+                                  (3, int, 65536, "a port from 0 to 65535"),
+                                  (5, float, 2**32, "a pcap time from 0 to 2**32 s")):
+        values, syntax = parse_column(columns[i], convert)
+        bad = ~((values >= 0) & (values < top))
+        checks.append((syntax, i, "{!r} is not a number"))
+        ranges.append((bad, i, "{!r} is not " + want))
+        numbers[i] = np.where(bad, 0, values).astype(_LABEL_DTYPES[i])  # 0 if bad
+    checks += ranges
+    ip, rip, protocol, label = (np.array(columns[i], dtype=object) for i in (0, 2, 4, 6))
+    manifest = FlowLabels(ip, numbers[1], rip, numbers[3], protocol, numbers[5], label)
+    order, new = _runs(manifest.keys)
+    repeats = np.flatnonzero(~new)  # in key order, a row with the key of the row before
+    if np.any(label[order[repeats]] != label[order[repeats - 1]]):  # a flow with two labels
+        first = np.empty_like(order)  # the first row of each row's key; the sort is stable
+        first[order] = order[np.maximum.accumulate(np.where(new, np.arange(len(order)), 0))]
+        conflict = label != label[first]
+        row = int(conflict.argmax())
+        key = (ip[row], int(numbers[1][row]), rip[row], int(numbers[3][row]), protocol[row],
+               round(float(numbers[5][row]) * 1_000_000))
+        checks.append((conflict, None, f"flow {key} is labelled {label[row]!r} here but "
+                       f"{label[first[row]]!r} on line {record_line(path, first[row] + 1)}"))
+    raise_first_defect(path, LabelError, header, records, checks)
+    del columns  # before the records, so fields free in file order: faster
     return manifest
 
 

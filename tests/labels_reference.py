@@ -1,10 +1,15 @@
 """The row-wise label manifest code the columnar ``synth.FlowLabels`` replaced,
 kept as the reference for tests/test_synth.py.
 
-``FlowLabel`` and ``read_labels_csv`` are copied verbatim from that code;
-``match_labels`` is too, except that it spells the flows' uint32 addresses
-as dotted quads with ``socket.inet_ntoa`` (the original's flows held the
-strings), and ``write_labels_csv`` opens its file as UTF-8, the encoding
+``FlowLabel`` is copied verbatim from that code, and ``read_labels_csv``
+too, except in three ways: it tokenizes the file with its own
+``csv.reader``, it numbers each record by the line it starts on as
+``csv.reader.line_num`` counts lines (the original numbered records by
+index, wrong after a quoted line break), and a field that is not a number
+is named by its column.  ``match_labels`` is copied too, except that it
+spells the flows' uint32 addresses as dotted quads with
+``socket.inet_ntoa`` (the original's flows held the strings), and
+``write_labels_csv`` opens its file as UTF-8, the encoding
 ``read_labels_csv`` reads (the original used the locale's).
 """
 
@@ -15,7 +20,6 @@ import socket
 from dataclasses import dataclass
 from pathlib import Path
 
-from flowbundle.features import csv_records
 from flowbundle.flows import FlowSegments
 from flowbundle.pcap import PROTOCOL_NAMES
 from flowbundle.synth import _LABEL_COLUMNS, LabelError
@@ -76,24 +80,42 @@ def write_labels_csv(manifest: list[FlowLabel], path: str | Path) -> None:
         )
 
 
+def _records(path: str | Path) -> list[tuple[int, list[str]]]:
+    """Each record of a UTF-8 CSV file and the line it starts on."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        records, line_no = [], 1
+        try:
+            for record in reader:
+                records.append((line_no, record))
+                line_no = reader.line_num + 1
+        except csv.Error as exc:
+            raise LabelError(f"{path}:{reader.line_num}: {exc}") from None
+    return records
+
+
 def read_labels_csv(path: str | Path) -> list[FlowLabel]:
     """A labels CSV's entries; a bad field, or two labels for one flow, raise
     LabelError naming the file and line."""
-    records = csv_records(path, LabelError)
-    header = records[0] if records else None
+    records = _records(path)
+    header = records[0][1] if records else None
     if header != _LABEL_COLUMNS:
         raise LabelError(f"{path}: unexpected label manifest header {header}")
     manifest, seen = [], {}  # flow key -> (its label, the line giving it)
-    for line_no, record in enumerate(records[1:], start=2):
+    for line_no, record in records[1:]:
         if len(record) != len(_LABEL_COLUMNS):
             raise LabelError(
                 f"{path}:{line_no}: expected {len(_LABEL_COLUMNS)} fields, got {len(record)}"
             )
-        try:
-            entry = FlowLabel(record[0], int(record[1]), record[2], int(record[3]),
-                              record[4], float(record[5]), record[6])
-        except ValueError as exc:
-            raise LabelError(f"{path}:{line_no}: {exc}") from None
+        for i, convert in ((1, int), (3, int), (5, float)):
+            try:
+                convert(record[i])
+            except ValueError:
+                raise LabelError(
+                    f"{path}:{line_no}: column {_LABEL_COLUMNS[i]}: {record[i]!r} is not a number"
+                ) from None
+        entry = FlowLabel(record[0], int(record[1]), record[2], int(record[3]),
+                          record[4], float(record[5]), record[6])
         for i, ok, want in (
             (1, 0 <= entry.initiator_port < 65536, "a port from 0 to 65535"),
             (3, 0 <= entry.responder_port < 65536, "a port from 0 to 65535"),

@@ -335,7 +335,7 @@ def test_replicate_small_deterministic(tmp_path):
     [
         ("10.0.0.1,40000,10.0.0.2,80,TCP,1.000000\n", "expected 7 fields, got 6"),
         ("10.0.0.1,http,10.0.0.2,80,TCP,1.000000,benign\n",
-         "invalid literal for int() with base 10: 'http'"),
+         "column initiator_port: 'http' is not a number"),
         ("10.0.0.1,40000,10.0.0.2,80,TCP,inf,benign\n",
          "column start_time: 'inf' is not a pcap time from 0 to 2**32 s"),
         ("10.0.0.1,40000,10.0.0.2,80,TCP,nan,benign\n",
@@ -424,6 +424,88 @@ def test_non_utf8_csv_rejected(fig2_capture, tmp_path, capsys, command):
     assert capsys.readouterr().err == f"error: {bad}:3: byte 0xff is not UTF-8\n"
 
 
+def _csv_source(fig2_capture, tmp_path, source):
+    """The fig. 2 labels CSV, or the flow CSV extract writes from it."""
+    pcap, labels = fig2_capture
+    if source == "labels":
+        return labels
+    flows = tmp_path / "flows.csv"
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(labels),
+                "--out", str(flows)]) == 0
+    return flows
+
+
+def _read_csv_source(pcap, source, bad):
+    """Run extract on a bad labels CSV, or aggregate on a bad flow CSV."""
+    argv = (["extract", "--pcap", str(pcap), "--labels", str(bad)] if source == "labels"
+            else ["aggregate", "--in", str(bad)])
+    return run(argv + ["--out", str(bad.with_name("x.csv"))])
+
+
+@pytest.mark.parametrize(
+    "source, column, raw, problem",
+    [
+        ("flows", "fwd_byte_count", "abc", "column fwd_byte_count: 'abc' is not a number"),
+        ("flows", "label", None, "expected 43 fields, got 42"),
+        ("flows", "num_flows", "4", "column src_ports_delta: empty while num_flows is filled"),
+        ("flows", "fwd_iat_mean", "inf", "column fwd_iat_mean: non-finite value 'inf'"),
+        ("labels", "responder_port", "65536",
+         "column responder_port: '65536' is not a port from 0 to 65535"),
+        ("labels", "initiator_port", "http", "column initiator_port: 'http' is not a number"),
+        ("labels", "label", "attack", "is labelled 'attack' here but 'benign' on line 4"),
+    ],
+)
+def test_line_after_quoted_line_break_named(fig2_capture, tmp_path, capsys, source, column,
+                                            raw, problem):
+    # row 1's label holds a line break, so row 2 starts on line 4 and row 3
+    # on line 5; a labels case with label "attack" repeats row 2 relabelled
+    import csv
+
+    with open(_csv_source(fig2_capture, tmp_path, source), newline="") as handle:
+        records = list(csv.reader(handle))
+    records[1][-1] = "be\nnign"
+    at = records[0].index(column)
+    if raw is None:
+        del records[3][at]
+    elif column == "label":
+        row = records[2]
+        key = (row[0], int(row[1]), row[2], int(row[3]), row[4], round(float(row[5]) * 1e6))
+        records.append(row[:-1] + [raw])
+        problem = f"flow {key} {problem}"
+    else:
+        records[3][at] = raw
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", newline="") as handle:
+        csv.writer(handle).writerows(records)
+    capsys.readouterr()
+    assert _read_csv_source(fig2_capture[0], source, bad) == 1
+    line = len(records) + 1 if column == "label" and raw else 5
+    assert capsys.readouterr().err == f"error: {bad}:{line}: {problem}\n"
+
+
+@pytest.mark.parametrize("source, column, raw", [
+    ("flows", "fwd_byte_count", "abc"), ("labels", "initiator_port", "http"),
+])
+def test_cr_only_csv_lines_counted_as_the_reader_counts(fig2_capture, tmp_path, capsys,
+                                                        source, column, raw):
+    # a lone CR ends a line for csv.reader; a byte that is not UTF-8 and a
+    # bad field on the same line name the same line
+    data = _csv_source(fig2_capture, tmp_path, source).read_bytes().replace(b"\r\n", b"\r")
+    lines = data.splitlines(keepends=True)
+    header, fields = (lines[i].decode().rstrip("\r").split(",") for i in (0, 3))
+    fields[header.index(column)] = raw
+    bad = tmp_path / "bad.csv"
+    for text, problem in (
+        (lines[:3] + [b"\xff" + lines[3]] + lines[4:], "byte 0xff is not UTF-8"),
+        (lines[:3] + [",".join(fields).encode() + b"\r"] + lines[4:],
+         f"column {column}: {raw!r} is not a number"),
+    ):
+        bad.write_bytes(b"".join(text))
+        capsys.readouterr()
+        assert _read_csv_source(fig2_capture[0], source, bad) == 1
+        assert capsys.readouterr().err == f"error: {bad}:4: {problem}\n"
+
+
 @pytest.mark.parametrize("loader", ["spec", "config", "selection", "model"])
 def test_non_utf8_input_file_rejected(mimicking_csvs, tmp_path, capsys, loader):
     _, agg_csv, _, attack_csv = mimicking_csvs
@@ -482,6 +564,36 @@ def test_bad_flow_csv_value_rejected(mimicking_csvs, tmp_path, capsys, column, r
         csv.writer(handle).writerows(records)
     assert run(["aggregate", "--in", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
     assert capsys.readouterr().err == f"error: {bad}:4: column {column}: {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "edits, problem",
+    [
+        # within a record, the first column's defect is named
+        ({(3, "bwd_byte_count"): "x", (3, "fwd_iat_mean"): "nan"},
+         "column fwd_iat_mean: non-finite value 'nan'"),
+        ({(3, "responder_port"): str(2**64), (3, "start_time"): "x"},
+         f"column responder_port: '{2**64}' does not fit in 64 bits"),
+        # an earlier record's defect is named before a later one's
+        ({(4, "fwd_pkt_count"): "x", (3, "num_flows"): "4"},
+         "column src_ports_delta: empty while num_flows is filled"),
+    ],
+)
+def test_flow_csv_names_first_defect(mimicking_csvs, tmp_path, capsys, edits, problem):
+    import csv
+
+    from flowbundle.features import CSV_COLUMNS
+
+    base = mimicking_csvs[0]
+    with open(base / "flows.csv", newline="") as handle:
+        records = list(csv.reader(handle))
+    for (row, column), raw in edits.items():
+        records[row][CSV_COLUMNS.index(column)] = raw
+    bad = tmp_path / "bad.csv"
+    with open(bad, "w", newline="") as handle:
+        csv.writer(handle).writerows(records)
+    assert run(["aggregate", "--in", str(bad), "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}:4: {problem}\n"
 
 
 _MIXED = "the bundle columns must be all empty or all filled"

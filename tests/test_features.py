@@ -407,13 +407,13 @@ def test_label_classes_benign_first(rng):
 
 
 def test_plain_tables_take_the_column_paths(tmp_path, rng, monkeypatch):
-    """A plain flow table and manifest never fall back to a per-row path."""
+    """A plain flow table and manifest are written without csv.writer and
+    read without the per-field parse of a column that failed to convert."""
     def per_row(*args, **kwargs):
         raise AssertionError("a per-row CSV path ran")
 
     monkeypatch.setattr(csv, "writer", per_row)
-    monkeypatch.setattr(features, "_check_rows", per_row)
-    monkeypatch.setattr(synth, "_check_label_rows", per_row)
+    monkeypatch.setattr(features, "parse_fields", per_row)
     table = flow_table(flow_segments([random_flow(rng) for _ in range(6)]), ["benign", "a,b"] * 3)
     aggregated = dataclasses.replace(
         table, num_flows=np.arange(6), src_ports_delta=rng.uniform(0, 3000, 6)

@@ -43,7 +43,8 @@ _BUNDLE_CELLS = [CSV_COLUMNS.index("num_flows"), CSV_COLUMNS.index("src_ports_de
 
 @pytest.fixture(scope="module")
 def flow_csvs(tmp_path_factory):
-    """The fig. 2 capture's flow CSV, unaggregated and aggregated, as text."""
+    """The fig. 2 capture's flow CSV, unaggregated and aggregated, and the
+    unaggregated one with a quoted line break in row 1's label, as text."""
     base = tmp_path_factory.mktemp("fuzz")
     pcap, labels = base / "fig2.pcap", base / "labels.csv"
     flows_csv, agg_csv = base / "flows.csv", base / "agg.csv"
@@ -57,6 +58,9 @@ def flow_csvs(tmp_path_factory):
     for path in (flows_csv, agg_csv):
         with open(path, newline="") as handle:
             texts.append(handle.read())
+    records = list(csv.reader(io.StringIO(texts[0], newline="")))
+    records[1][-1] = "be\nnign"
+    texts.append(_csv_text(records))
     return base, texts
 
 
@@ -66,10 +70,18 @@ def _csv_text(records):
     return out.getvalue()
 
 
+def _first_line(text, row):
+    """The line record ``row`` of a CSV text starts on, as csv.reader counts lines."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    for _ in range(row):
+        next(reader)
+    return reader.line_num + 1
+
+
 @st.composite
 def mutated_flow_csv(draw, texts):
-    """(text, line): a flow CSV with one defect-prone change on data line
-    `line` (numbered as the loader numbers them, header = 1)."""
+    """(text, line): a flow CSV with one defect-prone change to the record
+    starting on line `line` (header = 1)."""
     text = draw(st.sampled_from(texts))
     records = list(csv.reader(io.StringIO(text, newline="")))
     row = draw(st.integers(1, len(records) - 1))
@@ -97,7 +109,8 @@ def mutated_flow_csv(draw, texts):
         record[field] = ""
     else:
         record[draw(st.sampled_from(_BUNDLE_CELLS))] = ""
-    return _csv_text(records), row + 1
+    text = _csv_text(records)
+    return text, _first_line(text, row)
 
 
 @given(data=st.data())
@@ -234,7 +247,8 @@ def mutated_labels_csv(draw, data):
     if kind == "byte":
         at = draw(st.integers(0, len(data)))
         byte = draw(st.sampled_from([0x80, 0xBF, 0xC3, 0xED, 0xF8, 0xFE, 0xFF]))
-        line = data.count(b"\n", 0, at) + 1
+        # as csv.reader counts lines: the byte may split a CRLF
+        line = len(io.StringIO(data[:at].decode() + ".", newline="").readlines())
         return data[:at] + bytes([byte]) + data[at:], f":{line}: byte 0x{byte:02x} is not UTF-8"
     if kind == "truncate":
         return data[:draw(st.integers(0, len(data) - 1))], ""

@@ -279,6 +279,33 @@ def _same_outcome(reference_call, call):
     return want, call()
 
 
+@pytest.mark.parametrize(
+    "rows, problem",
+    [
+        # a record's fields are all parsed before any is range-checked
+        (["10.0.0.1,70000,10.0.0.2,80,TCP,soon,benign"],
+         ":2: column start_time: 'soon' is not a number"),
+        # a field that does not parse, or is out of range, reads 0 for the
+        # conflict check; it is named, not the conflict its 0 makes
+        (["10.0.0.1,0,10.0.0.2,80,TCP,1.0,benign", "10.0.0.1,x,10.0.0.2,80,TCP,1.0,attack"],
+         ":3: column initiator_port: 'x' is not a number"),
+        (["10.0.0.1,0,10.0.0.2,80,TCP,1.0,benign", "10.0.0.1,-5,10.0.0.2,80,TCP,1.0,attack"],
+         ":3: column initiator_port: '-5' is not a port from 0 to 65535"),
+        # a conflict on an earlier record is named before a later defect
+        (["10.0.0.1,1,10.0.0.2,80,TCP,1.0,benign", "10.0.0.1,1,10.0.0.2,80,TCP,1.0,attack",
+          "10.0.0.1,1,10.0.0.2,80,TCP,1.0"],
+         ":3: flow ('10.0.0.1', 1, '10.0.0.2', 80, 'TCP', 1000000) is labelled 'attack' "
+         "here but 'benign' on line 2"),
+    ],
+)
+def test_labels_csv_names_first_defect(tmp_path, rows, problem):
+    path = tmp_path / "labels.csv"
+    path.write_text("\n".join([",".join(_LABEL_COLUMNS), *rows, ""]))
+    with pytest.raises(LabelError) as caught:
+        read_labels_csv(path)
+    assert str(caught.value) == f"{path}{problem}"
+
+
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_labels_match_row_wise_reference(tmp_path_factory, data):
