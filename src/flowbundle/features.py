@@ -290,6 +290,8 @@ _NUM_FLOWS, _DELTA = _STATS_END, _STATS_END + 1
 _INT_COLUMNS = (1, 3, _NUM_FLOWS)  # the ports and num_flows, stored as int64
 # every numeric column of a flow CSV row, in column order: the ports, then the rest
 _NUMERIC_COLUMNS = [1, 3, *range(_STATS_START, _DELTA + 1)]
+_BULK_DTYPES = [np.int64 if i in (1, 3) else float if _STATS_START <= i < _STATS_END
+                else object for i in range(len(CSV_COLUMNS))]  # the bundle columns as text
 
 
 def utf8_text(path: str | Path, error: type[ValueError]) -> str:
@@ -298,14 +300,41 @@ def utf8_text(path: str | Path, error: type[ValueError]) -> str:
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
-        # a lone CR ends a line too, as csv.reader counts lines
-        line = len((data[:exc.start] + b".").splitlines())
-        raise error(f"{path}:{line}: byte 0x{data[exc.start]:02x} is not UTF-8") from None
+        raise error(f"{path}:{line_of(data[:exc.start])}: "
+                    f"byte 0x{data[exc.start]:02x} is not UTF-8") from None
+
+
+def line_of(head: bytes) -> int:
+    """The line the byte after ``head`` is on, as csv.reader counts lines."""
+    return len((head + b".").splitlines())
+
+
+def bulk_columns(text: str, header: list[str], dtypes: list) -> list[np.ndarray] | None:
+    """Column i of CSV text as ``dtypes[i]`` (object, np.int64 or float) by one
+    numpy C parse per dtype, for write_csv's own dialect: ASCII (numpy 2.4 can
+    crash past U+FFFF), no quote, NUL or \\x1c-\\x1f (space to loadtxt, not to
+    int()), each line ended by CRLF, none blank or over csv.field_size_limit(),
+    header line ``header``, one row or more; else, or if loadtxt refuses a field, None."""
+    lines = text.split("\r\n")  # n lines, then what follows the last CRLF
+    n = len(lines) - 1
+    if (not text.isascii() or any(c in text for c in '"\0\x1c\x1d\x1e\x1f') or n < 2
+            or lines[-1] or lines[0] != ",".join(header) or lines.count("") != 1
+            or max(map(len, lines)) > csv.field_size_limit()
+            or not text.count("\r") == text.count("\n") == n  # no lone CR or LF
+            or text.count(",") != (len(header) - 1) * n):  # then, as loadtxt refuses a
+        return None  # row without a column it reads, no row is longer than the header
+    try:  # one parse per dtype; its columns come out in column order
+        blocks = {dtype: iter(np.loadtxt(lines[1:-1], dtype, comments=None, delimiter=",",
+                                         usecols=[i for i, d in enumerate(dtypes) if d is dtype],
+                                         ndmin=2).T) for dtype in set(dtypes)}
+    except ValueError:
+        return None
+    return [next(blocks[dtype]) for dtype in dtypes]
 
 
 def csv_records(path: str | Path, error: type[ValueError]) -> list[list[str]]:
-    """Every row of a UTF-8 CSV file; a byte that is not UTF-8 or a CSV
-    syntax error raises ``error`` naming the file and line."""
+    """Every row of a UTF-8 CSV file in any dialect (bulk_columns reads write_csv's
+    own); a byte that is not UTF-8 or a CSV syntax error raises ``error`` naming the line."""
     reader = csv.reader(io.StringIO(utf8_text(path, error), newline=""))
     try:
         return list(reader)
@@ -313,13 +342,13 @@ def csv_records(path: str | Path, error: type[ValueError]) -> list[list[str]]:
         raise error(f"{path}:{reader.line_num}: {exc}") from None
 
 
-def record_line(path: str | Path, record: int) -> int:
+def record_at(path: str | Path, record: int) -> tuple[int, list[str]]:
     """The line record ``record`` (0 the header) of a CSV file starts on,
-    as csv.reader counts lines."""
+    as csv.reader counts lines, and its fields."""
     reader = csv.reader(io.StringIO(utf8_text(path, ValueError), newline=""))
     for _ in range(record):
         next(reader)
-    return reader.line_num + 1
+    return reader.line_num + 1, next(reader)
 
 
 def columns_of(records: list[list[str]], width: int) -> tuple[list, list]:
@@ -345,17 +374,18 @@ def parse_fields(column: tuple, convert) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parse_column(column: tuple, convert) -> tuple[np.ndarray, np.ndarray | None]:
-    """A column by one bulk ``convert`` (int or float) into int64 or float,
-    and None; if that raises, what parse_fields gives."""
+    """A column by one bulk ``convert`` (int or float) into int64 or float, and
+    None (a column bulk_columns read is already so); if that raises, parse_fields's."""
     dtype = np.int64 if convert is int else float
+    if isinstance(column, np.ndarray) and column.dtype == dtype:
+        return column, None
     try:
         return np.fromiter(map(convert, column), dtype, len(column)), None
     except (ValueError, OverflowError):
         return parse_fields(column, convert)
 
 
-def raise_first_defect(path: str | Path, error: type[ValueError], header: list,
-                       records: list, checks: list):
+def raise_first_defect(path: str | Path, error: type[ValueError], header: list, checks: list):
     """Raise ``error`` at the first record a check marks, with the first
     marking check's message.  Checks, in a record's rule order, are a mask
     or None, a column (named; its field formats the message) or None, and
@@ -365,9 +395,10 @@ def raise_first_defect(path: str | Path, error: type[ValueError], header: list,
     if marked:
         row, k = min(marked)  # the first record, then the first check marking it
         _, column, message = checks[k]
+        line, record = record_at(path, row + 1)
         if column is not None:
-            message = f"column {header[column]}: " + message.format(records[row][column])
-        raise error(f"{path}:{record_line(path, row + 1)}: {message}")
+            message = f"column {header[column]}: " + message.format(record[column])
+        raise error(f"{path}:{line}: {message}")
 
 
 def read_features_csv(path: str | Path) -> FlowTable:
@@ -378,16 +409,18 @@ def read_features_csv(path: str | Path) -> FlowTable:
     empty on every row or filled on every row; a defect raises SchemaError
     naming the file, line and column.
     """
-    records = csv_records(path, SchemaError)
-    if not records:
-        raise SchemaError(f"{path}: empty file, expected header row")
-    header, records = records[0], records[1:]
-    if header != CSV_COLUMNS:
-        raise SchemaError(
-            f"{path}: header mismatch; expected {len(CSV_COLUMNS)} documented "
-            f"columns starting {CSV_COLUMNS[:3]}, got {header[:3]}"
-        )
-    columns, checks = columns_of(records, len(CSV_COLUMNS))
+    columns, checks = bulk_columns(utf8_text(path, SchemaError), CSV_COLUMNS, _BULK_DTYPES), []
+    if columns is None:  # not in write_csv's own dialect
+        records = csv_records(path, SchemaError)
+        if not records:
+            raise SchemaError(f"{path}: empty file, expected header row")
+        header, records = records[0], records[1:]
+        if header != CSV_COLUMNS:
+            raise SchemaError(
+                f"{path}: header mismatch; expected {len(CSV_COLUMNS)} documented "
+                f"columns starting {CSV_COLUMNS[:3]}, got {header[:3]}"
+            )
+        columns, checks = columns_of(records, len(CSV_COLUMNS))
     bundle = columns[_NUM_FLOWS], columns[_DELTA]
     aggregated = any(map(any, bundle))  # no rows: unaggregated
     values = {}
@@ -411,7 +444,7 @@ def read_features_csv(path: str | Path) -> FlowTable:
             (empty[0] != empty[0][0], _NUM_FLOWS, f"{here} here but {first} on line 2; "
              "the bundle columns must be all empty or all filled"),
         ]
-    raise_first_defect(path, SchemaError, header, records, checks)
+    raise_first_defect(path, SchemaError, CSV_COLUMNS, checks)
     numbers = np.array([values[i] for i in range(_STATS_START, _STATS_END)])
     table = FlowTable(
         initiator_ip=np.array(columns[0], dtype=object),

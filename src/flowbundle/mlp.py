@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import ALL_FEATURE_NAMES, utf8_text
+from .features import ALL_FEATURE_NAMES, line_of, utf8_text
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh", "sigmoid")
 OUTPUT_ACTIVATIONS = ("softmax", "sigmoid", "identity")
@@ -422,7 +422,8 @@ def read_versioned_json(
     try:
         doc = json.loads(utf8_text(path, ValueError))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        line = line_of(exc.doc[:exc.pos].encode())  # as the CSV loaders count lines
+        raise ValueError(f"{path}:{line}: not valid JSON: {exc.msg}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     found = doc.get("format_version")

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import (CSV_COLUMNS, columns_of, csv_records, parse_column, raise_first_defect,
-                       record_line, utf8_text, write_csv)
+from .features import (CSV_COLUMNS, bulk_columns, columns_of, csv_records, line_of, parse_column,
+                       raise_first_defect, record_at, utf8_text, write_csv)
 from .flows import FlowSegments
 from .pcap import PROTOCOL_NAMES, TCP, TCP_FLAG_BITS, UDP, PacketTable, dotted
 from .pcap import write_pcap  # noqa: F401  (re-export)
@@ -489,6 +489,7 @@ def build_scenario(name: str, seed: int, scale: str = "desk") -> GeneratedTraffi
 _LABEL_COLUMNS = CSV_COLUMNS[:6] + ["label"]  # a flow CSV's identity columns, its label
 # the generator's manifest columns, addresses as in the packet table
 _LABEL_DTYPES = (np.uint32, np.int64, np.uint32, np.int64, object, float, object)
+_BULK_DTYPES = [object, np.int64, object, np.int64, object, float, object]  # as read
 
 
 def write_labels_csv(manifest: FlowLabels, path: str | Path) -> None:
@@ -500,11 +501,13 @@ def write_labels_csv(manifest: FlowLabels, path: str | Path) -> None:
 def read_labels_csv(path: str | Path) -> FlowLabels:
     """A labels CSV's manifest, converted column by column; a bad field, or
     two labels for one flow, raise LabelError naming the file and line."""
-    records = csv_records(path, LabelError)
-    header, records = (records[0] if records else None), records[1:]
-    if header != _LABEL_COLUMNS:
-        raise LabelError(f"{path}: unexpected label manifest header {header}")
-    columns, checks = columns_of(records, len(_LABEL_COLUMNS))
+    columns, checks = bulk_columns(utf8_text(path, LabelError), _LABEL_COLUMNS, _BULK_DTYPES), []
+    if columns is None:  # not in write_csv's own dialect
+        records = csv_records(path, LabelError)
+        header, records = (records[0] if records else None), records[1:]
+        if header != _LABEL_COLUMNS:
+            raise LabelError(f"{path}: unexpected label manifest header {header}")
+        columns, checks = columns_of(records, len(_LABEL_COLUMNS))
     numbers, ranges = {}, []
     for i, convert, top, want in ((1, int, 65536, "a port from 0 to 65535"),
                                   (3, int, 65536, "a port from 0 to 65535"),
@@ -527,8 +530,8 @@ def read_labels_csv(path: str | Path) -> FlowLabels:
         key = (ip[row], int(numbers[1][row]), rip[row], int(numbers[3][row]), protocol[row],
                round(float(numbers[5][row]) * 1_000_000))
         checks.append((conflict, None, f"flow {key} is labelled {label[row]!r} here but "
-                       f"{label[first[row]]!r} on line {record_line(path, first[row] + 1)}"))
-    raise_first_defect(path, LabelError, header, records, checks)
+                       f"{label[first[row]]!r} on line {record_at(path, first[row] + 1)[0]}"))
+    raise_first_defect(path, LabelError, _LABEL_COLUMNS, checks)
     del columns  # before the records, so fields free in file order: faster
     return manifest
 
@@ -549,6 +552,9 @@ def load_scenario_spec(path: str | Path) -> ScenarioSpec:
             n_servers=doc.get("n_servers", 4),
             classes=classes,
         )
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{line_of(text[:exc.pos].encode())}: "
+                         f"invalid scenario spec ({exc.msg})") from None
     except KeyError as exc:
         raise ValueError(f"{path}: invalid scenario spec (missing key {exc})") from None
     except (TypeError, ValueError, OverflowError) as exc:

@@ -1,8 +1,12 @@
+import csv
+import dataclasses
 import socket
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from flowbundle import features, synth
 from flowbundle.config import PipelineConfig
 from flowbundle.flows import FlowSegments
 from flowbundle.pcap import TCP, TCP_FLAG_BITS, UDP, Packet, PacketTable
@@ -104,3 +108,60 @@ def flow_packets(flows, index):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# a CSV file in another dialect than write_csv's, made from one it wrote
+# whose first two labels are "benign": its first two labels as read, or
+# the error after the path
+OTHER_DIALECTS = {
+    "quoted_comma": (lambda text: text.replace("benign", '"a,b"', 1), ["a,b", "benign"]),
+    "quoted_quote": (lambda text: text.replace("benign", '"say ""hi"""', 1),
+                     ['say "hi"', "benign"]),
+    "quoted_line_break": (lambda text: text.replace("benign", '"be\r\nnign"', 1),
+                          ["be\r\nnign", "benign"]),
+    "lf_only": (lambda text: text.replace("\r\n", "\n"), ["benign", "benign"]),
+    "blank_line": (lambda text: text.replace("nign\r\n", "nign\r\n\r\n", 1),
+                   ":3: expected {width} fields, got 0"),
+    "lone_cr": (lambda text: text.replace("nign\r\n", "nign\r\r\n", 1),
+                ":3: expected {width} fields, got 0"),
+    "nul": (lambda text: text.replace("benign", "be\0nign", 1), ["be\0nign", "benign"]),
+    "long_field": (lambda text: text.replace("benign", "b" * (csv.field_size_limit() + 1), 1),
+                   f":2: field larger than field limit ({csv.field_size_limit()})"),
+    "header_only": (lambda text: text.split("\r\n")[0] + "\r\n", []),
+}
+
+def read_both_ways(read, path):
+    """``read(path)`` (read_features_csv or read_labels_csv) in bulk, and
+    by csv.reader alone (bulk_columns refusing every text): both give the
+    same table, column for column with the same dtypes and floats bit for
+    bit, or raise the same error.  That table or the error's text, and
+    whether bulk_columns read the file."""
+    bulk_columns, taken = features.bulk_columns, []
+
+    def bulk(*args):
+        columns = bulk_columns(*args)
+        taken.append(columns is not None)
+        return columns
+
+    outcomes = []
+    for columns_of in (bulk, lambda *args: None):
+        with mock.patch.object(features, "bulk_columns", columns_of), \
+                mock.patch.object(synth, "bulk_columns", columns_of):
+            try:
+                outcomes.append(read(path))
+            except (features.SchemaError, synth.LabelError) as exc:
+                outcomes.append(str(exc))
+    got, want = outcomes
+    if isinstance(want, str):
+        assert got == want
+        return got, any(taken)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert (a is None) == (b is None), field.name
+        if b is not None:
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            if b.dtype == object:
+                assert a.tolist() == b.tolist(), field.name
+            else:
+                assert a.tobytes() == b.tobytes(), field.name
+    return got, any(taken)

@@ -837,7 +837,7 @@ def test_invalid_spec_json_names_file(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text('{"seed": 1,')
     assert run(["synth", "--spec", str(spec), "--out", str(tmp_path / "x.pcap")]) == 1
-    assert capsys.readouterr().err.startswith(f"error: {spec}: invalid scenario spec (")
+    assert capsys.readouterr().err.startswith(f"error: {spec}:1: invalid scenario spec (")
 
 
 @pytest.mark.parametrize(

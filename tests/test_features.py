@@ -5,6 +5,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowbundle import features, synth
 from flowbundle.features import (
@@ -13,6 +15,7 @@ from flowbundle.features import (
     CSV_COLUMNS,
     FLOW_FEATURE_NAMES,
     SchemaError,
+    bulk_columns,
     extract_features,
     feature_matrix,
     flow_table,
@@ -21,7 +24,8 @@ from flowbundle.features import (
     write_features_csv,
 )
 
-from conftest import flow_segments, has_flag, tcp_packet, udp_packet
+from conftest import (OTHER_DIALECTS, flow_segments, has_flag, read_both_ways, tcp_packet,
+                      udp_packet)
 
 
 def stats_of(flows, index=0):
@@ -344,6 +348,75 @@ def test_csv_bytes_equal_reference(tmp_path, rng, monkeypatch, case):
     assert bool(writers) != fixed_point
     reference_write_features_csv(table, want)
     assert got.read_bytes() == want.read_bytes()
+    # and reads alike both ways, in bulk if ASCII with no quote or NUL
+    data = got.read_bytes()
+    assert read_both_ways(read_features_csv, got)[1] == (
+        data.isascii() and b'"' not in data and b"\0" not in data)
+
+
+# fields a C number parser might read where int() or float() does not, or
+# to another value: underscores, non-ASCII digits, 2**63, spaces and signs,
+# the separators \x1c-\x1f (whitespace to numpy, not to Python), special floats
+_NUMBER_FIELDS = ["8_0", "1_0", "\u0668\u0660", str(2**63), str(-(2**63) - 1), " 80 ", "+80",
+                  "\x0b80", "80\x0c", "\t80", "\x1c80", "80\x1f", "inf", "-nan", "1e400", "-0",
+                  "1.", ".5", "1e", "0x50", "Infinity", "nan(1)", "", " ", "+-1", "8 0"]
+_NUMBER_TEXT = st.text(st.sampled_from("0123456789+-._eEinfatyINFATY \t\x0b\x0c\x1cx\u0668"),
+                       max_size=8)
+
+
+def _bulk_number(field, dtype):
+    """``field`` as bulk_columns reads it in a column of ``dtype``, or None."""
+    columns = bulk_columns(f"n,s\r\n{field},x\r\n", ["n", "s"], [dtype, object])
+    return None if columns is None else columns[0][0]
+
+
+def _assert_number_parity(field):
+    """Every field bulk_columns reads as a number, int() or float() reads
+    to the same value, bit for bit."""
+    for dtype, convert in ((np.int64, int), (float, float)):
+        got = _bulk_number(field, dtype)
+        if got is not None:
+            want = np.array(convert(field), dtype)  # raises if Python does not read it
+            assert got.tobytes() == want.tobytes() or np.isnan(got) and np.isnan(want), field
+
+
+@pytest.mark.parametrize("field", _NUMBER_FIELDS)
+def test_bulk_numbers_read_as_python_reads_them(tmp_path, field):
+    _assert_number_parity(field)
+    # in a file: a field bulk_columns refuses reads by csv.reader, as before
+    table = flow_table(flow_segments([random_flow(np.random.default_rng(0), 4)]), ["benign"])
+    path = tmp_path / "flows.csv"
+    for column in ("initiator_port", "fwd_iat_mean"):
+        write_features_csv(table, path)
+        head, row, _ = path.read_bytes().decode().split("\r\n")
+        row = row.split(",")
+        row[CSV_COLUMNS.index(column)] = field
+        path.write_text("\r\n".join([head, ",".join(row), ""]), newline="")
+        read_both_ways(read_features_csv, path)
+
+
+@given(field=_NUMBER_TEXT)
+@settings(max_examples=200, deadline=None)
+def test_bulk_number_syntax_matches_python(field):
+    _assert_number_parity(field)
+
+
+@pytest.mark.parametrize("edge", list(OTHER_DIALECTS))
+def test_other_dialects_read_as_csv_reader_reads_them(tmp_path, edge):
+    mutate, want = OTHER_DIALECTS[edge]
+    path = tmp_path / "flows.csv"
+    flows = flow_segments([random_flow(np.random.default_rng(1), 4)] * 2)
+    table = flow_table(flows, ["benign"] * 2)
+    write_features_csv(dataclasses.replace(table, num_flows=np.arange(2),
+                                           src_ports_delta=np.full(2, 0.5)), path)
+    assert read_both_ways(read_features_csv, path)[1]  # the writer's own file: read in bulk
+    path.write_text(mutate(path.read_bytes().decode()), newline="")
+    got, bulk = read_both_ways(read_features_csv, path)
+    assert not bulk
+    if isinstance(want, str):
+        assert got == f"{path}{want.format(width=len(CSV_COLUMNS))}"
+    else:
+        assert got.label.tolist() == want and got.aggregated == bool(want)
 
 
 def test_empty_table_reads_back_unaggregated(tmp_path, rng):

@@ -19,6 +19,10 @@ a flow, a byte that is not UTF-8, a cut) and goes through ``extract``
 with the unchanged capture.  The run must exit 0 with a flow CSV that
 reads back, or exit 1 with one ``error:`` line naming the file, and the
 line and column where the mutation fixes them.
+
+Both CSVs, mutated as above, read alike in bulk (numpy's parser, for
+text in the writer's own dialect) and by csv.reader alone: the same
+table, or the same error.
 """
 
 import csv
@@ -27,14 +31,15 @@ import struct
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from flowbundle.cli import main
 from flowbundle.features import CSV_COLUMNS, read_features_csv
 from flowbundle.pcap import PcapFormatError, read_pcap
-from flowbundle.synth import _LABEL_COLUMNS
+from flowbundle.synth import _LABEL_COLUMNS, read_labels_csv
 
+from conftest import read_both_ways
 from packet_records import records_of
 from test_ingest_reference import reference_read_pcap
 
@@ -292,3 +297,25 @@ def test_mutated_labels_csv_exits_cleanly(labelled_capture, data):
     else:
         assert err.startswith(f"error: {path}{expect}"), err
         assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_flow_csv_reads_alike_both_ways(flow_csvs, data):
+    base, texts = flow_csvs
+    text, _ = data.draw(mutated_flow_csv(texts))
+    path = base / "both_ways.csv"
+    path.write_text(text, newline="")
+    _, bulk = read_both_ways(read_features_csv, path)
+    event(f"read in bulk: {bulk}")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_labels_csv_reads_alike_both_ways(labelled_capture, data):
+    base, _, original = labelled_capture
+    text, _ = data.draw(mutated_labels_csv(original))
+    path = base / "both_ways.csv"
+    path.write_bytes(text)
+    _, bulk = read_both_ways(read_labels_csv, path)
+    event(f"read in bulk: {bulk}")

@@ -705,6 +705,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=str(path)):
             load_model(path)
 
+    def test_json_syntax_error_names_line(self, tmp_path):
+        # a lone CR ends a line, as the CSV loaders count lines
+        path = tmp_path / "model.json"
+        path.write_bytes(b'{\r"format_version": 1,\r"weights": [,]}')
+        with pytest.raises(ValueError) as caught:
+            load_model(path)
+        assert str(caught.value) == f"{path}:3: not valid JSON: Expecting value"
+
 
 class TestConfigValidation:
     def test_negative_learning_rate(self):

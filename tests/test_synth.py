@@ -32,7 +32,7 @@ from flowbundle.synth import (
 )
 
 import labels_reference as reference
-from conftest import TIMEOUTS
+from conftest import OTHER_DIALECTS, TIMEOUTS, read_both_ways
 
 
 def iqr(values):
@@ -168,6 +168,17 @@ def test_scenario_spec_json_invalid(tmp_path):
     path.write_text('{"seed": 1}')
     with pytest.raises(ValueError, match="invalid scenario spec"):
         load_scenario_spec(path)
+
+
+def test_scenario_spec_syntax_error_names_line(tmp_path):
+    """A JSON syntax error names its line as the CSV loaders count lines:
+    CRLF, a lone CR and a lone LF each end one."""
+    for end in ("\r", "\r\n", "\n"):
+        path = tmp_path / "spec.json"
+        path.write_bytes(end.join(['{"seed": 1,', '"duration": 5.0,', '"classes": [}']).encode())
+        with pytest.raises(ValueError) as caught:
+            load_scenario_spec(path)
+        assert str(caught.value) == f"{path}:3: invalid scenario spec (Expecting value)"
 
 
 def test_spec_validation_errors():
@@ -371,3 +382,19 @@ def test_labels_csv_defects_csv_reader_finds(tmp_path, defect):
     path.write_bytes(b"\r\n".join([head, defect(row), rest]))
     outcome = _same_outcome(lambda: reference.read_labels_csv(path), lambda: read_labels_csv(path))
     assert outcome is None  # both raise, naming line 2
+
+
+@pytest.mark.parametrize("edge", list(OTHER_DIALECTS))
+def test_labels_in_other_dialects_read_as_csv_reader_reads_them(tmp_path, edge):
+    mutate, want = OTHER_DIALECTS[edge]
+    path = tmp_path / "labels.csv"
+    write_labels_csv(build_scenario("fig2", seed=0).manifest, path)
+    assert read_both_ways(read_labels_csv, path)[1]  # the writer's own file: read in bulk
+    path.write_bytes(mutate(path.read_bytes().decode()).encode())
+    got, bulk = read_both_ways(read_labels_csv, path)
+    assert not bulk
+    if isinstance(want, str):
+        assert got == f"{path}{want.format(width=len(_LABEL_COLUMNS))}"
+    else:
+        assert got.label.tolist()[:2] == want
+    _same_outcome(lambda: reference.read_labels_csv(path), lambda: read_labels_csv(path))
