@@ -152,7 +152,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key = value config file; unknown sections or keys reject."""
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(utf8_text(path, ConfigError), source=str(path))
+        # configparser splits lines on LF only; a CRLF or lone CR ends a line too
+        text = utf8_text(path, ConfigError).replace("\r\n", "\n").replace("\r", "\n")
+        parser.read_string(text, source=str(path))
         sections = {section: parser.items(section) for section in parser.sections()}
     except OSError:
         raise ConfigError(f"config file {path} not found or unreadable") from None

@@ -78,7 +78,9 @@ class TrainingConfig:
 class MlpModel:
     """All parameters live in one flat float64 vector, `params`: `layers[i]`
     is layer i's (fan_in + 1, fan_out) view of it, bias last, and
-    `weights[i]` and `biases[i]` view its parts, so writes reach `params`."""
+    `weights[i]` and `biases[i]` view its parts, so writes reach `params`.
+    Every layer's input, the network's too, ends in a row of ones, so one
+    matmul with `layers[i]` adds the bias."""
 
     layer_sizes: list[int]
     weights: list[np.ndarray]
@@ -173,42 +175,52 @@ def _hidden_grad(activation: np.ndarray, kind: str) -> np.ndarray:
     return grad
 
 
-def _output(z: np.ndarray, kind: str) -> np.ndarray:
-    """Output activation of a (units, rows) array, computed in place over z."""
-    if kind == "softmax":
-        z -= z.max(axis=0)
+def _output(z: np.ndarray, kind: str, column: np.ndarray) -> np.ndarray:
+    """Output activation of a (units, rows) array, computed in place over z;
+    softmax takes each sample's max and sum into column, a (rows,) array."""
+    if kind == "softmax":  # the ufuncs' reduce skips np.max's and np.sum's wrappers
+        z -= np.maximum.reduce(z, axis=0, out=column)
         np.exp(z, out=z)
-        z /= z.sum(axis=0)
+        z /= np.add.reduce(z, axis=0, out=column)
         return z
     if kind == "sigmoid":
         return _sigmoid(z)
     return z
 
 
-def _forward(model: MlpModel, a: np.ndarray) -> list[np.ndarray]:
-    """Every layer's activation for the (features, rows) input a, feature-major.
+class _Fit:
+    """The arrays every step of one fit writes, made once for batches as
+    long as X, feature-major: every layer's activation, X with a row of
+    ones first and each hidden one ending in a row of ones, and the
+    softmax's column; with targets also the targets, each layer's delta
+    and the flat gradient with its per-layer views."""
 
-    A hidden activation has one more row, of ones, so the next layer's
-    matmul with its packed (fan_in + 1, fan_out) parameters adds the bias.
-    """
-    activations = [a]
+    def __init__(self, model: MlpModel, X: np.ndarray, targets: np.ndarray | None = None):
+        rows, sizes = len(X), model.layer_sizes
+        # C order whatever X's: BLAS rounds C- and F-ordered operands differently
+        self.activations = [np.ones((units + 1, rows)) for units in sizes[:-1]]
+        self.activations[0][:-1] = X.T
+        self.activations.append(np.empty((sizes[-1], rows)))
+        self.column = np.empty(rows)
+        if targets is not None:
+            self.targets = np.ascontiguousarray(targets.T, dtype=float)
+            self.deltas = [np.empty((units, rows)) for units in sizes[1:]]
+            self.grad = np.empty_like(model.params)
+            self.grads = model.layer_views(self.grad)
+
+
+def _forward(model: MlpModel, fit: _Fit) -> None:
+    """Every layer's activation, written into fit.activations.  Each
+    layer's input ends in a row of ones, the network's too, so its matmul
+    with the packed (fan_in + 1, fan_out) parameters adds the bias."""
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        z = np.empty((layer.shape[1] + (i < last), a.shape[1]))
-        units = z[: layer.shape[1]]
-        if i == 0:  # the input has no ones row
-            np.matmul(layer[:-1].T, a, out=units)
-            units += layer[-1][:, None]
-        else:
-            np.matmul(layer.T, a, out=units)
+        units = fit.activations[i + 1][: layer.shape[1]]
+        np.matmul(layer.T, fit.activations[i], out=units)
         if i < last:
             _hidden(units, model.hidden_activation)
-            z[-1] = 1.0
         else:
-            _output(z, model.output_activation)
-        activations.append(z)
-        a = z
-    return activations
+            _output(units, model.output_activation, fit.column)
 
 
 def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -221,12 +233,14 @@ def forward_batch(model: MlpModel, X: np.ndarray) -> np.ndarray:
         )
     if not np.isfinite(X).all():
         raise ValueError("input contains non-finite values")
-    # BLAS rounds differently for C- and F-ordered operands: fix the order
-    return _forward(model, np.ascontiguousarray(X.T))[-1].T
+    fit = _Fit(model, X)
+    _forward(model, fit)
+    return fit.activations[-1].T
 
 
 def loss_and_gradients(
-    model: MlpModel, X: np.ndarray, targets: np.ndarray, loss: str, record_loss: bool = True
+    model: MlpModel, X: np.ndarray | None, targets: np.ndarray | None, loss: str,
+    record_loss: bool = True, fit: _Fit | None = None,
 ) -> tuple[float | None, np.ndarray]:
     """Loss plus the analytic gradient of every parameter, laid out like
     model.params (`model.layer_views` slices it per layer).
@@ -234,6 +248,9 @@ def loss_and_gradients(
     Supported pairings: softmax + cross_entropy, identity/sigmoid + mse.
     Cross-entropy targets are one-hot rows; mse targets are raw outputs.
     Without record_loss the cross-entropy loss is not computed (None).
+    A fit's arrays, `fit`, already hold the batch, and X and targets are
+    not read; without it the step makes its own.  The returned grad is
+    `fit.grad`, which the fit's next step overwrites.
     """
     out_kind = model.output_activation
     if loss == "cross_entropy" and out_kind != "softmax":
@@ -241,40 +258,35 @@ def loss_and_gradients(
     if loss == "mse" and out_kind == "softmax":
         raise ValueError("mse pairs with identity or sigmoid outputs")
 
-    n = X.shape[0]
-    # feature-major: every activation and delta is (units, rows)
-    activations = _forward(model, X.T)
-    output = activations.pop()
-    targets = targets.T
+    fit = _Fit(model, X, targets) if fit is None else fit
+    n = fit.column.size
+    _forward(model, fit)
+    output, targets = fit.activations[-1], fit.targets
+    delta = np.subtract(output, targets, out=fit.deltas[-1])
 
     value = None
     if loss == "cross_entropy":
         if record_loss:
-            log_p = np.maximum(output, 1e-12)  # a softmax output never exceeds 1
+            log_p = np.maximum(output, 1e-12, out=output)  # softmax never exceeds 1
             np.log(log_p, out=log_p)
             log_p *= targets
             value = float(-log_p.sum() / n)
-        delta = np.subtract(output, targets, out=output)
         scale = n
     else:
-        delta = output - targets
         value = float((delta**2).mean())
         scale = delta.size / 2.0
         if out_kind == "sigmoid":
             delta *= output
             delta *= np.subtract(1.0, output, out=output)
 
-    grad = np.empty_like(model.params)
-    grads = model.layer_views(grad)
-    for layer in range(len(grads) - 1, 0, -1):
-        a = activations[layer]
-        np.matmul(a, delta.T, out=grads[layer])  # its last row is the bias's
-        delta = model.weights[layer] @ delta
-        delta *= _hidden_grad(a[:-1], model.hidden_activation)
-    np.matmul(activations[0], delta.T, out=grads[0][:-1])
-    delta.sum(axis=1, out=grads[0][-1])
-    grad /= scale
-    return value, grad
+    for layer in range(len(model.layers) - 1, -1, -1):
+        a = fit.activations[layer]
+        np.matmul(a, delta.T, out=fit.grads[layer])  # its last row is the bias's
+        if layer:
+            delta = np.matmul(model.weights[layer], delta, out=fit.deltas[layer - 1])
+            delta *= _hidden_grad(a[:-1], model.hidden_activation)
+    fit.grad /= scale
+    return value, fit.grad
 
 
 def _prepare_targets(model: MlpModel, targets: np.ndarray, loss: str) -> np.ndarray:
@@ -328,26 +340,25 @@ def train(
     if cfg.input_scaling:
         trained.scaler = MinMaxScaler().fit(X)
         X = trained.scaler.transform(X)
-    # each step reads X.T and T.T: make both C-contiguous, whatever the
-    # caller's order, since BLAS rounds C- and F-ordered operands differently
-    X = np.asfortranarray(X)
-    T = np.asfortranarray(_prepare_targets(trained, targets, cfg.loss))
+    T = _prepare_targets(trained, targets, cfg.loss)
 
     rng = np.random.default_rng(cfg.seed)
     n = X.shape[0]
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    # the whole set's arrays and each batch length's, a short last one's too
+    fits = {rows: _Fit(trained, X[:rows], T[:rows]) for rows in {n, batch, n % batch or batch}}
     classes = trained.layer_sizes[-1]
     history: list[float] = []
     for epoch in range(cfg.epochs):
-        batches = [(X, T)]
-        if batch < n:
-            batches = (
-                (X.T[:, idx].T, T.T[:, idx].T)
-                for idx in np.split(rng.permutation(n), range(batch, n, batch))
-            )
+        order = rng.permutation(n) if batch < n else None
         losses = []
-        for X_batch, T_batch in batches:
-            value, grad = loss_and_gradients(trained, X_batch, T_batch, cfg.loss, record_loss)
+        for start in range(0, n, batch):
+            fit = fits[min(batch, n - start)]
+            if order is not None:
+                idx = order[start : start + batch]
+                np.take(fits[n].activations[0], idx, axis=1, out=fit.activations[0])
+                np.take(fits[n].targets, idx, axis=1, out=fit.targets)
+            value, grad = loss_and_gradients(trained, None, None, cfg.loss, record_loss, fit)
             # unrecorded, the output bias gradient stands in: it sums softmax
             # - one-hot, so it is non-finite exactly when the cross-entropy is
             losses.append(sum(grad[-classes:].tolist()) if value is None else value)

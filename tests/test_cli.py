@@ -3,6 +3,7 @@ import json
 import pytest
 
 from flowbundle.cli import main
+from flowbundle.config import ConfigError, load_config
 from flowbundle.features import ALL_FEATURE_NAMES, read_features_csv
 
 
@@ -282,6 +283,18 @@ def test_run_seed_reaches_rfe(mimicking_csvs, tmp_path):
         assert run(["rfe", "--in", str(agg_csv), "--config", str(config),
                     "--out", str(manifests[-1])] + extra) == 0
     assert manifests[0].read_bytes() == manifests[1].read_bytes()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_config_line_ends(tmp_path, end):
+    config = tmp_path / "seed.ini"
+    config.write_bytes(end.join(["[run]", "seed = 3", "[flow]", "idle_timeout_s = 9", ""]).encode())
+    cfg = load_config(config)
+    assert (cfg.seed, cfg.idle_timeout_s) == (3, 9.0)
+    # a syntax error is named on the line the other loaders count
+    config.write_bytes(end.join(["[run]", "seed = 3", "[run]", ""]).encode())
+    with pytest.raises(ConfigError, match=r":3: duplicate section \[run\]$"):
+        load_config(config)
 
 
 def test_unknown_config_key_rejected(mimicking_csvs, tmp_path):

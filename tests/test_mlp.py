@@ -9,6 +9,7 @@ from flowbundle.mlp import (
     ModelArtifact,
     TrainingConfig,
     TrainingDivergedError,
+    _Fit,
     forward_batch,
     init_model,
     load_model,
@@ -296,21 +297,80 @@ class TestReferenceOracle:
         model = _study_like_model([20, 3, 2], "tanh", "softmax", seed=1)
         X = rng.uniform(size=(745, 20))
         y = np.arange(745) % 2
-        cfg = TrainingConfig(learning_rate=0.4, epochs=25, input_scaling=False)
-        trained, history = train(model, X, y, cfg)
-        expected = model.copy()
         T = np.eye(2)[y]
+        for batch_size in (None, 100):  # batches of 100 leave a short last one of 45 rows
+            cfg = TrainingConfig(learning_rate=0.4, epochs=25, batch_size=batch_size,
+                                 input_scaling=False)
+            trained, history = train(model, X, y, cfg)
+            expected = model.copy()
+            order = np.random.default_rng(cfg.seed)
+            for epoch in range(cfg.epochs):
+                batches = [np.arange(745)]
+                if batch_size is not None:
+                    batches = np.split(order.permutation(745), range(100, 745, 100))
+                values = []
+                for idx in batches:
+                    value, gw, gb = reference_loss_and_gradients(
+                        expected, X[idx], T[idx], "cross_entropy"
+                    )
+                    values.append(value)
+                    for layer in range(len(expected.weights)):
+                        expected.weights[layer] -= cfg.learning_rate * gw[layer]
+                        expected.biases[layer] -= cfg.learning_rate * gb[layer]
+                _assert_close(history[epoch], np.mean(values))
+            for got, want in zip(trained.weights + trained.biases,
+                                 expected.weights + expected.biases):
+                _assert_close(got, want)
+
+
+@pytest.mark.parametrize(
+    "output, loss", [("softmax", "cross_entropy"), ("sigmoid", "mse"), ("identity", "mse")]
+)
+@pytest.mark.parametrize("hidden", ["relu", "tanh", "sigmoid"])
+class TestFitArrays:
+    """Steps through one fit's arrays, which every step writes, equal steps
+    that each make their own arrays, bit for bit."""
+
+    @staticmethod
+    def _problem(rng, hidden, output, loss):
+        X = rng.uniform(size=(30, 4))
+        T = np.eye(3)[np.arange(30) % 3] if loss == "cross_entropy" else rng.uniform(size=(30, 3))
+        return _study_like_model([4, 5, 3], hidden, output, seed=6), X, T
+
+    def test_steps_through_one_fits_arrays(self, rng, hidden, output, loss):
+        model, X, T = self._problem(rng, hidden, output, loss)
+        fit = _Fit(model, X[:15], T[:15])
+        for _ in range(4):
+            want_value, want = loss_and_gradients(model, X[:15], T[:15], loss)
+            want = want.copy()
+            value, grad = loss_and_gradients(model, None, None, loss, fit=fit)
+            # another step of the same shape must leave this one's grad alone
+            loss_and_gradients(model, X[15:], T[15:], loss)
+            assert value == want_value
+            assert np.array_equal(grad, want)
+            grad *= 0.5
+            model.params -= grad
+
+    @pytest.mark.parametrize("batch_size", [None, 7])  # 7 leaves a short last batch
+    def test_training_matches_fresh_steps(self, rng, hidden, output, loss, batch_size):
+        model, X, T = self._problem(rng, hidden, output, loss)
+        cfg = TrainingConfig(learning_rate=0.5, epochs=4, batch_size=batch_size, loss=loss,
+                             seed=3, input_scaling=False)
+        trained, history = train(model, X, T.argmax(axis=1) if loss == "cross_entropy" else T, cfg)
+        expected = model.copy()
+        order = np.random.default_rng(cfg.seed)
         for epoch in range(cfg.epochs):
-            value, gw, gb = reference_loss_and_gradients(
-                expected, X, T, "cross_entropy"
-            )
-            _assert_close(history[epoch], value)
-            for layer in range(len(expected.weights)):
-                expected.weights[layer] -= cfg.learning_rate * gw[layer]
-                expected.biases[layer] -= cfg.learning_rate * gb[layer]
-        for got, want in zip(trained.weights + trained.biases,
-                             expected.weights + expected.biases):
-            _assert_close(got, want)
+            batches = [np.arange(30)]
+            if batch_size is not None:
+                batches = np.split(order.permutation(30), range(batch_size, 30, batch_size))
+            values = []
+            for idx in batches:
+                value, grad = loss_and_gradients(expected, X[idx], T[idx], loss)
+                values.append(value)
+                grad *= cfg.learning_rate
+                expected.params -= grad
+            assert history[epoch] == (values[0] if len(values) == 1 else float(np.mean(values)))
+        assert np.array_equal(trained.params, expected.params)
 
 
 class TestTrain:
