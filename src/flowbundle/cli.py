@@ -159,9 +159,7 @@ def _cmd_train(args) -> int:
     y, class_names = features.label_classes(table)
     names = rfe.load_selection(args.selection) if args.selection else _feature_names(table)
     X = features.feature_matrix(table, names)
-    model = mlp.init_model(
-        [len(names), cfg.hidden_size, len(class_names)], seed=cfg.seed
-    )
+    model = mlp.init_classifier(len(names), cfg.hidden_size, len(class_names), cfg.seed)
     trained, history = mlp.train(model, X, y, cfg.classifier_training())
     mlp.save_model(
         mlp.ModelArtifact(

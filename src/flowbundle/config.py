@@ -141,16 +141,16 @@ def _syntax_error(path: str | Path, exc: configparser.Error) -> ConfigError:
         what = f"cannot parse {text}"
     elif isinstance(exc, configparser.DuplicateOptionError):
         where, what = exc.lineno, f"duplicate key {exc.option!r} in [{exc.section}]"
-    elif isinstance(exc, configparser.DuplicateSectionError):
+    else:  # DuplicateSectionError: reading without interpolation raises no other
         where, what = exc.lineno, f"duplicate section [{exc.section}]"
-    else:  # interpolation errors carry no line
-        return ConfigError(f"{path}: {exc.message}")
     return ConfigError(f"{path}:{where}: {what}")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Parse a key = value config file; unknown sections or keys reject."""
-    parser = configparser.ConfigParser()
+    # no section header is empty, so [DEFAULT] is an unknown section like
+    # any other, and a value's % is its own
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
     try:
         # configparser splits lines on LF only; a CRLF or lone CR ends a line too
         text = utf8_text(path, ConfigError).replace("\r\n", "\n").replace("\r", "\n")

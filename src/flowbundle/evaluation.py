@@ -21,7 +21,7 @@ from .features import (
     feature_matrix,
     read_features_csv,
 )
-from .mlp import TrainingConfig, init_model, predict_classes, train
+from .mlp import TrainingConfig, init_classifier, predict_classes, train
 from .rfe import RfeConfig, RfeResult, rfe_select
 
 DESIGNS = ("binary", "three_class", "five_class")
@@ -141,11 +141,8 @@ def kfold_evaluate(
     selected_features: list[str] | None = None,
     with_aggregation: bool = False,
 ) -> ExperimentReport:
-    """Stratified k-fold training; returns per-class mean/std metrics.
-
-    The classifiers have tanh hidden units: with only 3 of them, ReLU
-    inits can go dead and pin a fold at the majority-class plateau.
-    """
+    """Stratified k-fold training of ``init_classifier`` networks; returns
+    per-class mean/std metrics."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     fold_indices = stratified_folds(y, folds, seed, class_names)
@@ -156,11 +153,7 @@ def kfold_evaluate(
         train_mask = np.ones(len(y), dtype=bool)
         train_mask[test_idx] = False
         fold_cfg = replace(training, loss="cross_entropy", seed=seed + f)
-        model = init_model(
-            [X.shape[1], hidden_size, len(class_names)],
-            hidden_activation="tanh",
-            seed=seed + f,
-        )
+        model = init_classifier(X.shape[1], hidden_size, len(class_names), seed + f)
         trained, _ = train(model, X[train_mask], y[train_mask], fold_cfg, record_loss=False)
         y_pred = predict_classes(trained, X[test_idx])
         counts = ConfusionCounts.from_predictions(y[test_idx], y_pred, class_names)

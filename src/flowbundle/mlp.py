@@ -116,8 +116,8 @@ class MlpModel:
 
 def init_model(
     layer_sizes: list[int],
-    hidden_activation: str = "relu",
-    output_activation: str = "softmax",
+    hidden_activation: str,
+    output_activation: str,
     seed: int = 0,
 ) -> MlpModel:
     """Glorot-uniform weights, zero biases, reproducible from the seed."""
@@ -141,6 +141,13 @@ def init_model(
         hidden_activation=hidden_activation,
         output_activation=output_activation,
     )
+
+
+def init_classifier(n_inputs: int, hidden_size: int, n_classes: int, seed: int) -> MlpModel:
+    """The classifier RFE, k-fold and ``flowbundle train`` fit: tanh hidden
+    units, since with only 3 of them ReLU inits can go dead and pin a fit
+    at the majority-class plateau, and a softmax output."""
+    return init_model([n_inputs, hidden_size, n_classes], "tanh", "softmax", seed)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

@@ -3,7 +3,10 @@
 Only the legacy pcap container is handled (magic 0xA1B2C3D4 and its
 byte-swapped / nanosecond variants), not pcapng.  Frames that are not
 IPv4 TCP/UDP (ARP, IPv6, VLAN-tagged, fragments, ...) are skipped and
-counted rather than raised, so real captures parse cleanly.
+counted rather than raised, so real captures parse cleanly.  The reader
+parses each block of the file once, with numpy gathers over all of its
+records, so frames with IP options or other odd frames cost no more than
+plain ones.
 """
 
 from __future__ import annotations
@@ -102,53 +105,6 @@ class PcapRead:
     skipped_by_reason: dict[str, int] = field(default_factory=dict)
 
 
-# version/IHL, total length, flags+fragment offset, protocol, both addresses
-_IPV4_HEADER = struct.Struct("!BxHxxHxBxxII")
-_PORTS = struct.Struct("!HH")
-
-
-def _parse_ipv4(
-    data: bytes, ip: int, end: int, timestamp: float, columns: tuple
-) -> str | None:
-    """Append the IPv4 packet in ``data[ip:end]`` to the column lists, or
-    return the reason it is skipped."""
-    if end - ip < 20:
-        return "malformed"
-    version_ihl, total_length, frag, proto, src, dst = _IPV4_HEADER.unpack_from(data, ip)
-    if version_ihl >> 4 != 4:
-        return "non_ipv4"
-    ihl = (version_ihl & 0x0F) * 4
-    if ihl < 20 or end - ip < ihl:
-        return "malformed"
-    if frag & 0x3FFF:  # MF set or non-zero offset
-        return "fragment"
-    if proto != TCP and proto != UDP:
-        return "non_tcp_udp"
-    transport = ip + ihl
-    if proto == TCP:
-        if end - transport < 20 or total_length < ihl + 20:
-            return "malformed"
-        flags = data[transport + 13] & 0x3F
-        if not flags:
-            # null-flag TCP segments have no representation downstream
-            return "malformed"
-    else:
-        if end - transport < 8 or total_length < ihl + 8:
-            return "malformed"
-        flags = 0
-    src_port, dst_port = _PORTS.unpack_from(data, transport)
-    times, srcs, dsts, sports, dports, protocols, lengths, flag_bytes = columns
-    times.append(timestamp)
-    srcs.append(src)
-    dsts.append(dst)
-    sports.append(src_port)
-    dports.append(dst_port)
-    protocols.append(proto)
-    lengths.append(total_length)
-    flag_bytes.append(flags)
-    return None
-
-
 # bytes of the capture read at a time, which bounds the reader's memory
 _READ_BYTES = 1 << 22
 
@@ -166,8 +122,9 @@ def read_pcap(path: str | Path) -> PcapRead:
     Non-IPv4 frames, fragments, VLAN-tagged frames and non-TCP/UDP
     packets are counted in ``skipped_by_reason``.  Structural problems
     (bad magic, truncated records, unsupported link type) raise
-    PcapFormatError naming the byte offset.  The file is read in blocks, each
-    block's plain frames parsed at once and the others by ``_parse_ipv4``.
+    PcapFormatError naming the byte offset.  The file is read in blocks,
+    and each block's frames are parsed at once: every header field is
+    gathered for all records, at the offsets each record's IHL gives.
     """
     with open(path, "rb") as handle:
         data = handle.read(24)
@@ -181,21 +138,21 @@ def read_pcap(path: str | Path) -> PcapRead:
         (link_type,) = struct.unpack_from(order + "I", data, 20)
         if link_type not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise PcapFormatError(f"{path}: unsupported link type {link_type}")
-        # Ethernet header length, 0 for raw IP, and a record's bytes through the TCP flags
-        eth, width = (14, 64) if link_type == LINKTYPE_ETHERNET else (0, 50)
+        # Ethernet header length, 0 for raw IP, and a record's bytes through the
+        # TCP flags behind a 60-byte IP header
+        eth, width = (14, 104) if link_type == LINKTYPE_ETHERNET else (0, 90)
         ip = 16 + eth  # a frame's IP header, from its record header
         unpack_incl_len = struct.Struct(order + "8xI").unpack_from
-        parts: list[tuple[np.ndarray, ...]] = []  # per block, the plain frames' fields
-        slow_columns: tuple[list, ...] = tuple([] for _ in Packet._fields)
-        slow_rows: list[int] = []
+        parts: list[tuple[np.ndarray, ...]] = []  # per block, the accepted frames' fields
         skipped: dict[str, int] = {}
-        position, frames, want, data = 24, 0, _READ_BYTES, bytearray()
+        position, want, data = 24, _READ_BYTES, bytearray()
         file_size = Path(path).stat().st_size
         while True:
             block = min(want, file_size - position)
             if len(data) < block + width:  # else the last block's buffer is reused
                 data = bytearray(block + width)
-            # bytes past a frame's end never reach a packet: a plain frame's fields lie within it
+            # bytes past a frame's end are gathered too, but a frame they
+            # would describe fails a length test before they are used
             size = handle.readinto(memoryview(data)[:block])
             offset, frame_starts, cut = 0, [], None
             while offset < size:
@@ -213,48 +170,55 @@ def read_pcap(path: str | Path) -> PcapRead:
                 raise PcapFormatError(f"{path}: {cut}")
             records = np.array(frame_starts, dtype=np.int64) - 16
 
-            def field(at: int, n: int = 1, byte_order: str = ">") -> np.ndarray:
-                # the ``n``-byte unsigned integer ``at`` bytes into each record
-                return _field(data, at, f"{byte_order}u{n}")[records]
+            def field(at: int, n: int = 1, byte_order: str = ">", rows=records) -> np.ndarray:
+                # the ``n``-byte unsigned integer ``at`` bytes past each offset in
+                # ``rows``, by default each record's start
+                return _field(data, at, f"{byte_order}u{n}")[rows]
 
             sec, frac, incl_len = (field(at, 4, order) for at in (0, 4, 8))
-            protocol, total_length, flags = field(ip + 9), field(ip + 2, 2), field(ip + 33) & 0x3F
-            room = incl_len.astype(np.int64) - eth
-            tcp = (protocol == TCP) & (room >= 40) & (total_length >= 40) & (flags != 0)
-            udp = (protocol == UDP) & (room >= 28) & (total_length >= 28)
-            plain = (tcp | udp) & (field(ip) == 0x45) & (field(ip + 6, 2) & 0x3FFF == 0)
-            plain &= field(ip - 2, 2) == 0x0800 if eth else True  # Ethernet carries IPv4
-            fast = np.flatnonzero(plain)
-            parts.append((frames + fast, sec[fast].astype(np.int64) * ticks + frac[fast],
-                          *(field(ip + at, n)[fast]
-                            for at, n in ((12, 4), (16, 4), (20, 2), (22, 2))),
-                          protocol[fast], total_length[fast], np.where(tcp[fast], flags[fast], 0)))
-            for i in np.flatnonzero(~plain).tolist():
-                start, end = frame_starts[i], frame_starts[i] + int(incl_len[i])
-                ethertype = data[start + 12] << 8 | data[start + 13] if end - start >= 14 else None
-                if not eth or ethertype == 0x0800:
-                    timestamp = (int(sec[i]) * ticks + int(frac[i])) / ticks
-                    reason = _parse_ipv4(data, start + eth, end, timestamp, slow_columns)
-                else:
-                    reason = {None: "malformed", 0x8100: "vlan"}.get(ethertype, "non_ipv4")
-                if reason is None:
-                    slow_rows.append(frames + i)
-                else:
-                    skipped[reason] = skipped.get(reason, 0) + 1
+            room = incl_len.astype(np.int64) - eth  # a frame's bytes from its IP header on
+            version_ihl, protocol, total_length = field(ip), field(ip + 9), field(ip + 2, 2)
+            ihl = (version_ihl & 0x0F).astype(np.int64) * 4
+            transport = records + ip + ihl
+            flags = field(13, rows=transport) & 0x3F
+            tcp = protocol == TCP
+            need = ihl + np.where(tcp, 20, 8)  # through the TCP or UDP header
+            ethertype = field(ip - 2, 2) if eth else None
+            # each frame is counted under the first test it fails
+            tests = [("malformed", room < 0), ("vlan", ethertype == 0x8100),
+                     ("non_ipv4", ethertype != 0x0800)] if eth else []
+            tests += [
+                ("malformed", room < 20),
+                ("non_ipv4", version_ihl >> 4 != 4),
+                ("malformed", (ihl < 20) | (room < ihl)),
+                ("fragment", field(ip + 6, 2) & 0x3FFF != 0),  # MF set or non-zero offset
+                ("non_tcp_udp", ~tcp & (protocol != UDP)),
+                # null-flag TCP segments have no representation downstream
+                ("malformed", (room < need) | (total_length < need) | tcp & (flags == 0)),
+            ]
+            accepted = np.ones(len(records), dtype=bool)
+            for reason, failed in tests:
+                failed &= accepted
+                if count := np.count_nonzero(failed):
+                    skipped[reason] = skipped.get(reason, 0) + count
+                    accepted &= ~failed
+            rows = np.flatnonzero(accepted)
+            kept, ports = records[rows], transport[rows]
+            parts.append((sec[rows].astype(np.int64) * ticks + frac[rows],
+                          field(ip + 12, 4, rows=kept), field(ip + 16, 4, rows=kept),
+                          field(0, 2, rows=ports), field(2, 2, rows=ports),
+                          protocol[rows], total_length[rows],
+                          np.where(tcp[rows], flags[rows], 0)))
             if last:
                 break
-            frames, position = frames + len(frame_starts), position + offset
+            position += offset
             handle.seek(position)
             want = 2 * want if offset == 0 else _READ_BYTES  # until one record fits
 
-    index, stamps, *rest = (np.concatenate(column) for column in zip(*parts))
+    stamps, *rest = (np.concatenate(column) for column in zip(*parts))
     # both divisions round correctly, numpy's while every stamp is an exact double
     columns = (stamps / ticks if stamps.max(initial=0) < 2**53
                else np.array([a / ticks for a in stamps.tolist()]), *rest)
-    if slow_rows:  # both row sets are in file order: merge them by frame index
-        by_frame = np.argsort(np.concatenate([index, slow_rows]))
-        columns = tuple(np.concatenate([column, np.array(extra, column.dtype)])[by_frame]
-                        for column, extra in zip(columns, slow_columns))
     packets = PacketTable.from_lists(*columns)
     return PcapRead(packets, link_type, sum(skipped.values()), skipped)
 

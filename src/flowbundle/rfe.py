@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import ALL_FEATURE_NAMES
-from .mlp import TrainingConfig, checked_names, init_model, read_versioned_json, train
+from .mlp import TrainingConfig, checked_names, init_classifier, read_versioned_json, train
 
 SELECTION_FORMAT_VERSION = 1
 
@@ -42,12 +42,7 @@ class RfeResult:
 def _importances(
     X: np.ndarray, y: np.ndarray, n_classes: int, cfg: RfeConfig, seed: int
 ) -> np.ndarray:
-    model = init_model(
-        [X.shape[1], cfg.hidden_size, n_classes],
-        hidden_activation="tanh",  # immune to dead units on tiny hidden layers
-        output_activation="softmax",
-        seed=seed,
-    )
+    model = init_classifier(X.shape[1], cfg.hidden_size, n_classes, seed)
     round_cfg = replace(cfg.inner_training, loss="cross_entropy", seed=seed)
     trained, _ = train(model, X, y, round_cfg, record_loss=False)
     return np.abs(trained.weights[0]).sum(axis=1)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from flowbundle.cli import main
@@ -115,6 +116,27 @@ def test_train_then_model_loads(mimicking_csvs, tmp_path):
     artifact = load_model(model_path)
     assert artifact.class_names == ["benign", "slowloris"]
     assert len(artifact.feature_names) == 5
+
+
+def test_train_saves_the_kfold_network(mimicking_csvs, tmp_path, monkeypatch):
+    # the model train saves has the activations of the networks k-fold scores
+    from flowbundle import evaluation, mlp
+
+    fits = []
+
+    def recording_train(model, *args, **kwargs):
+        fits.append((model.hidden_activation, model.output_activation))
+        return mlp.train(model, *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "train", recording_train)
+    evaluation.kfold_evaluate(np.eye(4)[[0, 1, 2, 3] * 2], np.array([0, 1] * 4), ["a", "b"],
+                              2, mlp.TrainingConfig(learning_rate=0.1, epochs=1), 3, 0)
+    _, agg_csv, _, _ = mimicking_csvs
+    model_path = tmp_path / "model.json"
+    assert run(["train", "--in", str(agg_csv), "--model", str(model_path),
+                "--epochs", "1"]) == 0
+    model = mlp.load_model(model_path).model
+    assert set(fits) == {(model.hidden_activation, model.output_activation)}
 
 
 def test_eval_design_report(mimicking_csvs, tmp_path):
@@ -303,6 +325,19 @@ def test_unknown_config_key_rejected(mimicking_csvs, tmp_path):
     config.write_text("[flow]\nwarp_speed = 9\n")
     assert run(["aggregate", "--config", str(config), "--in", str(agg_csv),
                 "--out", str(tmp_path / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize(
+    "text", ["[DEFAULT]\nseed = 3\nk = 9\n", "[rfe]\nk = 4\n[DEFAULT]\nseed = 3\n"])
+def test_default_config_section_rejected(fig2_capture, tmp_path, capsys, text):
+    # [DEFAULT] is no section of the schema: its keys are neither dropped
+    # nor blamed on another section
+    pcap, _ = fig2_capture
+    config = tmp_path / "default.ini"
+    config.write_text(text)
+    assert run(["extract", "--pcap", str(pcap), "--config", str(config),
+                "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {config}: unknown config section [DEFAULT]\n"
 
 
 def test_custom_scenario_spec(tmp_path):
@@ -866,6 +901,9 @@ def test_invalid_spec_json_names_file(tmp_path, capsys):
         ("[training]\nbatch_size = 0\n", "'0' for [training] batch_size: must be >= 1"),
         ("[evaluation]\nfolds = 1\n", "'1' for [evaluation] folds: must be >= 2"),
         ("[run]\nseed = -1\n", "'-1' for [run] seed: must be >= 0"),
+        # a % is part of the value, not the start of an interpolation
+        ("[run]\nseed = 3%\n",
+         "'3%' for [run] seed: invalid literal for int() with base 10: '3%'"),
         ("[training]\nlearning_rate = 0\n",
          "'0' for [training] learning_rate: must be a finite number > 0"),
         ("[rfe]\nlearning_rate = nan\n",

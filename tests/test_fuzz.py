@@ -20,6 +20,11 @@ with the unchanged capture.  The run must exit 0 with a flow CSV that
 reads back, or exit 1 with one ``error:`` line naming the file, and the
 line and column where the mutation fixes them.
 
+INI: a valid config file gets up to four line ends, header brackets,
+``=``, ``%``, ``#``, NUL, bytes that are not UTF-8 or ``DEFAULT``
+inserted or written over it, and goes through ``aggregate --config``.
+The run must exit 0, or exit 1 with one ``error:`` line naming the file.
+
 Both CSVs, mutated as above, read alike in bulk (numpy's parser, for
 text in the writer's own dialect) and by csv.reader alone: the same
 table, or the same error.
@@ -319,3 +324,46 @@ def test_mutated_labels_csv_reads_alike_both_ways(labelled_capture, data):
     path.write_bytes(text)
     _, bulk = read_both_ways(read_labels_csv, path)
     event(f"read in bulk: {bulk}")
+
+
+_INI = (b"[flow]\nidle_timeout_s = 120\nactive_timeout_s = none\n\n[bundle]\nwindow_s = none\n"
+        b"# a comment\n[training]\nepochs = 5\nbatch_size = 4\n[zeroday]\n"
+        b"thresholds = 0.05,0.1\n[run]\nseed = 3\n")
+# bytes that end or split a line, open or close a header, separate a key,
+# start an interpolation or a comment, are no text or name configparser's
+# own default section
+_INI_TOKENS = [b"\r", b"\n", b"\r\n", b"[", b"]", b"=", b"%", b"#", b"\x00", b"\xff", b"\xc3",
+               b"DEFAULT", b"[DEFAULT]\n"]
+
+
+@st.composite
+def mutated_ini(draw):
+    """The valid INI file above with one to four tokens inserted or written over it."""
+    text = _INI
+    for _ in range(draw(st.integers(1, 4))):
+        token = draw(st.sampled_from(_INI_TOKENS))
+        at = draw(st.integers(0, len(text)))
+        end = at + len(token) if draw(st.booleans()) else at  # overwrite or insert
+        text = text[:at] + token + text[end:]
+    return text
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_ini_exits_cleanly(flow_csvs, data):
+    base, _ = flow_csvs
+    path, out = base / "mutated.ini", base / "ini_out.csv"
+    path.write_bytes(data.draw(mutated_ini()))
+    out.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["aggregate", "--config", str(path), "--in", str(base / "flows.csv"),
+                     "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1), err
+    event(f"exit {code}")
+    if code == 0:
+        assert err == "" and out.exists()
+    else:
+        assert err.startswith(f"error: {path}"), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -1,7 +1,8 @@
 """Exact-equality oracle for the ingest hot loops.
 
-``read_pcap`` gathers the headers of all plain frames at once and parses
-the other frames one at a time, merging both in file order;
+``read_pcap`` gathers the header fields of all of a block's frames at
+once, at the offsets each frame's IHL gives, and tests every skip reason
+as a mask;
 ``assemble_flows`` and ``extract_features`` cut flows as row segments of
 the packet table and reduce its columns in batches of equal-length
 directions.  The straightforward object-based implementations they
@@ -362,6 +363,8 @@ def _odd_frames():
         _frame(_ipv4(6, 60, _tcp(80, 1234, 0xFF) + bytes(20))),    # every flag bit
         _frame(_ipv4(6, 40, _tcp(80, 1234, 0xC0))),                # only ECE/CWR
         _frame(_ipv4(6, 44, _tcp(1, 2, 0x10), ihl=6)),            # IP options
+        _frame(_ipv4(6, 80, _tcp(3, 4, 0x18), ihl=15)),           # 40 option bytes
+        _frame(_ipv4(17, 68, udp, ihl=15)),                        # 40 option bytes
         _frame(_ipv4(6, 52, _tcp(1, 2, 0x11), ihl=15)[:50]),       # IHL past the end
         _frame(_ipv4(6, 30, _tcp(1, 2, 0x10))),                    # total length short
         _frame(_ipv4(6, 40, _tcp(1, 2, 0x10)[:12])),               # TCP header cut
@@ -381,6 +384,18 @@ def _odd_frames():
         _frame(bytes(40), ethertype=0x86DD),
         _frame(bytes(20), ethertype=0x8100),
         bytes(13),                                                 # Ethernet cut
+        # frames failing more than one test, counted under the first one
+        _frame(b"", ethertype=0x8100),                             # VLAN, no IP
+        _frame(b"\x60" + bytes(10)),                               # cut, not IPv4
+        _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), version=6, ihl=4)),  # not IPv4, bad IHL
+        _frame(_ipv4(17, 28, udp, ihl=4, frag=0x2000)),            # bad IHL, MF
+        _frame(_ipv4(1, 28, bytes(8), frag=0x2000)),               # MF, ICMP
+        _frame(_ipv4(6, 30, _tcp(1, 2, 0x10)[:4], frag=0x0001)),   # offset, TCP cut
+        _frame(_ipv4(1, 20, b"")),                                 # ICMP, no transport
+        # transport tests behind 40 option bytes
+        _frame(_ipv4(6, 79, _tcp(1, 2, 0x10), ihl=15)),            # TCP total short
+        _frame(_ipv4(17, 68, udp[:7], ihl=15)),                    # UDP header cut
+        _frame(_ipv4(6, 80, _tcp(1, 2, 0x00), ihl=15)),            # no flags
         _frame(_ipv4(6, 40, _tcp(1, 2, 0x10), src="10.0.0.10", dst="10.0.0.9")),
     ]
 
@@ -431,7 +446,7 @@ class TestReferenceOracle:
         assert set(capture.skipped_by_reason) == {
             "malformed", "fragment", "non_tcp_udp", "non_ipv4", "vlan"
         }
-        assert len(capture.packets) == 6
+        assert len(capture.packets) == 8
 
     def test_raw_ip_link_type(self, tmp_path):
         records = [(i, 0, f[14:]) for i, f in enumerate(_odd_frames()) if len(f) > 14]
@@ -490,6 +505,22 @@ class TestReferenceOracle:
         path.write_bytes(_pcap_bytes([(0, 0, _odd_frames()[0]), (1, 0, bytes(lookalike))]))
         assert _assert_same_read(path).skipped_by_reason == {"vlan": 1}
 
+    @pytest.mark.parametrize("link", [LINKTYPE_ETHERNET, LINKTYPE_RAW_IP])
+    def test_widest_header_last(self, tmp_path, link):
+        # ports and flags are gathered behind the IHL a frame's first IP byte
+        # gives, up to 60 bytes: the last record's reach into the spare tail
+        # past the block, whether its header is all there or cut after 1 byte
+        widest = _frame(_ipv4(6, 80, _tcp(5, 6, 0x11), ihl=15))
+        strip = 14 if link == LINKTYPE_RAW_IP else 0
+        path = tmp_path / "widest.pcap"
+        path.write_bytes(_pcap_bytes([(0, 0, widest[strip:])], link=link))
+        packets = _assert_same_read(path).packets
+        assert [(p.src_port, p.dst_port, p.tcp_flags) for p in packets] == [
+            (5, 6, frozenset({"FIN", "ACK"}))]
+        path.write_bytes(_pcap_bytes([(0, 0, widest[strip:]), (1, 0, widest[strip:15])],
+                                     link=link))
+        assert _assert_same_read(path).skipped_by_reason == {"malformed": 1}
+
     @pytest.mark.parametrize("cut", [1, 10, 60, 65])
     def test_truncation_errors(self, tmp_path, cut):
         data = _pcap_bytes([(0, 0, f) for f in _odd_frames()[:3]])
@@ -520,8 +551,9 @@ class TestReferenceOracle:
             assert str(got.value) == str(want.value)
 
     def test_options_and_plain_frames_agree(self, tmp_path):
-        # frames with IPv4 options (IHL 6) go through _parse_ipv4, plain ones
-        # through the bulk read: both give one host pair the same addresses
+        # frames with IPv4 options (IHL 6) have their ports and flags read
+        # further into the frame than plain ones: both give one host pair
+        # the same addresses and ports
         a, b = "192.168.10.10", "10.20.0.255"  # one above 2**31, one below
         out, back = dict(src=a, dst=b), dict(src=b, dst=a)
         frames = [

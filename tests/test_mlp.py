@@ -71,7 +71,7 @@ def make_blobs(rng, n=100, spread=0.5):
 
 class TestForward:
     def test_zero_network_identity_output(self):
-        model = init_model([3, 2], output_activation="identity", seed=0)
+        model = init_model([3, 2], "relu", "identity", seed=0)
         model.weights[0][:] = 0.0
         assert np.array_equal(forward_batch(model, [[1.0, 2.0, 3.0]]), [[0.0, 0.0]])
 
@@ -96,24 +96,24 @@ class TestForward:
         assert forward_batch(hidden, [[1.0, 2.0]])[0, 0] == pytest.approx(0.1)
 
     def test_sigmoid_at_zero(self):
-        model = init_model([2, 1], output_activation="sigmoid", seed=0)
+        model = init_model([2, 1], "relu", "sigmoid", seed=0)
         model.weights[0][:] = 0.0
         assert forward_batch(model, [[3.0, -1.0]])[0, 0] == pytest.approx(0.5)
 
     def test_softmax_sums_to_one(self, rng):
-        model = init_model([4, 3, 5], seed=1)
+        model = init_model([4, 3, 5], "relu", "softmax", seed=1)
         X = rng.normal(size=(20, 4))
         probs = forward_batch(model, X)
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all((probs > 0) & (probs < 1))
 
     def test_dimension_mismatch(self):
-        model = init_model([3, 2], seed=0)
+        model = init_model([3, 2], "relu", "softmax", seed=0)
         with pytest.raises(ValueError):
             forward_batch(model, [[1.0, 2.0]])
 
     def test_non_finite_input_rejected(self):
-        model = init_model([2, 2], seed=0)
+        model = init_model([2, 2], "relu", "softmax", seed=0)
         with pytest.raises(ValueError, match="non-finite"):
             forward_batch(model, [[np.nan, 1.0]])
 
@@ -121,7 +121,7 @@ class TestForward:
 class TestGradients:
     @pytest.mark.parametrize("hidden_activation", ["tanh", "sigmoid", "relu"])
     def test_cross_entropy_gradcheck(self, rng, hidden_activation):
-        model = init_model([4, 3, 2], hidden_activation=hidden_activation, seed=7)
+        model = init_model([4, 3, 2], hidden_activation, "softmax", seed=7)
         X = rng.normal(size=(6, 4))
         T = np.eye(2)[rng.integers(0, 2, size=6)]
         gw, gb = split_grad(model, loss_and_gradients(model, X, T, "cross_entropy")[1])
@@ -141,11 +141,11 @@ class TestGradients:
         assert max_relative_error(gw + gb, fw + fb) < 1e-4
 
     def test_unsupported_pairings_rejected(self, rng):
-        model = init_model([2, 2], output_activation="identity", seed=0)
+        model = init_model([2, 2], "relu", "identity", seed=0)
         with pytest.raises(ValueError):
             loss_and_gradients(model, np.zeros((1, 2)), np.zeros((1, 2)),
                                "cross_entropy")
-        softmax = init_model([2, 2], output_activation="softmax", seed=0)
+        softmax = init_model([2, 2], "relu", "softmax", seed=0)
         with pytest.raises(ValueError):
             loss_and_gradients(softmax, np.zeros((1, 2)), np.zeros((1, 2)), "mse")
 
@@ -375,7 +375,7 @@ class TestFitArrays:
 
 class TestTrain:
     def test_zero_learning_rate_freezes_weights(self, rng):
-        model = init_model([3, 2, 2], seed=5)
+        model = init_model([3, 2, 2], "relu", "softmax", seed=5)
         before = [w.copy() for w in model.weights]
         X = rng.normal(size=(10, 3))
         y = rng.integers(0, 2, size=10)
@@ -388,7 +388,7 @@ class TestTrain:
             assert np.array_equal(w0, w1)
 
     def test_update_rule_matches_gradient_step(self, rng):
-        model = init_model([3, 2, 2], seed=9)
+        model = init_model([3, 2, 2], "relu", "softmax", seed=9)
         X = rng.normal(size=(8, 3))
         y = rng.integers(0, 2, size=8)
         y[:2] = [0, 1]
@@ -406,7 +406,7 @@ class TestTrain:
 
     def test_separable_blobs_reach_high_accuracy(self, rng):
         X, y = make_blobs(rng)
-        model = init_model([2, 3, 2], hidden_activation="tanh", seed=2)
+        model = init_model([2, 3, 2], "tanh", "softmax", seed=2)
         trained, history = train(
             model, X, y, TrainingConfig(learning_rate=0.1, epochs=200, seed=2)
         )
@@ -418,7 +418,7 @@ class TestTrain:
 
     def test_held_out_blob_point_classified(self, rng):
         X, y = make_blobs(rng)
-        model = init_model([2, 3, 2], hidden_activation="tanh", seed=2)
+        model = init_model([2, 3, 2], "tanh", "softmax", seed=2)
         trained, _ = train(
             model, X, y, TrainingConfig(learning_rate=0.1, epochs=200, seed=2)
         )
@@ -430,13 +430,13 @@ class TestTrain:
         cfg = TrainingConfig(learning_rate=0.05, epochs=50, batch_size=16, seed=4)
         runs = []
         for _ in range(2):
-            model = init_model([2, 3, 2], seed=4)
+            model = init_model([2, 3, 2], "relu", "softmax", seed=4)
             _, history = train(model, X, y, cfg)
             runs.append(history)
         assert runs[0] == runs[1]
 
     def test_nan_loss_aborts_with_epoch(self, rng):
-        model = init_model([2, 2, 2], output_activation="identity", seed=0)
+        model = init_model([2, 2, 2], "relu", "identity", seed=0)
         X = rng.normal(size=(4, 2)) * 1e3
         T = rng.normal(size=(4, 2)) * 1e3
         cfg = TrainingConfig(learning_rate=1e9, epochs=50, loss="mse", seed=0,
@@ -453,25 +453,26 @@ class TestTrain:
         X_bad = X.copy()
         X_bad[4, 1] = bad
         with pytest.raises(ValueError, match="training matrix contains non-finite"):
-            train(init_model([3, 2, 2], seed=0), X_bad, y, cfg)
+            train(init_model([3, 2, 2], "relu", "softmax", seed=0), X_bad, y, cfg)
         with pytest.raises(ValueError, match="targets contain non-finite"):
-            train(init_model([3, 2, 2], seed=0), X, np.where(y == 1, bad, 0.0), cfg)
+            train(init_model([3, 2, 2], "relu", "softmax", seed=0), X,
+                  np.where(y == 1, bad, 0.0), cfg)
         T = X.copy()
         T[7, 2] = bad
         mse = TrainingConfig(learning_rate=0.05, epochs=3, loss="mse", seed=0)
-        model = init_model([3, 2, 3], output_activation="identity", seed=0)
+        model = init_model([3, 2, 3], "relu", "identity", seed=0)
         with pytest.raises(ValueError, match="targets contain non-finite"):
             train(model, X, T, mse)
 
     def test_missing_class_rejected(self, rng):
-        model = init_model([2, 2, 3], seed=0)
+        model = init_model([2, 2, 3], "relu", "softmax", seed=0)
         X = rng.normal(size=(6, 2))
         y = np.array([0, 0, 1, 1, 0, 1])  # class 2 absent
         with pytest.raises(ValueError, match="class index 2"):
             train(model, X, y, TrainingConfig(learning_rate=0.05, epochs=1))
 
     def test_original_model_untouched(self, rng):
-        model = init_model([2, 2, 2], seed=1)
+        model = init_model([2, 2, 2], "relu", "softmax", seed=1)
         before = [w.copy() for w in model.weights]
         X, y = make_blobs(rng, n=10)
         train(model, X, y, TrainingConfig(learning_rate=0.1, epochs=3, seed=0))
@@ -506,7 +507,7 @@ class TestLossOnlyWhenRead:
             assert np.array_equal(got, want)
 
     def test_step_without_the_loss(self, rng):
-        model = init_model([6, 3, 4], hidden_activation="tanh", seed=3)
+        model = init_model([6, 3, 4], "tanh", "softmax", seed=3)
         X = rng.normal(size=(30, 6))
         T = np.eye(4)[np.arange(30) % 4]
         value, grad = loss_and_gradients(model, X, T, "cross_entropy")
@@ -528,7 +529,7 @@ class TestLossOnlyWhenRead:
             cfg = TrainingConfig(learning_rate=learning_rate, epochs=50,
                                  batch_size=batch_size, seed=0)
             for record in (True, False):
-                model = init_model([4, 3, 3], hidden_activation=hidden, seed=0)
+                model = init_model([4, 3, 3], hidden, "softmax", seed=0)
                 with pytest.raises(TrainingDivergedError,
                                    match=f"non-finite loss at epoch {epoch}$"):
                     with np.errstate(over="ignore", invalid="ignore"):
@@ -537,7 +538,7 @@ class TestLossOnlyWhenRead:
 
 class TestPackedParameters:
     def test_weights_and_biases_view_params(self):
-        model = init_model([4, 3, 2], seed=0)
+        model = init_model([4, 3, 2], "relu", "softmax", seed=0)
         for i, layer in enumerate(model.layers):
             model.weights[i][1, 0] = 7.0 + i
             model.biases[i][0] = -7.0 - i
@@ -549,7 +550,7 @@ class TestPackedParameters:
         assert model.params.size == (4 + 1) * 3 + (3 + 1) * 2
 
     def test_copy_shares_no_memory(self):
-        model = init_model([4, 3, 2], seed=0)
+        model = init_model([4, 3, 2], "relu", "softmax", seed=0)
         twin = model.copy()
         assert not np.shares_memory(twin.params, model.params)
         assert np.array_equal(twin.params, model.params)
@@ -558,7 +559,7 @@ class TestPackedParameters:
 
     def test_save_load_save_is_byte_identical(self, rng, tmp_path):
         X, y = make_blobs(rng, n=30)
-        trained, _ = train(init_model([2, 3, 2], seed=6), X, y,
+        trained, _ = train(init_model([2, 3, 2], "relu", "softmax", seed=6), X, y,
                            TrainingConfig(learning_rate=0.1, epochs=30, seed=6))
         first, second = tmp_path / "a.json", tmp_path / "b.json"
         save_model(ModelArtifact(model=trained, class_names=["x", "y"]), first)
@@ -581,7 +582,7 @@ class TestMemoryOrder:
         y = np.arange(60) % 3
         cfg = TrainingConfig(learning_rate=0.3, epochs=20, batch_size=batch_size,
                              seed=2)
-        runs = [train(init_model([5, 4, 3], hidden_activation="tanh", seed=2),
+        runs = [train(init_model([5, 4, 3], "tanh", "softmax", seed=2),
                       X_in, y, cfg)
                 for X_in in self._layouts(X)]
         for trained, history in runs[1:]:
@@ -593,7 +594,7 @@ class TestMemoryOrder:
     def test_autoencoder_ignores_memory_order(self, rng):
         X = rng.uniform(size=(50, 6))
         cfg = TrainingConfig(learning_rate=0.5, epochs=20, loss="mse", seed=0)
-        runs = [train(init_model([6, 3, 6], output_activation="sigmoid", seed=0),
+        runs = [train(init_model([6, 3, 6], "relu", "sigmoid", seed=0),
                       X_in, X_in, cfg)
                 for X_in in self._layouts(X)]
         for trained, history in runs[1:]:
@@ -605,11 +606,11 @@ class TestMemoryOrder:
         # a 1-unit layer and a 12-wide row mean are shapes where the two
         # orders round differently
         X = rng.uniform(size=(100, 12))
-        classifier, _ = train(init_model([12, 1, 3], seed=1), X,
+        classifier, _ = train(init_model([12, 1, 3], "relu", "softmax", seed=1), X,
                               np.arange(100) % 3,
                               TrainingConfig(learning_rate=0.3, epochs=10, seed=1))
         autoencoder, _ = train(
-            init_model([12, 6, 12], output_activation="sigmoid", seed=1), X, X,
+            init_model([12, 6, 12], "relu", "sigmoid", seed=1), X, X,
             TrainingConfig(learning_rate=0.5, epochs=10, loss="mse", seed=1),
         )
         C, F, strided = self._layouts(rng.uniform(-0.5, 1.5, size=(100, 12)))
@@ -660,13 +661,13 @@ class TestReconstruction:
         assert reconstruction_errors(model, X)[0] == pytest.approx(0.25)
 
     def test_non_autoencoder_shape_rejected(self):
-        model = init_model([4, 2, 3], seed=0)
+        model = init_model([4, 2, 3], "relu", "softmax", seed=0)
         with pytest.raises(ValueError, match="autoencoder"):
             reconstruction_errors(model, np.zeros((1, 4)))
 
     def test_trained_benign_validation_below_95th_percentile(self, rng):
         X = rng.normal(0.5, 0.1, size=(200, 6)).clip(0, 1)
-        model = init_model([6, 3, 6], output_activation="sigmoid", seed=0)
+        model = init_model([6, 3, 6], "relu", "sigmoid", seed=0)
         trained, _ = train(
             model, X, X,
             TrainingConfig(learning_rate=0.5, epochs=400, loss="mse", seed=0,
@@ -698,7 +699,7 @@ class TestScaler:
 
     def test_training_attaches_scaler(self, rng):
         X, y = make_blobs(rng, n=20)
-        model = init_model([2, 2, 2], seed=0)
+        model = init_model([2, 2, 2], "relu", "softmax", seed=0)
         trained, _ = train(
             model, X, y, TrainingConfig(learning_rate=0.1, epochs=5, seed=0)
         )
@@ -709,7 +710,7 @@ class TestScaler:
 class TestSerialization:
     def test_round_trip_preserves_outputs(self, rng, tmp_path):
         X, y = make_blobs(rng, n=30)
-        model = init_model([2, 3, 2], seed=6)
+        model = init_model([2, 3, 2], "relu", "softmax", seed=6)
         trained, _ = train(
             model, X, y, TrainingConfig(learning_rate=0.1, epochs=30, seed=6)
         )
@@ -742,7 +743,7 @@ class TestSerialization:
     @pytest.mark.parametrize("key", ["layer_sizes", "weights", "output_activation"])
     def test_missing_key_names_file_and_key(self, rng, tmp_path, key):
         path = tmp_path / "model.json"
-        save_model(ModelArtifact(model=init_model([2, 2], seed=0)), path)
+        save_model(ModelArtifact(model=init_model([2, 2], "relu", "softmax", seed=0)), path)
         doc = json.loads(path.read_text())
         del doc[key]
         path.write_text(json.dumps(doc))
@@ -751,7 +752,7 @@ class TestSerialization:
 
     def test_missing_scaler_bound_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(ModelArtifact(model=init_model([2, 2], seed=0)), path)
+        save_model(ModelArtifact(model=init_model([2, 2], "relu", "softmax", seed=0)), path)
         doc = json.loads(path.read_text())
         doc["scaler"] = {"feature_min": [0.0, 0.0]}
         path.write_text(json.dumps(doc))
@@ -794,6 +795,6 @@ class TestConfigValidation:
 
     def test_bad_activations(self):
         with pytest.raises(ValueError):
-            init_model([2, 2], hidden_activation="gelu")
+            init_model([2, 2], "gelu", "softmax")
         with pytest.raises(ValueError):
-            init_model([2, 2], output_activation="relu")
+            init_model([2, 2], "relu", "relu")
