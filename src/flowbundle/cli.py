@@ -118,9 +118,8 @@ def _cmd_aggregate(args) -> int:
     table = features.read_features_csv(args.infile)
     aggregated = aggregation.aggregate_features(table, window)
     features.write_features_csv(aggregated, args.out)
-    bundles = set(aggregation.bundle_keys(aggregated, window))
     print(
-        f"{len(table)} flows -> {len(bundles)} bundles "
+        f"{len(table)} flows -> {len(aggregation.bundle_flows(table, window))} bundles "
         f"(window={'whole capture' if window is None else window}) -> {args.out}"
     )
     return 0
@@ -423,9 +422,10 @@ def _cmd_replicate(args) -> int:
             ).to_dict()
         report["zero_day"][mode] = section
         print(f"  {mode}:")
-        for name, table in section["attacks"].items():
+        rows = {"benign (val)": section["benign_validation"], **section["attacks"]}
+        for name, table in rows.items():
             cells = ", ".join(
-                f"{o['threshold']:0.2f}->{100 * o['accuracy']:.1f}%"
+                f"{o['threshold']:0.2f}->{100 * o['flagged_rate']:.1f}%"
                 for o in table["outcomes"]
             )
             print(f"    {name:<14} {cells}")

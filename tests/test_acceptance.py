@@ -164,7 +164,7 @@ def test_06_fig2_replay_bundles():
     assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     table = features.flow_table(assembled, ["benign"] * len(assembled))
     bundles = aggregation.bundle_flows(table)
-    sizes = sorted((b.num_flows for b in bundles), reverse=True)
+    sizes = sorted(bundles.num_flows.tolist(), reverse=True)
     stamped = aggregation.aggregate_features(table)
     all_stamped = (
         stamped.aggregated

@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import numpy as np
@@ -80,10 +81,12 @@ class TestBundleFlows:
     def test_fig2_bundle_sizes(self):
         traffic = build_scenario("fig2", seed=0)
         flows = assemble_flows(traffic.packets, **TIMEOUTS)
-        bundles = bundle_flows(flows_table(flows))
-        sizes = sorted((b.num_flows for b in bundles), reverse=True)
+        table = flows_table(flows)
+        bundles = bundle_flows(table)
+        sizes = sorted(bundles.num_flows.tolist(), reverse=True)
         assert sizes == [4, 2, 1, 1]
-        by_ip = {b.initiator_ip: b.num_flows for b in bundles}
+        by_ip = dict(zip(table.initiator_ip.tolist(),
+                         bundles.num_flows[bundles.row_bundle].tolist()))
         assert by_ip["10.0.0.1"] == 4  # host A
         assert by_ip["10.0.0.2"] == 2  # host B
 
@@ -91,23 +94,23 @@ class TestBundleFlows:
         rows = [feature_row("10.0.0.9", 4242)]
         bundles = bundle_flows(table_of(rows))
         assert len(bundles) == 1
-        assert bundles[0].num_flows == 1
-        assert bundles[0].src_ports_delta == 0.0
+        assert bundles.num_flows[0] == 1
+        assert bundles.src_ports_delta[0] == 0.0
 
     def test_window_partitions_by_start_time(self):
         rows = [feature_row("10.0.0.1", 1000 + i, start=float(i) * 100)
                 for i in range(4)]
         bundles = bundle_flows(table_of(rows), window=150.0)
-        assert sorted(b.window_index for b in bundles) == [0, 1, 2]
-        assert sorted(b.num_flows for b in bundles) == [1, 1, 2]
-        assert sum(b.num_flows for b in bundles) == 4
+        assert bundles.row_bundle.tolist() == [0, 0, 1, 2]
+        assert sorted(bundles.num_flows.tolist()) == [1, 1, 2]
+        assert bundles.num_flows.sum() == 4
 
     def test_unbounded_window_single_index(self):
         rows = [feature_row("10.0.0.1", 1000, start=0.0),
                 feature_row("10.0.0.1", 2000, start=1e6)]
         bundles = bundle_flows(table_of(rows), window=None)
         assert len(bundles) == 1
-        assert bundles[0].window_index == 0
+        assert bundles.row_bundle.tolist() == [0, 0]
 
     def test_invalid_window(self):
         with pytest.raises(ValueError):
@@ -115,24 +118,81 @@ class TestBundleFlows:
         with pytest.raises(ValueError):
             bundle_flows(table_of([]), window=-5.0)
 
+    def test_window_without_finite_index(self):
+        rows = [feature_row("10.0.0.1", 1000, start=-3.0),
+                feature_row("10.0.0.1", 2000, start=1.6e9)]
+        with pytest.raises(ValueError, match="window 1e-300 s is too small for start "
+                                             "times up to 1600000000.0 s"):
+            bundle_flows(table_of(rows), window=1e-300)
+
+    def test_ports_past_16_bits_give_the_exact_spread(self):
+        # a flow CSV may hold any 64-bit port: the spread must not wrap
+        rows = [feature_row("10.0.0.1", -2**63), feature_row("10.0.0.1", 2**63 - 1)]
+        bundles = bundle_flows(table_of(rows))
+        assert bundles.src_ports_delta.tolist() == [float(2**64 - 1)]
+
     def test_empty_input(self):
-        assert bundle_flows(table_of([])) == []
+        assert len(bundle_flows(table_of([]))) == 0
 
     def test_adding_a_flow_never_decreases_num_flows(self):
         rows = [feature_row("10.0.0.1", 1000 + i) for i in range(5)]
-        before = bundle_flows(table_of(rows))[0].num_flows
-        after = bundle_flows(table_of(rows + [feature_row("10.0.0.1", 2000)]))[0].num_flows
+        before = bundle_flows(table_of(rows)).num_flows[0]
+        after = bundle_flows(table_of(rows + [feature_row("10.0.0.1", 2000)])).num_flows[0]
         assert after == before + 1
 
     def test_partition_property(self):
         traffic = build_scenario("mimicking", seed=4, scale="small")
         table = flows_table(assemble_flows(traffic.packets, **TIMEOUTS))
         bundles = bundle_flows(table)
-        assert sum(b.num_flows for b in bundles) == len(table)
-        for b in bundles:
-            assert b.num_flows == len(b.rows) >= 1
-            assert b.src_ports_delta >= 0.0
-            assert all(table.initiator_ip[b.rows] == b.initiator_ip)
+        assert bundles.num_flows.sum() == len(table)
+        assert bundles.num_flows.tolist() == np.bincount(bundles.row_bundle).tolist()
+        assert bundles.num_flows.min() >= 1
+        assert bundles.src_ports_delta.min() >= 0.0
+        ips = {}
+        for ip, bundle in zip(table.initiator_ip.tolist(), bundles.row_bundle.tolist()):
+            assert ips.setdefault(bundle, ip) == ip
+
+
+def reference_bundles(table, window):
+    """Bundling by the definition: each bundle's rows, grouped in a dict keyed
+    by initiator IP and integer window index, in first-row order."""
+    groups = {}
+    for row, (ip, start) in enumerate(zip(table.initiator_ip.tolist(),
+                                          table.start_time.tolist())):
+        index = 0 if window is None else math.floor(start / window)
+        groups.setdefault((ip, index), []).append(row)
+    return list(groups.values())
+
+
+@st.composite
+def bundle_tables(draw):
+    """Random flow tables with repeated IPs, ports and start times."""
+    ips = [f"10.0.0.{i}" for i in range(draw(st.integers(1, 5)))]
+    ports = draw(st.lists(st.integers(0, 65535), min_size=1, max_size=4))
+    starts = draw(st.lists(st.floats(-2e9, 2e9), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(
+        st.sampled_from(ips),
+        st.one_of(st.sampled_from(ports), st.integers(0, 65535)),
+        st.one_of(st.sampled_from(starts), st.floats(-2e9, 2e9)),
+    ), max_size=60))
+    return table_of([feature_row(ip, port, start) for ip, port, start in rows])
+
+
+@given(bundle_tables(), st.one_of(st.none(), st.floats(0.5, 200.0), st.just(1e-10)))
+@settings(max_examples=200, deadline=None)
+def test_bundling_matches_reference(table, window):
+    groups = reference_bundles(table, window)
+    ports = table.initiator_port.tolist()
+    expected = [(len(rows), brute_force_delta([ports[row] for row in rows])) for rows in groups]
+    bundles = bundle_flows(table, window)
+    assert len(bundles) == len(groups)
+    assert list(zip(bundles.num_flows.tolist(), bundles.src_ports_delta.tolist())) == expected
+    stamped = [None] * len(table)
+    for rows, bundle in zip(groups, expected):
+        for row in rows:
+            stamped[row] = bundle
+    out = aggregate_features(table, window)
+    assert list(zip(out.num_flows.tolist(), out.src_ports_delta.tolist())) == stamped
 
 
 class TestPropagate:
@@ -204,5 +264,5 @@ def test_scenario_port_step_appears_as_delta():
     assert labels == ["probe"] * 40
     bundles = bundle_flows(flow_table(flows, labels))
     assert len(bundles) == 1
-    assert bundles[0].num_flows == 40
-    assert bundles[0].src_ports_delta == 3.0
+    assert bundles.num_flows[0] == 40
+    assert bundles.src_ports_delta[0] == 3.0

@@ -356,17 +356,25 @@ def test_custom_scenario_spec(tmp_path):
     assert pcap.stat().st_size > 24
 
 
-def test_replicate_small_deterministic(tmp_path):
+def test_replicate_small_deterministic(tmp_path, capsys):
     r1 = tmp_path / "run1"
     r2 = tmp_path / "run2"
     assert run(["replicate", "--seed", "5", "--scale", "small",
                 "--out", str(r1)]) == 0
+    capsys.readouterr()
     assert run(["replicate", "--seed", "5", "--scale", "small",
                 "--out", str(r2)]) == 0
+    printed = capsys.readouterr().out
     report1 = (r1 / "report.json").read_bytes()
     report2 = (r2 / "report.json").read_bytes()
     assert report1 == report2
     doc = json.loads(report1)
+    # the zero-day table prints the benign validation flag rate per mode
+    assert printed.count("benign (val)") == 2
+    for mode, section in doc["zero_day"].items():
+        cells = ", ".join(f"{o['threshold']:0.2f}->{100 * o['flagged_rate']:.1f}%"
+                          for o in section["benign_validation"]["outcomes"])
+        assert f"  {mode}:\n    benign (val)   {cells}\n" in printed
     assert set(doc["experiments"]) == {
         "binary", "three_class", "five_class", "five_class_extended",
     }
@@ -697,6 +705,37 @@ def test_extract_and_aggregate_report_counts(fig2_capture, tmp_path, capsys):
         assert capsys.readouterr().out == (
             f"8 flows -> {bundles} bundles (window={shown}) -> {agg_csv}\n"
         )
+
+
+def test_aggregate_tiny_window_makes_every_flow_a_bundle(fig2_capture, tmp_path, capsys):
+    # the window indices pass 2**63: they stay exact and distinct
+    pcap, labels = fig2_capture
+    flows_csv, agg_csv = tmp_path / "flows.csv", tmp_path / "agg.csv"
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(labels),
+                "--out", str(flows_csv)]) == 0
+    capsys.readouterr()
+    assert run(["aggregate", "--in", str(flows_csv), "--out", str(agg_csv),
+                "--window", "1e-10"]) == 0
+    assert capsys.readouterr().out == f"8 flows -> 8 bundles (window=1e-10) -> {agg_csv}\n"
+    table = read_features_csv(agg_csv)
+    assert table.num_flows.tolist() == [1] * 8
+    assert table.src_ports_delta.tolist() == [0.0] * 8
+
+
+def test_aggregate_window_without_finite_index_exits_1(fig2_capture, tmp_path, capsys):
+    pcap, labels = fig2_capture
+    flows_csv, agg_csv = tmp_path / "flows.csv", tmp_path / "agg.csv"
+    assert run(["extract", "--pcap", str(pcap), "--labels", str(labels),
+                "--out", str(flows_csv)]) == 0
+    capsys.readouterr()
+    assert run(["aggregate", "--in", str(flows_csv), "--out", str(agg_csv),
+                "--window", "1e-300"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not agg_csv.exists()
+    assert captured.err.startswith("error: bundle window 1e-300 s is too small for start "
+                                   "times up to ")
+    assert captured.err.endswith(" s: no finite window index\n")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 # sha256 of the capture, the labels and the flow CSVs of `synth --scenario

@@ -25,13 +25,23 @@ INI: a valid config file gets up to four line ends, header brackets,
 inserted or written over it, and goes through ``aggregate --config``.
 The run must exit 0, or exit 1 with one ``error:`` line naming the file.
 
+Model and selection JSON: a saved classifier, a saved autoencoder and an
+``rfe --out`` selection get one mutation (a byte written over, a line
+end, ``1e999``, ``null``, a bracket or quote inserted or written over, a
+cut, a spliced copy of a span) and go through ``eval --model``,
+``zeroday detect --model`` and ``train --selection``.  The run must exit
+0, 1 or 2 with no ``nan`` or ``inf`` in what it prints, and an exit 1 or
+2 prints one ``error:`` or ``i/o error:`` line.
+
 Both CSVs, mutated as above, read alike in bulk (numpy's parser, for
 text in the writer's own dialect) and by csv.reader alone: the same
 table, or the same error.
 """
 
 import csv
+import dataclasses
 import io
+import re
 import struct
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -40,7 +50,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from flowbundle.cli import main
-from flowbundle.features import CSV_COLUMNS, read_features_csv
+from flowbundle.features import CSV_COLUMNS, read_features_csv, write_features_csv
 from flowbundle.pcap import PcapFormatError, read_pcap
 from flowbundle.synth import _LABEL_COLUMNS, read_labels_csv
 
@@ -366,4 +376,88 @@ def test_mutated_ini_exits_cleanly(flow_csvs, data):
         assert err == "" and out.exists()
     else:
         assert err.startswith(f"error: {path}"), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# a config that keeps every fit short
+_QUICK_INI = "[rfe]\nk = 3\nepochs = 2\n[training]\nepochs = 2\n[autoencoder]\nepochs = 2\n"
+
+
+@pytest.fixture(scope="module")
+def saved_json(flow_csvs):
+    """The fig. 2 flows, aggregated and split into a benign and an attack
+    class, and the JSON files fitted on them: name -> (bytes, the command
+    that loads the file at {path})."""
+    base, _ = flow_csvs
+    table = read_features_csv(base / "agg.csv")
+    table = dataclasses.replace(table, label=table.label.copy())
+    table.label[1::2] = "attack"
+    csvs = {name: base / f"json_{name}.csv" for name in ("all", "benign", "attack")}
+    write_features_csv(table, csvs["all"])
+    for name in ("benign", "attack"):
+        write_features_csv(table.take(table.label == name), csvs[name])
+    config = base / "quick.ini"
+    config.write_text(_QUICK_INI)
+    files = {name: base / f"{name}.json" for name in ("classifier", "autoencoder", "selection")}
+    with redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(config), "--in", str(csvs["all"]),
+                     "--model", str(files["classifier"])]) == 0
+        assert main(["zeroday", "fit", "--config", str(config), "--benign", str(csvs["benign"]),
+                     "--model", str(files["autoencoder"])]) == 0
+        assert main(["rfe", "--config", str(config), "--in", str(csvs["all"]),
+                     "--out", str(files["selection"])]) == 0
+    commands = {
+        "classifier": ["eval", "--model", "{path}", "--benign", str(csvs["benign"]),
+                       "--attack", f"attack={csvs['attack']}"],
+        "autoencoder": ["zeroday", "detect", "--model", "{path}", "--in", str(csvs["all"])],
+        "selection": ["train", "--config", str(config), "--in", str(csvs["all"]),
+                      "--selection", "{path}", "--model", str(base / "fuzz_model.json")],
+    }
+    return base, {name: (files[name].read_bytes(), commands[name]) for name in files}
+
+
+# line ends, a number that overflows, null, brackets and quotes
+_JSON_TOKENS = [b"\r", b"\n", b"\r\n", b"1e999", b"-1e999", b"null", b"[", b"]", b"{", b"}",
+                b'"', b"[]", b"{}", b'""']
+
+
+@st.composite
+def mutated_json(draw, data):
+    """A JSON file with one byte or token written over or inserted, a span
+    deleted, or a copy of one span spliced in at another place; the place
+    is as often the start of a structural byte as any byte."""
+    structural = [at for at, byte in enumerate(data) if byte in b'[]{}":,']
+    at = draw(st.one_of(st.integers(0, len(data) - 1), st.sampled_from(structural)))
+    kind = draw(st.sampled_from(["byte", "token", "delete", "splice"]))
+    if kind == "byte":
+        return data[:at] + draw(st.binary(min_size=1, max_size=1)) + data[at + 1:]
+    if kind == "token":
+        token = draw(st.sampled_from(_JSON_TOKENS))
+        end = at + len(token) if draw(st.booleans()) else at  # overwrite or insert
+        return data[:at] + token + data[end:]
+    end = draw(st.integers(at, min(len(data), at + 80)))
+    if kind == "delete":
+        return data[:at] + data[end:]
+    into = draw(st.integers(0, len(data)))
+    return data[:into] + data[at:end] + data[into:]
+
+
+@pytest.mark.parametrize("loader", ["classifier", "autoencoder", "selection"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_json_exits_cleanly(saved_json, loader, data):
+    base, files = saved_json
+    original, command = files[loader]
+    path = base / f"mutated_{loader}.json"
+    path.write_bytes(data.draw(mutated_json(original)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([str(path) if arg == "{path}" else arg for arg in command])
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2), err
+    event(f"exit {code}")
+    assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+    if code != 0:
+        prefix = "error: " if code == 1 else "i/o error: "
+        assert err.startswith(prefix), err
         assert err.count("\n") == 1 and err.endswith("\n"), err

@@ -21,7 +21,6 @@ from flowbundle.synth import (
     ScenarioSpec,
     TrafficClassSpec,
     build_scenario,
-    fig2_traffic,
     generate,
     load_scenario_spec,
     match_labels,
@@ -78,16 +77,6 @@ def test_unmatched_flow_raises():
     assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
     with pytest.raises(LabelError):
         match_labels(assembled, traffic.manifest.take(slice(None, -1)))
-
-
-def test_fig2_bundles():
-    traffic = fig2_traffic()
-    assembled = flows.assemble_flows(traffic.packets, **TIMEOUTS)
-    table = features.flow_table(assembled, ["benign"] * len(assembled))
-    bundles = aggregation.bundle_flows(table)
-    assert sorted((b.num_flows for b in bundles), reverse=True) == [4, 2, 1, 1]
-    stamped = aggregation.aggregate_features(table)
-    assert stamped.aggregated and len(stamped.num_flows) == len(table)
 
 
 def test_packets_are_sorted():
