@@ -185,7 +185,7 @@ def _eval_saved_model(args) -> int:
     for name, path in class_rows.items():
         if name not in artifact.class_names:
             raise ConfigError(
-                f"class {name!r} unknown to the model (trained on "
+                f"{args.model}: class {name!r} unknown to the model (trained on "
                 f"{artifact.class_names})"
             )
         table = features.read_features_csv(path)
@@ -275,6 +275,8 @@ def _cmd_zeroday_detect(args) -> int:
     artifact = mlp.load_model(args.model)
     table = features.read_features_csv(args.infile)
     names = artifact.feature_names or list(features.FLOW_FEATURE_NAMES)
+    if len(names) != artifact.model.layer_sizes[0]:  # unnamed, not the flow features
+        raise ConfigError(f"{args.model}: names none of its {artifact.model.layer_sizes[0]} inputs")
     X = features.feature_matrix(table, names)
     report = zeroday.detect(artifact.model, X, policy, kind=args.kind)
     print(f"{args.kind} set, {len(table)} samples:")

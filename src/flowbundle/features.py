@@ -201,14 +201,15 @@ _EXACT = 2.0**52 / 1e6  # below this, |v|·1e6 rounds to an exact integer
 
 
 def _digits(q: np.ndarray) -> np.ndarray:
-    """Each q >= 0 in decimal, a column of a (width, n) uint8 block,
-    right-aligned and padded with NUL."""
-    q, digit = np.divmod(q, 10)
-    rows = [digit + ord("0")]
-    while q.any():
-        lead = q != 0  # NUL left of the leading digit
-        q, digit = np.divmod(q, 10)
-        rows.append((digit + ord("0")) * lead)
+    """Each q >= 0 in decimal, a column of a (width, n) uint8 block, right-aligned and
+    padded with NUL; by floor division alone (divmod and % loop), in uint32 if q fits."""
+    q = q.astype(np.uint32 if q.max(initial=0) < 2**32 else np.uint64)
+    quotient = q // 10
+    rows = [q - quotient * 10 + ord("0")]
+    while quotient.any():
+        lead, q = quotient != 0, quotient  # NUL left of the leading digit
+        quotient = q // 10
+        rows.append((q - quotient * 10 + ord("0")) * lead)
     return np.array(rows[::-1], np.uint8)
 
 
@@ -238,12 +239,12 @@ def _field(values: np.ndarray, kind: str) -> np.ndarray | None:
         # q is the correctly rounded digit string unless scaled lies so near a
         # half that its own rounding error could cross it: ask Python for those
         near_half = ~(0.5 - np.abs(scaled - q) > scaled * 2.0**-52)
-        q = q.astype(np.int64)
+        q = q.astype(np.uint64)
         q[near_half] = [int(("%.6f" % v).replace(".", ""))
                         for v in np.abs(values[near_half]).tolist()]
         negative = np.signbit(values)
-        point = np.full((1, len(q)), ord("."), np.uint8)
-        rows = [_digits(q // 10**6), point, _digits(q % 10**6 + 10**6)[-6:]]  # of 1dddddd
+        whole, point = q // 10**6, np.full((1, len(q)), ord("."), np.uint8)
+        rows = [_digits(whole), point, _digits(q - whole * 10**6 + 10**6)[-6:]]  # of 1dddddd
     return np.concatenate([(negative * ord("-")).astype(np.uint8)[None], *rows])
 
 
@@ -310,8 +311,8 @@ def line_of(head: bytes) -> int:
 
 
 def bulk_columns(text: str, header: list[str], dtypes: list) -> list[np.ndarray] | None:
-    """Column i of CSV text as ``dtypes[i]`` (object, np.int64 or float) by one
-    numpy C parse per dtype, for write_csv's own dialect: ASCII (numpy 2.4 can
+    """Column i of CSV text as ``dtypes[i]`` (object, np.int64 or float), field i
+    of one numpy C parse, for write_csv's own dialect: ASCII (numpy 2.4 can
     crash past U+FFFF), no quote, NUL or \\x1c-\\x1f (space to loadtxt, not to
     int()), each line ended by CRLF, none blank or over csv.field_size_limit(),
     header line ``header``, one row or more; else, or if loadtxt refuses a field, None."""
@@ -323,13 +324,12 @@ def bulk_columns(text: str, header: list[str], dtypes: list) -> list[np.ndarray]
             or not text.count("\r") == text.count("\n") == n  # no lone CR or LF
             or text.count(",") != (len(header) - 1) * n):  # then, as loadtxt refuses a
         return None  # row without a column it reads, no row is longer than the header
-    try:  # one parse per dtype; its columns come out in column order
-        blocks = {dtype: iter(np.loadtxt(lines[1:-1], dtype, comments=None, delimiter=",",
-                                         usecols=[i for i, d in enumerate(dtypes) if d is dtype],
-                                         ndmin=2).T) for dtype in set(dtypes)}
+    try:  # one field per column, in its column's dtype
+        rows = np.loadtxt(lines[1:-1], [(f"f{i}", d) for i, d in enumerate(dtypes)],
+                          comments=None, delimiter=",", ndmin=1)
     except ValueError:
         return None
-    return [next(blocks[dtype]) for dtype in dtypes]
+    return [rows[name] for name in rows.dtype.names]
 
 
 def csv_records(path: str | Path, error: type[ValueError]) -> list[list[str]]:
@@ -405,9 +405,9 @@ def read_features_csv(path: str | Path) -> FlowTable:
     """Load a flow CSV written by write_features_csv.
 
     Validates the header, that every numeric field is a finite number (the
-    ports and num_flows 64-bit integers) and that the bundle columns are
-    empty on every row or filled on every row; a defect raises SchemaError
-    naming the file, line and column.
+    ports integers from 0 to 65535, num_flows a 64-bit integer) and that the
+    bundle columns are empty on every row or filled on every row; a defect
+    raises SchemaError naming the file, line and column.
     """
     columns, checks = bulk_columns(utf8_text(path, SchemaError), CSV_COLUMNS, _BULK_DTYPES), []
     if columns is None:  # not in write_csv's own dialect
@@ -434,7 +434,9 @@ def read_features_csv(path: str | Path) -> FlowTable:
             bad, problem = ~np.isfinite(values[i]), "non-finite value {!r}"
         if i in (_NUM_FLOWS, _DELTA) and syntax is not None:
             syntax &= np.array(columns[i], dtype=object) != ""  # empty: checked below
-        checks += [(syntax, i, "{!r} is not a number"), (bad, i, problem)]
+        port = (values[i] < 0) | (values[i] > 65535) if i in (1, 3) else None
+        checks += [(syntax, i, "{!r} is not a number"), (bad, i, problem),
+                   (port, i, "{!r} is not a port from 0 to 65535")]
     if aggregated and not all(map(all, bundle)):  # some fields empty, some filled
         empty = [np.array(column, dtype=object) == "" for column in bundle]
         here, first = ("filled", "empty") if empty[0][0] else ("empty", "filled")
@@ -448,9 +450,9 @@ def read_features_csv(path: str | Path) -> FlowTable:
     numbers = np.array([values[i] for i in range(_STATS_START, _STATS_END)])
     table = FlowTable(
         initiator_ip=np.array(columns[0], dtype=object),
-        initiator_port=values[1],
+        initiator_port=values[1].copy(),  # not a view holding all of bulk_columns's parse
         responder_ip=np.array(columns[2], dtype=object),
-        responder_port=values[3],
+        responder_port=values[3].copy(),
         protocol=np.array(columns[4], dtype=object),
         start_time=numbers[0],
         label=np.array(columns[-1], dtype=object),

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +48,10 @@ def assemble_flows(
     flow ended via RST / a completed FIN exchange (on the packet after the
     second FIN, typically the final ACK).  Packets are taken in stable
     timestamp order, so file order breaks ties.
+
+    Each round cuts one flow off every segment (a key's packets between idle
+    gaps) with packets left: RST, FIN and segment ends by a table lookup, an
+    active timeout by a vectorised bisect.  Rounds: the most flows a segment holds.
     """
     if not 0 < idle_timeout < math.inf:
         raise ValueError("idle_timeout must be positive and finite")
@@ -69,27 +72,30 @@ def assemble_flows(
     for column in key:
         column = column[order]
         cut[1:] |= column[1:] != column[:-1]
-    segments = [*np.flatnonzero(cut).tolist(), n]
+    starts, last = np.flatnonzero(cut), np.roll(cut, -1)  # each segment's first, last (cut[0])
 
-    # each closing event's sorted positions, then n
-    rst, fin_low, fin_high = (np.append(np.flatnonzero(events), n).tolist() for events in
-                              (flags & _RST, (flags & _FIN > 0) & low, (flags & _FIN > 0) & ~low))
-    times = times.tolist()
-    firsts = []  # each flow's first sorted position
-    for s, stop in zip(segments, segments[1:]):
-        while s < stop:
-            firsts.append(s)
-            # the first RST, the packet after both endpoints' first FIN, the
-            # segment's end or, earlier, the active timeout ends the flow
-            end = min(stop, rst[bisect_left(rst, s)] + 1,
-                      max(fin_low[bisect_left(fin_low, s)], fin_high[bisect_left(fin_high, s)]) + 2)
-            start = times[s]
-            if active_timeout is not None and times[end - 1] - start > active_timeout:
-                end = bisect_right(times, active_timeout, s + 1, end, key=lambda t: t - start)
-            s = end
+    # from each sorted position, the next RST or segment's last packet and each FIN, else n
+    fin = flags & _FIN > 0
+    rst, fin_low, fin_high = (np.minimum.accumulate(np.where(e, np.arange(n), n)[::-1])[::-1]
+                              for e in ((flags & _RST > 0) | last, fin & low, fin & ~low))
+    # a flow from there ends after that packet or one packet after both endpoints' FIN
+    closed = np.minimum(rst + 1, np.maximum(fin_low, fin_high) + 2)
+    firsts = [starts]  # each flow's first sorted position, a round at a time
+    while len(starts):  # a round: the next flow of every segment with packets left
+        ends = closed[starts]  # or, earlier, the active timeout
+        if active_timeout is not None:
+            late = np.flatnonzero(times[ends - 1] - times[starts] > active_timeout)
+            # bisect_right: the first packet past the timeout lies in [lo, hi]; hi is past it
+            lo, hi, begin = starts[late] + 1, ends[late] - 1, times[starts[late]]
+            while np.any(lo < hi):
+                over = times[mid := (lo + hi) // 2] - begin > active_timeout
+                lo, hi = np.where(over, lo, mid + 1), np.where(over, mid, hi)
+            ends[late] = hi
+        starts = ends[~last[ends - 1]]
+        firsts.append(starts)
 
     # flows in creation order: by the time, then the row, of their first packet
-    firsts = np.array(firsts, dtype=np.int64)
+    firsts = np.sort(np.concatenate(firsts))
     sizes = np.diff(firsts, append=n)
     by_creation = np.lexsort((order[firsts], packets.timestamp[order[firsts]]))
     firsts, sizes = firsts[by_creation], sizes[by_creation]

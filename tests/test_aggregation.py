@@ -126,7 +126,8 @@ class TestBundleFlows:
             bundle_flows(table_of(rows), window=1e-300)
 
     def test_ports_past_16_bits_give_the_exact_spread(self):
-        # a flow CSV may hold any 64-bit port: the spread must not wrap
+        # the reader refuses ports past 16 bits, but a table built in code may
+        # hold any 64-bit port: the spread must not wrap
         rows = [feature_row("10.0.0.1", -2**63), feature_row("10.0.0.1", 2**63 - 1)]
         bundles = bundle_flows(table_of(rows))
         assert bundles.src_ports_delta.tolist() == [float(2**64 - 1)]

@@ -603,6 +603,9 @@ def test_missing_config_rejected(tmp_path, capsys):
         ("num_flows", "2.5", "'2.5' is not a number"),
         ("responder_port", "1" + "0" * 30, f"'1{'0' * 30}' does not fit in 64 bits"),
         ("num_flows", str(2**63), f"'{2**63}' does not fit in 64 bits"),
+        ("initiator_port", "-5", "'-5' is not a port from 0 to 65535"),
+        ("responder_port", str(2**62), f"'{2**62}' is not a port from 0 to 65535"),
+        ("initiator_port", "65536", "'65536' is not a port from 0 to 65535"),
     ],
 )
 def test_bad_flow_csv_value_rejected(mimicking_csvs, tmp_path, capsys, column, raw,
@@ -855,6 +858,39 @@ def test_mistyped_model_rejected(mimicking_csvs, tmp_path, capsys, key, value, p
     assert run(["zeroday", "detect", "--model", str(model_path),
                 "--in", str(attack_csv)]) == 1
     assert capsys.readouterr().err.startswith(f"error: {model_path}: {problem}")
+
+
+def test_model_without_feature_names_rejected(mimicking_csvs, tmp_path, capsys):
+    """A 36-input autoencoder that names no features does not fit the 34 flow
+    features detect falls back to: the error names the model file."""
+    _, _, benign_csv, attack_csv = mimicking_csvs
+    model_path = tmp_path / "ae.json"
+    assert run(["zeroday", "fit", "--benign", str(benign_csv),
+                "--model", str(model_path), "--epochs", "1"]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["feature_names"] = None
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["zeroday", "detect", "--model", str(model_path),
+                "--in", str(attack_csv)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: names none of its 36 inputs\n")
+
+
+def test_class_unknown_to_model_names_the_model(mimicking_csvs, tmp_path, capsys):
+    _, agg_csv, benign_csv, attack_csv = mimicking_csvs
+    model_path = tmp_path / "model.json"
+    assert run(["train", "--in", str(agg_csv), "--model", str(model_path),
+                "--epochs", "1"]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["class_names"] = ["benign", "other"]
+    model_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["eval", "--model", str(model_path), "--benign", str(benign_csv),
+                "--attack", f"slowloris={attack_csv}"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {model_path}: class 'slowloris' unknown to the model "
+        "(trained on ['benign', 'other'])\n")
 
 
 

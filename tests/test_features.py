@@ -315,6 +315,13 @@ _EDGE_CASES = {
               + (1.5e9 + 600 * np.random.default_rng(5).random(2000)).tolist(), True),
     "float_counts": ("bwd_pkt_count", [2.999999, -0.0, -2.5, -0.5, 3.0, 1e9, -1e9, 0.5], True),
     "huge_count": ("fwd_byte_count", [1e308, 2.0], False),
+    # the digit printer works in uint32 up to 2**32 - 1 and in uint64 past it
+    "uint32_max_count": ("fwd_byte_count", [2**32 - 1, 0.0, 7.0], True),
+    "past_uint32_count": ("fwd_byte_count", [2**32, 2**32 + 1, 1.0], True),
+    "uint32_max_num_flows": ("num_flows", [2**32 - 1, 1], True),
+    "past_uint32_num_flows": ("num_flows", [2**32, 2**32 + 1, 2**32 - 1], True),
+    "uint32_max_whole": ("fwd_iat_mean", [4294967295.999999, -4294967295.5, 0.5], True),
+    "past_uint32_whole": ("src_ports_delta", [4294967296.5, 4294967295.999999], True),
     "int64_ports": ("initiator_port", [0, 65535, -1, 10**9], True),
     "int64_max": ("num_flows", [2**63 - 1, 1], False),
     "int64_min": ("responder_port", [-(2**63), 1], False),
@@ -417,6 +424,16 @@ def test_other_dialects_read_as_csv_reader_reads_them(tmp_path, edge):
         assert got == f"{path}{want.format(width=len(CSV_COLUMNS))}"
     else:
         assert got.label.tolist() == want and got.aggregated == bool(want)
+
+
+def test_one_row_reads_in_bulk(tmp_path, rng):
+    table = flow_table(flow_segments([random_flow(rng, 4)]), ["benign"])
+    aggregated = dataclasses.replace(table, num_flows=np.ones(1, np.int64),
+                                     src_ports_delta=np.zeros(1))
+    for rows in (table, aggregated):
+        write_features_csv(rows, tmp_path / "one.csv")
+        got, bulk = read_both_ways(read_features_csv, tmp_path / "one.csv")
+        assert bulk and len(got) == 1 and got.aggregated == rows.aggregated
 
 
 def test_empty_table_reads_back_unaggregated(tmp_path, rng):

@@ -33,6 +33,11 @@ cut, a spliced copy of a span) and go through ``eval --model``,
 0, 1 or 2 with no ``nan`` or ``inf`` in what it prints, and an exit 1 or
 2 prints one ``error:`` or ``i/o error:`` line.
 
+Scenario spec: a two-class, three-source spec gets one mutation as the
+JSON files do, or ``-1``, NUL or a byte that is not UTF-8 inserted or
+written over it, and goes through ``synth --spec``.  The run must exit
+0, 1 or 2 as those do.
+
 Both CSVs, mutated as above, read alike in bulk (numpy's parser, for
 text in the writer's own dialect) and by csv.reader alone: the same
 table, or the same error.
@@ -41,6 +46,7 @@ table, or the same error.
 import csv
 import dataclasses
 import io
+import json
 import re
 import struct
 from contextlib import redirect_stderr, redirect_stdout
@@ -422,17 +428,17 @@ _JSON_TOKENS = [b"\r", b"\n", b"\r\n", b"1e999", b"-1e999", b"null", b"[", b"]",
 
 
 @st.composite
-def mutated_json(draw, data):
-    """A JSON file with one byte or token written over or inserted, a span
-    deleted, or a copy of one span spliced in at another place; the place
-    is as often the start of a structural byte as any byte."""
+def mutated_json(draw, data, tokens=_JSON_TOKENS):
+    """A JSON file with one byte or one of ``tokens`` written over or
+    inserted, a span deleted, or a copy of one span spliced in at another
+    place; the place is as often the start of a structural byte as any byte."""
     structural = [at for at, byte in enumerate(data) if byte in b'[]{}":,']
     at = draw(st.one_of(st.integers(0, len(data) - 1), st.sampled_from(structural)))
     kind = draw(st.sampled_from(["byte", "token", "delete", "splice"]))
     if kind == "byte":
         return data[:at] + draw(st.binary(min_size=1, max_size=1)) + data[at + 1:]
     if kind == "token":
-        token = draw(st.sampled_from(_JSON_TOKENS))
+        token = draw(st.sampled_from(tokens))
         end = at + len(token) if draw(st.booleans()) else at  # overwrite or insert
         return data[:at] + token + data[end:]
     end = draw(st.integers(at, min(len(data), at + 80)))
@@ -461,3 +467,40 @@ def test_mutated_json_exits_cleanly(saved_json, loader, data):
         prefix = "error: " if code == 1 else "i/o error: "
         assert err.startswith(prefix), err
         assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+# a two-class spec of three sources over 20 s: every number is one or two
+# digits, so a spliced span makes no class large
+_SPEC = json.dumps({
+    "seed": 3, "duration": 20, "n_servers": 2, "classes": [
+        {"label": "benign", "n_sources": 2, "flows_per_source": [1, 2],
+         "data_exchanges": [1, 3]},
+        {"label": "slowloris", "n_sources": 1, "flows_per_source": [2, 3],
+         "data_exchanges": [1, 2], "port_pattern": "sequential", "port_step": 3,
+         "single_target": True},
+    ]}, indent=1).encode()
+
+
+@pytest.fixture(scope="module")
+def spec_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("spec")
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_scenario_spec_exits_cleanly(spec_dir, data):
+    base = spec_dir
+    path, pcap, labels = base / "spec.json", base / "spec.pcap", base / "spec_labels.csv"
+    tokens = [*_JSON_TOKENS, b"-1", b"\x00", b"\xff", b"\xc3"]  # and NUL, bytes not UTF-8
+    path.write_bytes(data.draw(mutated_json(_SPEC, tokens)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["synth", "--spec", str(path), "--out", str(pcap), "--labels", str(labels)])
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2), err
+    event(f"exit {code}")
+    assert not re.search(r"\b(nan|inf)\b", out, re.IGNORECASE), out
+    if code != 0:
+        prefix = "error: " if code == 1 else "i/o error: "
+        assert err.startswith(prefix), err
+        assert err.count("\n") == 1 and err.endswith("\n") and str(path) in err, err

@@ -630,6 +630,20 @@ class TestReferenceOracle:
         _, want = _assert_same_flows(packets, idle_timeout=0.75 * active, active_timeout=active)
         assert len(want) == flows
 
+    def test_one_key_cut_by_rst_fin_and_active_timeout(self):
+        """Four flows of one key in one segment: assembly finds each flow's
+        end in a round of its own."""
+        out = dict(src="10.0.0.1", dst="10.0.0.2", sport=40000, dport=80)
+        back = dict(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=40000)
+        steps = [(0, out, ("SYN",)), (1, back, ("ACK",)), (2, out, ("RST",)),  # cut by RST
+                 (3, out, ("SYN",)), (4, out, ("FIN", "ACK")), (5, back, ("FIN", "ACK")),
+                 (6, out, ("ACK",)),  # cut after the final ACK
+                 *((t, out if t % 2 else back, ("ACK",)) for t in range(7, 16))]
+        packets = [tcp_packet(float(t), flags=flags, **ends) for t, ends, flags in steps]
+        _, want = _assert_same_flows(packets, idle_timeout=5.0, active_timeout=6.0)
+        # the third flow outlives the active timeout at t = 14
+        assert [flow.start_time for flow in want] == [0.0, 3.0, 7.0, 14.0]
+
     @given(
         packets=st.lists(st.tuples(
             st.integers(0, 40),  # quarter seconds, so many timestamps are equal

@@ -373,6 +373,14 @@ def test_labels_csv_defects_csv_reader_finds(tmp_path, defect):
     assert outcome is None  # both raise, naming line 2
 
 
+def test_one_row_labels_read_in_bulk(tmp_path):
+    path = tmp_path / "labels.csv"
+    manifest = build_scenario("fig2", seed=0).manifest.take(np.arange(1))
+    write_labels_csv(manifest, path)
+    got, bulk = read_both_ways(read_labels_csv, path)
+    assert bulk and got.label.tolist() == manifest.label.tolist()
+
+
 @pytest.mark.parametrize("edge", list(OTHER_DIALECTS))
 def test_labels_in_other_dialects_read_as_csv_reader_reads_them(tmp_path, edge):
     mutate, want = OTHER_DIALECTS[edge]
